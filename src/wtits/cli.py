@@ -25,12 +25,13 @@ import sys
 import numpy as np
 
 from .errors import ExprParseError, InvariantViolation, PresetError, ReducedLiftUnavailable
-from .rootsys import length, reduced_word, weyl_group
+from .rootsys import reduced_word
 from .utits import (
     FiniteGroupTable,
     GroupPreset,
     UElement,
     coset_label as _coset_label,
+    compile_group,
     display_tokens,
     display_word,
     enumerate_C,
@@ -38,7 +39,6 @@ from .utits import (
     check_quotient_isomorphism,
     load_config,
     load_preset,
-    project_to_W,
     subgroup_closure,
     subgroup_U_H,
 )
@@ -81,9 +81,10 @@ def parse_element(preset: GroupPreset, text: str) -> UElement:
 
 
 def _sorted_elements(group: FiniteGroupTable) -> list[UElement]:
+    tables = compile_group(group.preset)
     return sorted(
         group.elements,
-        key=lambda u: (length(project_to_W(u)), display_tokens(u)),
+        key=lambda u: (tables.length(tables.position(u)), display_tokens(u)),
     )
 
 
@@ -174,7 +175,7 @@ def cmd_group(args) -> int:
     preset = _load(args)
     table = enumerate_U(preset)
     c_table = enumerate_C(preset)
-    w_count = len(weyl_group(preset.root_datum))
+    w_count = len(compile_group(preset).weyl)
     if args.json:
         payload = {
             "preset": preset.name,

@@ -10,6 +10,7 @@ the integers.  No floating point enters here.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -35,11 +36,8 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -61,10 +59,6 @@ def transpose(a: IntMatrix) -> IntMatrix:
 
 def is_identity(a: IntMatrix) -> bool:
     return a == identity_matrix(len(a))
-
-
-def is_orthogonal(a: IntMatrix) -> bool:
-    return mat_mul(a, transpose(a)) == identity_matrix(len(a))
 
 
 def is_signed_permutation(a: IntMatrix) -> bool:

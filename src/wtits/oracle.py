@@ -25,11 +25,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .rootsys import reduced_word
 from .utits import (
     GroupPreset,
     UElement,
-    c_part,
+    canonical_form,
     cosets,
     coset_label,
     display_word,
@@ -189,8 +188,7 @@ class CellSample:
 
 
 def _reduced_lift_data(u: UElement) -> tuple[tuple[int, ...], np.ndarray]:
-    word = tuple(reduced_word(project_to_W(u)))
-    c = c_part(u)
+    word, c = canonical_form(u)
     return word, _as_float(c)
 
 
@@ -217,9 +215,16 @@ def sample_schubert(u: UElement, count: int, seed: int) -> CellSample:
 
 
 def u_cell_key(u: UElement) -> tuple[int, ...]:
-    """Deterministic nonnegative substream key derived from the matrix."""
-    flat = [x for row in u.matrix for x in row]
-    return tuple((x + 1) % 3 for x in flat)
+    """Deterministic nonnegative substream key, one entry per matrix entry.
+
+    Entries -1, 0, 1 map to 0, 1, 2, which fixes the seeded streams of
+    signed-permutation groups; larger entries x map to 2x - 1 and smaller
+    ones to -2x, so distinct matrices of one size get distinct keys."""
+    return tuple(
+        x + 1 if -1 <= x <= 1 else (2 * x - 1 if x > 1 else -2 * x)
+        for row in u.matrix
+        for x in row
+    )
 
 
 def min_distance(u_lo: UElement, sample: CellSample) -> float:

@@ -6,10 +6,12 @@ question asked here (length, descent, order) reduces to exact arithmetic.
 Simple-root indices are 1-based throughout the public API, matching the
 generator labels s1, s2, ... used everywhere else.
 
-The groups handled are tiny (|W| <= a few thousand), so the algorithms
-favor transparency over asymptotics: length is an inversion count over the
-positive roots, reduced words come from smallest-descent stripping, and the
-Bruhat-Chevalley order uses the classical descent recursion.
+The Fraction elements favor transparency over speed: length is an
+inversion count over the positive roots, reduced words come from
+smallest-descent stripping, and the Bruhat-Chevalley order uses the
+classical descent recursion.  `WeylTable` reads the simple reflections off
+them once and answers the same questions by lookups in permutation tables;
+the group layer runs on that table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ClosureBoundExceeded
 from .exact import (
     FracMatrix,
     FracVector,
@@ -185,9 +188,6 @@ def make_weyl_element(datum: RootDatum, matrix: FracMatrix, inverse: FracMatrix)
     return WeylElement(datum, matrix, inverse, inversions)
 
 
-
-
-
 def weyl_identity(datum: RootDatum) -> WeylElement:
     eye = frac_identity(datum.dim)
     return WeylElement(datum, eye, eye, 0)
@@ -276,6 +276,96 @@ def weyl_group(datum: RootDatum) -> tuple[WeylElement, ...]:
                     new.append(prod)
         frontier = new
     return tuple(sorted(seen.values(), key=lambda w: (length(w), w.matrix)))
+
+
+class WeylTable:
+    """The Weyl group as permutations of the root list, for table lookups.
+
+    Each simple reflection's permutation is read once off its validated
+    Fraction matrix; the group is then enumerated by closure of those
+    permutations, refusing more than `bound` elements.  Elements are indices
+    in discovery order, 0 being the identity:
+
+    * `length[w]` counts the positive roots w sends negative,
+    * `right[i - 1][w]` is w r_i and `left[i - 1][w]` is r_i w,
+    * `word[w]` is the deterministic reduced word of `reduced_word`
+      (smallest left descent stripped first).
+
+    The tables are tuples and never change; only the Fraction elements
+    handed out by `element` are built lazily, once each.
+    """
+
+    identity = 0
+
+    def __init__(self, datum: RootDatum, bound: int):
+        positives = datum.positive_roots
+        roots = positives + tuple(_neg(r) for r in positives)
+        where = {root: k for k, root in enumerate(roots)}
+        gens = [
+            tuple(where[simple_reflection(datum, i).act_root(root)] for root in roots)
+            for i in range(1, datum.rank + 1)
+        ]
+        perms = [tuple(range(len(roots)))]
+        index = {perms[0]: 0}
+        right: list[list[int]] = [[] for _ in gens]
+        k = 0
+        while k < len(perms):
+            perm = perms[k]
+            for gen, row in zip(gens, right):
+                image = tuple(perm[x] for x in gen)
+                w = index.get(image)
+                if w is None:
+                    if len(perms) >= bound:
+                        raise ClosureBoundExceeded(
+                            f"the Weyl group has more than {bound} elements"
+                        )
+                    w = index[image] = len(perms)
+                    perms.append(image)
+                row.append(w)
+            k += 1
+        n_pos = len(positives)
+        self.datum = datum
+        self.right = tuple(tuple(row) for row in right)
+        self.left = tuple(
+            tuple(index[tuple(gen[x] for x in perm)] for perm in perms) for gen in gens
+        )
+        self.length = tuple(sum(x >= n_pos for x in perm[:n_pos]) for perm in perms)
+        words: list[tuple[int, ...]] = [()] * len(perms)
+        for w in sorted(range(len(perms)), key=self.length.__getitem__):
+            if self.length[w]:
+                i = next(
+                    i for i, row in enumerate(self.left) if self.length[row[w]] < self.length[w]
+                )
+                words[w] = (i + 1,) + words[self.left[i][w]]
+        self.word = tuple(words)
+        self._elements: list[WeylElement | None] = [None] * len(perms)
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def is_reduced(self, word) -> bool:
+        """Walk the word along `right`; it is reduced iff every letter
+        raises the length."""
+        w = 0
+        for i in word:
+            nxt = self.right[i - 1][w]
+            if self.length[nxt] < self.length[w]:
+                return False
+            w = nxt
+        return True
+
+    def element(self, w: int) -> WeylElement:
+        """The Fraction-matrix Weyl element with index w: r_i times the
+        element of r_i w, for the first letter i of its word."""
+        elt = self._elements[w]
+        if elt is None:
+            if not self.word[w]:
+                elt = weyl_identity(self.datum)
+            else:
+                i = self.word[w][0]
+                elt = simple_reflection(self.datum, i) * self.element(self.left[i - 1][w])
+            self._elements[w] = elt
+        return elt
 
 
 def longest_element(datum: RootDatum) -> WeylElement:

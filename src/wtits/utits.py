@@ -2,19 +2,27 @@
 
 A preset packages the generators s_i (one per simple root), the extra C
 generators (none for the built-in groups), the restricted root datum, and a
-basis of the Cartan subspace realized as matrices.  From those, everything
-else is computed: the finite group U by closure, its abelian normal
-subgroup C, the projection pi onto the Weyl group by conjugation of the
-Cartan basis, canonical reduced lifts, parabolic-type subgroups U_H, and
-right-coset partitions.
+basis of the Cartan subspace realized as matrices.  Loading validates that
+data with exact arithmetic, including pi(s_i) = r_i and pi(c_j) = 1 for the
+projection pi onto the Weyl group, read off by conjugating the Cartan basis.
+
+The first query then compiles the group once into `GroupTables`: the
+closure of the generators numbers the elements of U and records right
+multiplication by every generator as it finds each product.  Everything
+else is read off those integer tables by lookups: inverses, pi (propagated
+along the generator edges into a `WeylTable` of permutations), the
+abelian normal subgroup C, canonical reduced lifts u = s_1 ... s_d c, their
+display words, and right-coset partitions.  Subgroups U_H and U(S) are
+small closures of their generator matrices.
 
 Canonical element keys are the integer matrices themselves, so equality and
-hashing are exact and no word-problem machinery is needed.
+hashing are exact; table indices follow the order of those keys.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,11 +44,10 @@ from .exact import (
 from .rootsys import (
     RootDatum,
     WeylElement,
+    WeylTable,
     length,
     make_weyl_element,
-    reduced_word,
     simple_reflection,
-    weyl_group,
 )
 
 DEFAULT_CLOSURE_BOUND = 10**6
@@ -53,8 +60,8 @@ class GroupPreset:
     """Full algebraic datum of one concrete group.
 
     Instances compare by identity; `load_preset` caches them so each named
-    preset is a singleton.  The `_caches` dict memoizes derived tables
-    (U, C, projections, down-sets) for the preset's lifetime.
+    preset is a singleton.  `_tables` holds the compiled group once
+    `compile_group` has built it; nothing else about a preset changes.
     """
 
     name: str
@@ -64,7 +71,7 @@ class GroupPreset:
     root_datum: RootDatum
     a_basis: tuple[IntMatrix, ...]
     label: str = ""
-    _caches: dict = field(default_factory=dict, repr=False)
+    _tables: "GroupTables | None" = field(default=None, init=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -148,31 +155,47 @@ class FiniteGroupTable:
                     )
 
 
+def _closure(
+    identity: IntMatrix, generators: Sequence[IntMatrix], bound: int
+) -> tuple[list[IntMatrix], list[list[int]], list[tuple[int, ...]]]:
+    """Breadth-first closure of generator matrices inside GL(n, Z).
+
+    Returns the elements in discovery order (identity first), the table
+    right[g][k] = index of elements[k] * generators[g] recorded as each
+    product is found, and the generator word each element was first reached
+    by (a shortest one).  More than `bound` elements raise.
+    """
+    mats = [identity]
+    found = {identity: 0}
+    words: list[tuple[int, ...]] = [()]
+    right: list[list[int]] = [[] for _ in generators]
+    k = 0
+    while k < len(mats):
+        for g, (gen, row) in enumerate(zip(generators, right)):
+            prod = mat_mul(mats[k], gen)
+            j = found.get(prod)
+            if j is None:
+                if len(mats) >= bound:
+                    raise ClosureBoundExceeded(
+                        f"closure exceeded {bound} elements; "
+                        "the configuration likely does not define the intended finite group"
+                    )
+                j = found[prod] = len(mats)
+                mats.append(prod)
+                words.append(words[k] + (g,))
+            row.append(j)
+        k += 1
+    return mats, right, words
+
+
 def close_under_products(
     preset: GroupPreset,
     generators: Sequence[UElement],
     bound: int = DEFAULT_CLOSURE_BOUND,
 ) -> FiniteGroupTable:
     """BFS closure of a generator list inside GL(n, Z)."""
-    ident = preset.identity()
-    seen: dict[IntMatrix, UElement] = {ident.matrix: ident}
-    gens = list(generators)
-    frontier = [ident]
-    while frontier:
-        new = []
-        for u in frontier:
-            for g in gens:
-                prod = u * g
-                if prod.matrix not in seen:
-                    seen[prod.matrix] = prod
-                    new.append(prod)
-                    if len(seen) > bound:
-                        raise ClosureBoundExceeded(
-                            f"closure exceeded {bound} elements; "
-                            "the configuration likely does not define the intended finite group"
-                        )
-        frontier = new
-    return FiniteGroupTable(seen.values())
+    mats, _, _ = _closure(identity_matrix(preset.n), [g.matrix for g in generators], bound)
+    return FiniteGroupTable(UElement(m, preset) for m in mats)
 
 
 # -- presets ------------------------------------------------------------------
@@ -284,9 +307,25 @@ def load_preset(name: str) -> GroupPreset:
         n = int(m.group(1))
         if n < 2:
             raise PresetError("sl(n) requires n >= 2")
+        _refuse_oversized_sl(n, DEFAULT_CLOSURE_BOUND)
         preset = _sl_preset(n, tuple(range(1, n)), key, f"SL({n},R)")
     validate_preset(preset)
     return preset
+
+
+def _refuse_oversized_sl(n: int, bound: int) -> None:
+    """Refuse sl<n> before building anything when |U| = |W| * |C| =
+    n! * 2^(n-1) exceeds the closure bound."""
+    if n > 1000:  # far beyond any bound; not worth computing n!
+        raise ClosureBoundExceeded(
+            f"sl{n} would have |U| = {n}!*2^{n - 1} elements, above the closure bound {bound}"
+        )
+    predicted = math.factorial(n) << (n - 1)
+    if predicted > bound:
+        raise ClosureBoundExceeded(
+            f"sl{n} would have |U| = {n}!*2^{n - 1} = {predicted} elements, "
+            f"above the closure bound {bound}"
+        )
 
 
 def load_config(source) -> GroupPreset:
@@ -369,13 +408,16 @@ def validate_preset(preset: GroupPreset) -> None:
             raise PresetError(
                 f"s{i}^2 != identity although multiplicity m_{i} > 1"
             )
-        w = project_to_W(s)  # raises PresetError if s does not normalize a
+        w = project_by_conjugation(s)  # raises PresetError if s does not normalize a
         if w.matrix != simple_reflection(datum, i).matrix:
             raise PresetError(f"pi(s{i}) != r{i}")
         s_sq = (s * s).matrix
         for c in preset.c_generators:
             if mat_mul(s_sq, c) != mat_mul(c, s_sq):
                 raise PresetError(f"s{i}^2 does not commute with a C generator")
+    for j, mat in enumerate(preset.c_generators, start=1):
+        if not project_by_conjugation(UElement(mat, preset)).is_identity():
+            raise PresetError(f"pi(c{j}) != 1")
     for a in preset.c_generators:
         for b in preset.c_generators:
             if mat_mul(a, b) != mat_mul(b, a):
@@ -385,63 +427,187 @@ def validate_preset(preset: GroupPreset) -> None:
 # -- the group U, its subgroups, and the projection onto W --------------------
 
 
+class GroupTables:
+    """U compiled into integer tables; `compile_group` builds one per preset.
+
+    The elements of U are the indices 0..|U|-1 of `U.elements`, which are
+    sorted by matrix key, so sorting indices sorts by key.  Generators are
+    numbered 0..r+m-1: s_1 .. s_r, then the extra C generators c_1 .. c_m.
+
+    * `right[g][k]`: the index of u_k * (generator g), recorded by the closure,
+    * `words[k]`: a shortest generator word of u_k, so `mul(a, b)` is a walk
+      along `right`,
+    * `inverse[k]`; `pi[k]`, an index into the permutation table `weyl`,
+    * `c_part[k]`: the C factor of the canonical decomposition
+      u = s_1 ... s_d c, where s_1 ... s_d lifts the word `weyl.word[pi[k]]`,
+    * `c_right[c]`: right multiplication by each element c of C,
+    * `s_tokens[w]`, `c_tokens[c]`: display spellings of canonical words and
+      of C elements.
+
+    Construction checks, on lookups and exhaustively: pi is well defined on
+    every generator edge, C lies in the kernel of pi and is abelian,
+    |U| = |W| * |C|, u c u^-1 lies in C for every u and c, and every
+    canonical C part lies in C.  The tables never change afterwards; the
+    extended order, computed by `xorder` on first use, is published once
+    each into `covers` and `down`.
+    """
+
+    def __init__(self, preset: GroupPreset, bound: int):
+        rank = preset.rank
+        self.preset = preset
+        self.weyl = weyl = WeylTable(preset.root_datum, bound)
+        mats, right, words = _closure(
+            identity_matrix(preset.n), preset.generators + preset.c_generators, bound
+        )
+        pi: list[int | None] = [None] * len(mats)
+        pi[0] = weyl.identity
+        for k in range(len(mats)):  # discovery order: each element after its parent
+            for g, row in enumerate(right):
+                w = weyl.right[g][pi[k]] if g < rank else pi[k]
+                if pi[row[k]] is None:
+                    pi[row[k]] = w
+                elif pi[row[k]] != w:
+                    raise InvariantViolation("pi is not well defined on the generator edges")
+        order = sorted(range(len(mats)), key=mats.__getitem__)
+        new = [0] * len(mats)
+        for pos, old in enumerate(order):
+            new[old] = pos
+        self.U = FiniteGroupTable(UElement(mats[old], preset) for old in order)
+        self.index = self.U.index
+        self.right = tuple(tuple(new[row[old]] for old in order) for row in right)
+        self.words = tuple(words[old] for old in order)
+        self.pi = tuple(pi[old] for old in order)
+        self.identity = e = new[0]
+
+        orders = []
+        for row in self.right:
+            x, k = row[e], 1
+            while x != e:
+                x, k = row[x], k + 1
+            orders.append(k)
+        self.inverse = tuple(
+            self.walk(e, [g for g in reversed(word) for _ in range(orders[g] - 1)])
+            for word in self.words
+        )
+
+        c_tokens, c_right = self._close_c()
+        c_members = sorted(c_tokens)
+        elements = self.U.elements
+        for c in c_members:
+            if self.pi[c] != weyl.identity:
+                raise InvariantViolation(
+                    f"C element {elements[c].matrix} has nontrivial Weyl projection"
+                )
+        for a in c_members:
+            for b in c_members:
+                if c_right[b][a] != c_right[a][b]:
+                    raise InvariantViolation("C is not abelian")
+        if len(mats) != len(weyl) * len(c_members):
+            raise InvariantViolation(
+                f"|U| = {len(mats)} != |W| * |C| = {len(weyl)} * {len(c_members)}"
+            )
+        for u, u_inv in enumerate(self.inverse):
+            back = self.words[u_inv]
+            for c in c_members:
+                if self.walk(c_right[c][u], back) not in c_tokens:
+                    raise InvariantViolation("C is not normal in U")
+        lifts = [self.walk(e, [i - 1 for i in word]) for word in weyl.word]
+        self.c_part = tuple(
+            self.mul(self.inverse[lifts[w]], k) for k, w in enumerate(self.pi)
+        )
+        for k, c in enumerate(self.c_part):
+            if c not in c_tokens:
+                raise InvariantViolation(
+                    f"canonical C part {elements[c].matrix} of {elements[k].matrix} "
+                    "escapes C; preset data corrupted"
+                )
+        self.C = FiniteGroupTable(elements[c] for c in c_members)
+        self.c_right = c_right
+        self.c_tokens = c_tokens
+        self.s_tokens = tuple(tuple(f"s{i}" for i in word) for word in weyl.word)
+        self.covers: tuple[tuple[int, ...], ...] | None = None
+        self.down: tuple[int, ...] | None = None
+
+    def _close_c(self) -> tuple[dict[int, tuple[str, ...]], dict[int, tuple[int, ...]]]:
+        """C as the closure of the s_i^2 and c_j by lookups: the shortest
+        token spelling of each element (lexicographic tie-break) and its
+        right-multiplication table, composed along the way."""
+        rank = self.preset.rank
+        ops = [(f"s{i}^2", (i - 1, i - 1)) for i in range(1, rank + 1)]
+        ops += [(f"c{j}", (rank + j - 1,)) for j in range(1, len(self.preset.c_generators) + 1)]
+        e = self.identity
+        c_tokens: dict[int, tuple[str, ...]] = {e: ()}
+        c_right: dict[int, tuple[int, ...]] = {e: tuple(range(len(self.pi)))}
+        frontier = [e]
+        while frontier:
+            found = []
+            for x in frontier:
+                for token, letters in ops:
+                    y = self.walk(x, letters)
+                    if y not in c_tokens:
+                        c_tokens[y] = c_tokens[x] + (token,)
+                        table = c_right[x]
+                        for g in letters:
+                            row = self.right[g]
+                            table = tuple(row[z] for z in table)
+                        c_right[y] = table
+                        found.append(y)
+            found.sort(key=c_tokens.__getitem__)
+            frontier = found
+        return c_tokens, c_right
+
+    def walk(self, k: int, letters: Iterable[int]) -> int:
+        """The index of u_k times the generators `letters` (0-based)."""
+        for g in letters:
+            k = self.right[g][k]
+        return k
+
+    def mul(self, a: int, b: int) -> int:
+        return self.walk(a, self.words[b])
+
+    def position(self, u: UElement) -> int:
+        try:
+            return self.index[u.matrix]
+        except KeyError:
+            raise ValueError(f"{u.matrix} is not an element of U") from None
+
+    def length(self, k: int) -> int:
+        """Length of the projection pi(u_k)."""
+        return self.weyl.length[self.pi[k]]
+
+
+def compile_group(preset: GroupPreset, bound: int = DEFAULT_CLOSURE_BOUND) -> GroupTables:
+    """The preset's compiled tables, built on first use."""
+    tables = preset._tables
+    if tables is None:
+        tables = GroupTables(preset, bound)
+        object.__setattr__(preset, "_tables", tables)
+    return tables
+
+
 def enumerate_U(preset: GroupPreset, bound: int = DEFAULT_CLOSURE_BOUND) -> FiniteGroupTable:
     """The full group U as the closure of the s_i and the C generators.
 
-    Verifies |U| = |W| * |C| and the normality of C inside U.
+    Compiling verifies |U| = |W| * |C| and the normality of C inside U.
     """
-    cached = preset._caches.get("U")
-    if cached is not None:
-        return cached
-    gens = [preset.generator(i) for i in range(1, preset.rank + 1)]
-    gens += [UElement(m, preset) for m in preset.c_generators]
-    table = close_under_products(preset, gens, bound)
-    c_table = enumerate_C(preset, bound)
-    w_count = len(weyl_group(preset.root_datum))
-    if len(table) != w_count * len(c_table):
-        raise InvariantViolation(
-            f"|U| = {len(table)} != |W| * |C| = {w_count} * {len(c_table)}"
-        )
-    for u in table:
-        u_inv = u.inverse()
-        for c in c_table:
-            if u * c * u_inv not in c_table:
-                raise InvariantViolation("C is not normal in U")
-    preset._caches["U"] = table
-    return table
+    return compile_group(preset, bound).U
 
 
 def enumerate_C(preset: GroupPreset, bound: int = DEFAULT_CLOSURE_BOUND) -> FiniteGroupTable:
     """The subgroup C: closure of the squared generators and the extra C
     generators.  Verified abelian and inside the kernel of pi."""
-    cached = preset._caches.get("C")
-    if cached is not None:
-        return cached
-    gens = [preset.generator(i) ** 2 for i in range(1, preset.rank + 1)]
-    gens += [UElement(m, preset) for m in preset.c_generators]
-    table = close_under_products(preset, gens, bound)
-    for a in table:
-        if not project_to_W(a).is_identity():
-            raise InvariantViolation(f"C element {a.matrix} has nontrivial Weyl projection")
-        for b in table:
-            if (a * b).matrix != (b * a).matrix:
-                raise InvariantViolation("C is not abelian")
-    preset._caches["C"] = table
-    return table
+    return compile_group(preset, bound).C
 
 
 def _flatten(mat: IntMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for row in mat for x in row)
 
 
-def project_to_W(u: UElement) -> WeylElement:
-    """The natural projection pi: U -> W, read off by conjugating the Cartan
-    basis with u and expressing the result in that basis."""
+def project_by_conjugation(u: UElement) -> WeylElement:
+    """The projection pi(u) read off by conjugating the Cartan basis with u
+    and expressing the result in that basis.  Exact and slow: it validates
+    the generators at load time and cross-checks the table in tests."""
     preset = u.preset
-    cache = preset._caches.setdefault("pi", {})
-    hit = cache.get(u.matrix)
-    if hit is not None:
-        return hit
     basis = [_flatten(h) for h in preset.a_basis]
     u_inv = mat_inverse(u.matrix)
 
@@ -460,11 +626,15 @@ def project_to_W(u: UElement) -> WeylElement:
     forward = conjugation_matrix(u.matrix, u_inv)
     backward = conjugation_matrix(u_inv, u.matrix)
     try:
-        w = make_weyl_element(preset.root_datum, forward, backward)
+        return make_weyl_element(preset.root_datum, forward, backward)
     except ValueError as exc:
         raise PresetError(f"conjugation action is not a Weyl element: {exc}") from exc
-    cache[u.matrix] = w
-    return w
+
+
+def project_to_W(u: UElement) -> WeylElement:
+    """The natural projection pi: U -> W, looked up in the compiled table."""
+    tables = compile_group(u.preset)
+    return tables.weyl.element(tables.pi[tables.position(u)])
 
 
 def lift_word(preset: GroupPreset, word: Iterable[int]) -> UElement:
@@ -478,20 +648,10 @@ def lift_word(preset: GroupPreset, word: Iterable[int]) -> UElement:
 
 def canonical_form(u: UElement) -> tuple[tuple[int, ...], UElement]:
     """Canonical decomposition u = s_{i_1} ... s_{i_d} c: the deterministic
-    reduced word of pi(u) and the trailing C factor.  Cached per element."""
-    cache = u.preset._caches.setdefault("canonical", {})
-    hit = cache.get(u.matrix)
-    if hit is None:
-        word = tuple(reduced_word(project_to_W(u)))
-        lift = lift_word(u.preset, word)
-        c = lift.inverse() * u
-        if c not in enumerate_C(u.preset):
-            raise InvariantViolation(
-                f"canonical C part {c.matrix} escapes C; preset data corrupted"
-            )
-        hit = (word, c)
-        cache[u.matrix] = hit
-    return hit
+    reduced word of pi(u) and the trailing C factor."""
+    tables = compile_group(u.preset)
+    k = tables.position(u)
+    return tables.weyl.word[tables.pi[k]], tables.U.elements[tables.c_part[k]]
 
 
 def c_part(u: UElement) -> UElement:
@@ -554,18 +714,25 @@ def cosets(
         raise ValueError("side must be 'right' or 'left'")
     if not subgroup.is_subset_of(group):
         raise ValueError("subgroup is not contained in group")
-    remaining = dict(group.index)
+    tables = compile_group(group.preset)
+    elements = tables.U.elements
+    subgroup_ids = [tables.position(h) for h in subgroup]
+    seen: set[int] = set()
     out = []
     for u in group.elements:
-        if u.matrix not in remaining:
+        k = tables.position(u)
+        if k in seen:
             continue
-        members = sorted(
-            ((h * u) if side == "right" else (u * h) for h in subgroup),
-            key=lambda x: x.matrix,
+        members = sorted(  # index order is key order
+            tables.mul(h, k) if side == "right" else tables.mul(k, h) for h in subgroup_ids
         )
-        for m in members:
-            remaining.pop(m.matrix, None)
-        out.append(Coset(representative=members[0], members=tuple(members)))
+        seen.update(members)
+        out.append(
+            Coset(
+                representative=elements[members[0]],
+                members=tuple(elements[m] for m in members),
+            )
+        )
     out.sort(key=lambda c: c.representative.matrix)
     if len(out) * len(subgroup) != len(group):
         raise InvariantViolation("coset partition has the wrong cardinality")
@@ -592,7 +759,7 @@ def check_quotient_isomorphism(U_S: FiniteGroupTable, C_table: FiniteGroupTable)
     c_s = FiniteGroupTable([u for u in U_S if u in C_table])
     w_s = tuple(sorted({project_to_W(u) for u in U_S}, key=lambda w: (length(w), w.matrix)))
     classes_u = len(table_U) // len(U_S)
-    classes_w = len(weyl_group(preset.root_datum)) // len(w_s)
+    classes_w = len(compile_group(preset).weyl) // len(w_s)
     classes_c = len(C_table) // len(c_s)
     return QuotientReport(
         W_S=w_s,
@@ -607,49 +774,13 @@ def check_quotient_isomorphism(U_S: FiniteGroupTable, C_table: FiniteGroupTable)
 # -- canonical display words --------------------------------------------------
 
 
-def _c_factorizations(preset: GroupPreset) -> dict[IntMatrix, tuple[str, ...]]:
-    """Shortest token factorization of every C element over the squared
-    generators (and extra C generators), lexicographic tie-break."""
-    cache = preset._caches.get("c_words")
-    if cache is not None:
-        return cache
-    gens: list[tuple[str, UElement]] = [
-        (f"s{i}^2", preset.generator(i) ** 2) for i in range(1, preset.rank + 1)
-    ]
-    gens += [
-        (f"c{j}", UElement(m, preset))
-        for j, m in enumerate(preset.c_generators, start=1)
-    ]
-    table = enumerate_C(preset)
-    words: dict[IntMatrix, tuple[str, ...]] = {preset.identity().matrix: ()}
-    frontier = [(preset.identity(), ())]
-    while len(words) < len(table):
-        new = []
-        for u, w in frontier:
-            for tok, g in gens:
-                prod = u * g
-                if prod.matrix not in words:
-                    words[prod.matrix] = w + (tok,)
-                    new.append((prod, w + (tok,)))
-        if not new:
-            raise InvariantViolation("C generators do not generate C")
-        new.sort(key=lambda t: t[1])
-        frontier = new
-    preset._caches["c_words"] = words
-    return words
-
-
 def display_tokens(u: UElement) -> tuple[str, ...]:
     """Canonical token spelling: the deterministic reduced word of pi(u)
-    followed by the shortest squared-generator factorization of the C part,
-    e.g. ("s2", "s1", "s1^2", "s2^2")."""
-    cache = u.preset._caches.setdefault("display", {})
-    hit = cache.get(u.matrix)
-    if hit is None:
-        word, c = canonical_form(u)
-        hit = tuple(f"s{i}" for i in word) + _c_factorizations(u.preset)[c.matrix]
-        cache[u.matrix] = hit
-    return hit
+    followed by the shortest squared-generator factorization of the C part
+    (lexicographic tie-break), e.g. ("s2", "s1", "s1^2", "s2^2")."""
+    tables = compile_group(u.preset)
+    k = tables.position(u)
+    return tables.s_tokens[tables.pi[k]] + tables.c_tokens[tables.c_part[k]]
 
 
 def display_word(u: UElement) -> str:

@@ -6,62 +6,158 @@ whose removal leaves a reduced word contributes two covered elements, with
 the dropped letter replaced by the identity or by its square.  Reachability
 through such covers is the extended Bruhat order.
 
-Because this order is the load-bearing piece of the whole package, the
-down-set of every element is always computed twice: once as the transitive
-closure of covers (each step re-derived from a fresh reduced word), and
-once by a subset-BFS over the valid drop patterns of one fixed reduced
-expression.  The two routes must agree -- a disagreement raises instead of
-returning silently wrong data.  This redundancy is permanent, not test
-scaffolding.
+Everything here runs on the group's compiled tables (`utits.GroupTables`):
+a product is a walk along the generator tables, reducedness is a walk
+along the Weyl permutation table, and a down-set is an int bitset over
+element indices.  The covers of all elements are computed together on the
+first question that needs them, and so are all down-sets.
 
-Quotient orders on right cosets (Morse components, control sets) are
-evaluated by brute force over coset members and their partial-order axioms
-are verified on the spot.
+Because this order is the load-bearing piece of the whole package, the
+down-set of every element is always computed twice: once as the closure
+of covers (the union of the covers' down-sets, by increasing length), and
+once by a subset-BFS over the valid drop patterns of one fixed reduced
+expression.  The two routes must agree on every element -- a disagreement
+raises instead of returning silently wrong data.  This redundancy is
+permanent, not test scaffolding.
+
+Quotient orders on right cosets (Morse components, control sets) are set
+algebra on the members' bitsets, and their partial-order axioms are
+verified on the spot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, ReducedLiftUnavailable
-from .rootsys import all_reduced_words, is_reduced, length
+from .rootsys import all_reduced_words
 from .utits import (
     Coset,
     FiniteGroupTable,
+    GroupTables,
     UElement,
-    canonical_form,
+    compile_group,
     cosets,
+    display_word,
     lift_word,
     project_to_W,
 )
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # -- covers and the order ------------------------------------------------------
+
+
+def _drop_covers(tables: GroupTables, k: int) -> tuple[int, ...]:
+    """Indices of the elements covered by u_k (see `down_covers`)."""
+    word = tables.weyl.word[tables.pi[k]]
+    letters = [i - 1 for i in word]
+    c_right = tables.c_right[tables.c_part[k]]
+    prefix = [tables.identity]
+    for g in letters:
+        prefix.append(tables.right[g][prefix[-1]])
+    out = set()
+    for pos, g in enumerate(letters):
+        if not tables.weyl.is_reduced(word[:pos] + word[pos + 1 :]):
+            continue
+        step = tables.right[g]
+        for start in (prefix[pos], step[step[prefix[pos]]]):
+            out.add(c_right[tables.walk(start, letters[pos + 1 :])])
+    return tuple(sorted(out))
+
+
+def _covers(tables: GroupTables) -> tuple[tuple[int, ...], ...]:
+    """Indices of the elements covered by each element."""
+    if tables.covers is None:
+        tables.covers = tuple(_drop_covers(tables, k) for k in range(len(tables.pi)))
+    return tables.covers
+
+
+def _drop_products(tables: GroupTables, word: Sequence[int]) -> set[int]:
+    """Subset-BFS route, without the trailing C factor: the lifts of the
+    reduced word with every reachable drop pattern, each dropped letter at
+    exponent 0 or 2.  A pattern is reachable when its positions can be
+    dropped one at a time with every intermediate word reduced."""
+    d = len(word)
+    full = (1 << d) - 1
+    reachable = {full}
+    tried = {full}
+    frontier = [full]
+    while frontier:
+        found = []
+        for kept in frontier:
+            for pos in _bits(kept):
+                smaller = kept ^ (1 << pos)
+                if smaller not in tried:
+                    tried.add(smaller)
+                    if tables.weyl.is_reduced([word[j] for j in _bits(smaller)]):
+                        reachable.add(smaller)
+                        found.append(smaller)
+        frontier = found
+    # Products position by position; patterns sharing their first j
+    # positions share the partial products, keyed by those bits.
+    level = {0: {tables.identity}}
+    for j, letter in enumerate(word):
+        step = tables.right[letter - 1]
+        bit = 1 << j
+        nxt = {}
+        for kept in {r & ((bit << 1) - 1) for r in reachable}:
+            base = level[kept & (bit - 1)]
+            if kept & bit:
+                nxt[kept] = {step[x] for x in base}
+            else:
+                nxt[kept] = base | {step[step[x]] for x in base}
+        level = nxt
+    return set().union(*level.values())
+
+
+def _down_masks(tables: GroupTables) -> tuple[int, ...]:
+    """Down-set bitset of every element, by both routes, cross-checked."""
+    if tables.down is None:
+        covers = _covers(tables)
+        n = len(tables.pi)
+        via_covers = [0] * n
+        for k in sorted(range(n), key=tables.length):
+            mask = 1 << k
+            for v in covers[k]:
+                mask |= via_covers[v]
+            via_covers[k] = mask
+        products: dict[int, set[int]] = {}  # per Weyl element; the C part varies
+        for k, w in enumerate(tables.pi):
+            if w not in products:
+                products[w] = _drop_products(tables, tables.weyl.word[w])
+            c_right = tables.c_right[tables.c_part[k]]
+            via_bfs = 0
+            for x in products[w]:
+                via_bfs |= 1 << c_right[x]
+            if via_bfs != via_covers[k]:
+                raise InvariantViolation(
+                    f"down-set routes disagree for {display_word(tables.U.elements[k])}: "
+                    f"covers give {via_covers[k].bit_count()} elements, "
+                    f"drop-pattern BFS gives {via_bfs.bit_count()}"
+                )
+        tables.down = tuple(via_covers)
+    return tables.down
 
 
 def down_covers(u: UElement) -> frozenset[UElement]:
     """Elements covered by u: one drop position at a time, the dropped
     letter replaced by 1 or by its square (the two coincide when the
     squared generator is trivial)."""
-    word, c = canonical_form(u)
-    datum = u.preset.root_datum
-    out = set()
-    for pos in range(len(word)):
-        shorter = word[:pos] + word[pos + 1 :]
-        if not is_reduced(datum, shorter):
-            continue
-        for exponent in (0, 2):
-            factors = [
-                u.preset.generator(letter) ** (exponent if k == pos else 1)
-                for k, letter in enumerate(word)
-            ]
-            prod = u.preset.identity()
-            for f in factors:
-                prod = prod * f
-            out.add(prod * c)
-    return frozenset(out)
+    tables = compile_group(u.preset)
+    elements = tables.U.elements
+    return frozenset(elements[v] for v in _covers(tables)[tables.position(u)])
 
 
 def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
@@ -69,83 +165,65 @@ def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
     expression of pi(u) by dropping positions one at a time (every
     intermediate word reduced) and choosing exponent 0 or 2 at each dropped
     position.  Includes u itself."""
-    preset = u.preset
-    datum = preset.root_datum
+    tables = compile_group(u.preset)
     word = tuple(word)
-    d = len(word)
-    if not is_reduced(datum, word):
+    if any(not 1 <= i <= u.preset.rank for i in word):
+        raise IndexError(f"{word} has a letter outside 1..{u.preset.rank}")
+    if not tables.weyl.is_reduced(word):
         raise ValueError(f"{word} is not a reduced expression")
-    lift = lift_word(preset, word)
-    c = lift.inverse() * u
-    if not project_to_W(c).is_identity():
+    lift = tables.walk(tables.identity, [i - 1 for i in word])
+    c = tables.mul(tables.inverse[lift], tables.position(u))
+    if tables.pi[c] != tables.weyl.identity:
         raise ValueError("word does not project to pi(u)")
-
-    full = frozenset(range(d))
-    reachable = {full}
-    frontier = [full]
-    while frontier:
-        new = []
-        for remaining in frontier:
-            for pos in remaining:
-                smaller = remaining - {pos}
-                if smaller in reachable:
-                    continue
-                if is_reduced(datum, [word[j] for j in sorted(smaller)]):
-                    reachable.add(frozenset(smaller))
-                    new.append(frozenset(smaller))
-        frontier = new
-
-    elements = set()
-    gens = [preset.generator(i) for i in word]
-    for remaining in reachable:
-        dropped = [j for j in range(d) if j not in remaining]
-        for bits in iter_product((0, 2), repeat=len(dropped)):
-            exponents = [1] * d
-            for j, k in zip(dropped, bits):
-                exponents[j] = k
-            prod = preset.identity()
-            for g, k in zip(gens, exponents):
-                prod = prod * (g**k)
-            elements.add(prod * c)
-    return frozenset(elements)
+    c_right = tables.c_right[c]
+    elements = tables.U.elements
+    return frozenset(elements[c_right[x]] for x in _drop_products(tables, word))
 
 
 def down_set(u: UElement) -> frozenset[UElement]:
     """{u' : u' <= u}, computed by both routes and cross-checked."""
-    cache = u.preset._caches.setdefault("down_set", {})
-    hit = cache.get(u.matrix)
-    if hit is not None:
-        return hit
-    via_covers = {u}
-    for v in down_covers(u):
-        via_covers |= down_set(v)
-    word, _ = canonical_form(u)
-    via_bfs = down_set_from_word(u, word)
-    if via_covers != via_bfs:
-        raise InvariantViolation(
-            "down-set routes disagree for "
-            f"{u.matrix}: covers give {len(via_covers)} elements, "
-            f"drop-pattern BFS gives {len(via_bfs)}"
-        )
-    result = frozenset(via_covers)
-    cache[u.matrix] = result
-    return result
-
-
-def down_set_all_words(u: UElement) -> list[frozenset[UElement]]:
-    """The subset-BFS down-set for every reduced word of pi(u); used to
-    exercise word-independence of the order."""
-    return [down_set_from_word(u, w) for w in all_reduced_words(project_to_W(u))]
+    tables = compile_group(u.preset)
+    elements = tables.U.elements
+    return frozenset(elements[i] for i in _bits(_down_masks(tables)[tables.position(u)]))
 
 
 def extended_leq(u_lo: UElement, u_hi: UElement) -> bool:
     """The extended Bruhat order (reflexive)."""
     if u_lo.preset is not u_hi.preset:
         raise ValueError("elements come from different presets")
-    return u_lo in down_set(u_hi)
+    tables = compile_group(u_hi.preset)
+    return bool(_down_masks(tables)[tables.position(u_hi)] >> tables.position(u_lo) & 1)
 
 
 # -- Hasse diagrams -----------------------------------------------------------
+
+
+def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Reflexive down-set bitset of every node of the digraph with edges
+    (lower, upper), built children first; a cycle raises."""
+    children: list[list[int]] = [[] for _ in range(n)]
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in edges:
+        children[hi].append(lo)
+        parents[lo].append(hi)
+    waiting = [len(c) for c in children]
+    ready = [i for i in range(n) if not waiting[i]]
+    down = [0] * n
+    k = 0
+    while k < len(ready):
+        i = ready[k]
+        mask = 1 << i
+        for lo in children[i]:
+            mask |= down[lo]
+        down[i] = mask
+        for hi in parents[i]:
+            waiting[hi] -= 1
+            if not waiting[hi]:
+                ready.append(hi)
+        k += 1
+    if len(ready) != n:
+        raise InvariantViolation("cover relation contains a cycle")
+    return down
 
 
 def transitive_reduction(
@@ -153,28 +231,13 @@ def transitive_reduction(
 ) -> frozenset[tuple[int, int]]:
     """Minimal edge set with the same reachability; edges are (lower, upper)."""
     edges = set(edges)
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
+    down = _closure_masks(n, edges)
+    strictly_below_children = [0] * n
     for lo, hi in edges:
-        children[hi].append(lo)
-    strictly_below: dict[int, frozenset[int]] = {}
-
-    def descend(i: int) -> frozenset[int]:
-        if i not in strictly_below:
-            out: set[int] = set()
-            for lo in children[i]:
-                out.add(lo)
-                out |= descend(lo)
-            strictly_below[i] = frozenset(out)
-        return strictly_below[i]
-
-    reduced = set()
-    for lo, hi in edges:
-        redundant = any(
-            mid != lo and lo in descend(mid) for mid in children[hi]
-        )
-        if not redundant:
-            reduced.add((lo, hi))
-    return frozenset(reduced)
+        strictly_below_children[hi] |= down[lo] & ~(1 << lo)
+    return frozenset(
+        (lo, hi) for lo, hi in edges if not strictly_below_children[hi] >> lo & 1
+    )
 
 
 class Poset:
@@ -187,43 +250,23 @@ class Poset:
         for lo, hi in self.covers:
             if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
                 raise ValueError(f"bad cover pair ({lo}, {hi})")
-        self._down: dict[int, frozenset[int]] | None = None
+        self._down: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _down_map(self) -> dict[int, frozenset[int]]:
+    def _down_map(self) -> list[int]:
+        """Reflexive down-set bitset of every element."""
         if self._down is None:
-            children: dict[int, list[int]] = {i: [] for i in range(len(self.elements))}
-            for lo, hi in self.covers:
-                children[hi].append(lo)
-            memo: dict[int, frozenset[int]] = {}
-            state: dict[int, int] = {}
-
-            def visit(i: int) -> frozenset[int]:
-                if i in memo:
-                    return memo[i]
-                if state.get(i) == 1:
-                    raise InvariantViolation("cover relation contains a cycle")
-                state[i] = 1
-                acc = {i}
-                for lo in children[i]:
-                    acc |= visit(lo)
-                state[i] = 2
-                memo[i] = frozenset(acc)
-                return memo[i]
-
-            for i in range(len(self.elements)):
-                visit(i)
-            self._down = memo
+            self._down = _closure_masks(len(self.elements), self.covers)
         return self._down
 
     def leq(self, i: int, j: int) -> bool:
         """Reflexive order: element i below element j."""
-        return i in self._down_map()[j]
+        return bool(self._down_map()[j] >> i & 1)
 
     def down_ids(self, i: int) -> frozenset[int]:
-        return self._down_map()[i]
+        return frozenset(_bits(self._down_map()[i]))
 
     def minimal_elements(self) -> tuple[int, ...]:
         uppers = {hi for _, hi in self.covers}
@@ -244,15 +287,16 @@ class Poset:
 def hasse(group: FiniteGroupTable) -> Poset:
     """Hasse diagram of the extended Bruhat order on an enumerated group,
     elements sorted by (projection length, matrix key)."""
-    elements = sorted(
-        group.elements, key=lambda u: (length(project_to_W(u)), u.matrix)
+    tables = compile_group(group.preset)
+    ids = sorted(
+        (tables.position(u) for u in group.elements), key=lambda k: (tables.length(k), k)
     )
-    pos = {u.matrix: k for k, u in enumerate(elements)}
-    edges = set()
-    for u in elements:
-        for v in down_covers(u):
-            edges.add((pos[v.matrix], pos[u.matrix]))
-    poset = Poset(elements, transitive_reduction(len(elements), edges))
+    pos = {k: n for n, k in enumerate(ids)}
+    covers = _covers(tables)
+    edges = {(pos[v], pos[k]) for k in ids for v in covers[k]}
+    poset = Poset(
+        [tables.U.elements[k] for k in ids], transitive_reduction(len(ids), edges)
+    )
     poset.validate()
     return poset
 
@@ -287,27 +331,32 @@ class QuotientPoset:
 
 
 def _verify_partial_order(pairs: set[tuple[int, int]], what: str) -> None:
+    """Antisymmetry and transitivity of a relation given as (lower, upper)
+    pairs, checked on the bitset of the elements above each element."""
+    above: dict[int, int] = {}
     for i, j in pairs:
-        if (j, i) in pairs and i != j:
+        above[i] = above.get(i, 0) | 1 << j
+    for i, j in pairs:
+        if i != j and above.get(j, 0) >> i & 1:
             raise InvariantViolation(f"{what} relation fails antisymmetry on ({i}, {j})")
     for i, j in pairs:
-        for k, l in pairs:
-            if j == k and (i, l) not in pairs and i != l:
-                raise InvariantViolation(f"{what} relation fails transitivity")
+        if above.get(j, 0) & ~(above[i] | 1 << i):
+            raise InvariantViolation(f"{what} relation fails transitivity")
 
 
-def _quotient(
-    group: FiniteGroupTable,
-    subgroup: FiniteGroupTable,
-    rule,
-    kind: str,
-) -> QuotientPoset:
+def _coset_bitsets(
+    group: FiniteGroupTable, subgroup: FiniteGroupTable
+) -> tuple[list[Coset], list[list[int]], list[int], tuple[int, ...]]:
+    """The cosets, their member indices, their member bitsets, and the
+    down-set bitset of every element of U."""
     classes = cosets(group, subgroup)
-    pairs = set()
-    for i, lo in enumerate(classes):
-        for j, hi in enumerate(classes):
-            if i != j and rule(lo, hi):
-                pairs.add((i, j))
+    tables = compile_group(group.preset)
+    members = [[tables.position(m) for m in c.members] for c in classes]
+    masks = [reduce(or_, (1 << k for k in ids)) for ids in members]
+    return classes, members, masks, _down_masks(tables)
+
+
+def _quotient(classes: list[Coset], pairs: set[tuple[int, int]], kind: str) -> QuotientPoset:
     _verify_partial_order(pairs, kind)
     return QuotientPoset(kind=kind, cosets=tuple(classes), relation=frozenset(pairs))
 
@@ -317,25 +366,28 @@ def morse_quotient_order(group: FiniteGroupTable, U_H: FiniteGroupTable) -> Quot
     class(v) iff every member of class(u) sits below some member of
     class(v).  This is the Schubert-inclusion direction; the dynamical
     order of the Morse components themselves is its inverse."""
-
-    def rule(lo: Coset, hi: Coset) -> bool:
-        return all(
-            any(extended_leq(a, b) for b in hi.members) for a in lo.members
-        )
-
-    return _quotient(group, U_H, rule, "morse")
+    classes, members, masks, down = _coset_bitsets(group, U_H)
+    below = [reduce(or_, (down[b] for b in ids)) for ids in members]
+    pairs = {
+        (i, j)
+        for i, lo in enumerate(masks)
+        for j, reach in enumerate(below)
+        if i != j and not lo & ~reach
+    }
+    return _quotient(classes, pairs, "morse")
 
 
 def control_quotient_order(group: FiniteGroupTable, U_S: FiniteGroupTable) -> QuotientPoset:
     """Order on U(S) \\ U indexing control sets: class(u) below class(v) iff
     every member of class(v) sits above some member of class(u)."""
-
-    def rule(lo: Coset, hi: Coset) -> bool:
-        return all(
-            any(extended_leq(a, b) for a in lo.members) for b in hi.members
-        )
-
-    return _quotient(group, U_S, rule, "control-forward")
+    classes, members, masks, down = _coset_bitsets(group, U_S)
+    pairs = {
+        (i, j)
+        for i, lo in enumerate(masks)
+        for j, hi in enumerate(members)
+        if i != j and all(down[b] & lo for b in hi)
+    }
+    return _quotient(classes, pairs, "control-forward")
 
 
 def control_forward_edges(quotient: QuotientPoset) -> list[tuple[Coset, Coset]]:

@@ -1,0 +1,62 @@
+"""Byte-identity of the order outputs against the benchmark's golden files,
+and the compiled tables against the exact Fraction route, on every element
+of sl3, so24, sl4 and the custom group with an extra C generator."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from wtits import (
+    control_quotient_order,
+    enumerate_U,
+    load_config,
+    load_preset,
+    morse_quotient_order,
+    subgroup_closure,
+    subgroup_U_H,
+)
+from wtits.cli import hasse_dot, hasse_json, quotient_json
+from wtits.rootsys import length, reduced_word
+from wtits.utits import canonical_form, compile_group, project_by_conjugation, project_to_W
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "benchmarks" / "golden"
+GROUPS = {
+    "sl3": lambda: load_preset("sl3"),
+    "so24": lambda: load_preset("so24"),
+    "sl4": lambda: load_preset("sl4"),
+    "custom": lambda: load_config(str(ROOT / "benchmarks" / "custom_o3.json")),
+}
+
+
+def as_file(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_outputs_match_golden(group):
+    preset = GROUPS[group]()
+    table = enumerate_U(preset)
+    golden = GOLDEN / group
+
+    def expect(name, text):
+        assert text == (golden / name).read_text(encoding="utf-8"), name
+
+    expect("hasse.json", as_file(hasse_json(table)))
+    expect("hasse.dot", hasse_dot(table, name=f"extended_bruhat_{preset.name}"))
+    expect("morse_theta.json", as_file(quotient_json(morse_quotient_order(table, subgroup_U_H(preset, ())))))
+    expect("morse_theta1.json", as_file(quotient_json(morse_quotient_order(table, subgroup_U_H(preset, (1,))))))
+    u_s = subgroup_closure(preset, [preset.generator(1)])
+    expect("control_s1.json", as_file(quotient_json(control_quotient_order(table, u_s))))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_tables_match_fraction_route(group):
+    preset = GROUPS[group]()
+    tables = compile_group(preset)
+    for k, u in enumerate(enumerate_U(preset)):
+        exact = project_by_conjugation(u)
+        assert project_to_W(u).matrix == exact.matrix
+        assert tables.length(k) == length(exact)
+        assert canonical_form(u)[0] == tuple(reduced_word(exact))

@@ -297,3 +297,18 @@ class TestContraction:
         nil[1, 2] = 1.0  # alpha(H) = 0 on the (2,3) root for this H
         with pytest.raises(ValueError, match="alpha"):
             contraction_check([2.0, -1.0, -1.0], nil, k_max=5)
+
+
+def test_u_cell_key_separates_entries_beyond_signs(sl3):
+    from wtits import UElement, enumerate_U
+    from wtits.oracle import u_cell_key
+
+    # entries 2 and -1 shared the key (x + 1) % 3 = 0
+    a = UElement(((2, 0), (0, 1)), sl3)
+    b = UElement(((-1, 0), (0, 1)), sl3)
+    assert u_cell_key(a) != u_cell_key(b)
+    keys = {u_cell_key(UElement(((x, y), (0, 1)), sl3)) for x in range(-4, 5) for y in range(-4, 5)}
+    assert len(keys) == 81
+    # signed-permutation groups keep their keys, so seeded streams are unchanged
+    for u in enumerate_U(sl3):
+        assert u_cell_key(u) == tuple((x + 1) % 3 for row in u.matrix for x in row)

@@ -282,6 +282,28 @@ def test_closure_bound():
         close_under_products(preset, [preset.generator(1), preset.generator(2)], bound=5)
 
 
+@pytest.mark.parametrize("n,predicted", [(9, 92897280), (12, 980995276800)])
+def test_oversized_sl_refused_from_prediction(n, predicted, monkeypatch):
+    import wtits.utits as utits
+
+    def no_build(*args):
+        raise AssertionError("the group must not be built")
+
+    monkeypatch.setattr(utits, "_sl_preset", no_build)
+    with pytest.raises(ClosureBoundExceeded) as err:
+        load_preset(f"sl{n}")
+    assert str(predicted) in str(err.value)
+    assert str(utits.DEFAULT_CLOSURE_BOUND) in str(err.value)
+
+
+def test_weyl_enumeration_bounded(sl3):
+    from wtits.rootsys import WeylTable
+
+    assert len(WeylTable(sl3.root_datum, bound=6)) == 6
+    with pytest.raises(ClosureBoundExceeded):
+        WeylTable(sl3.root_datum, bound=5)
+
+
 def test_unknown_preset():
     with pytest.raises(PresetError):
         load_preset("e8")

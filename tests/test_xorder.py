@@ -27,7 +27,8 @@ from wtits import (
 )
 from wtits.cli import parse_element
 from wtits.rootsys import all_reduced_words, length, longest_element, reduced_word
-from wtits.xorder import Poset, down_set_from_word, transitive_reduction
+from wtits import InvariantViolation, load_config
+from wtits.xorder import Poset, _verify_partial_order, down_set_from_word, transitive_reduction
 
 
 def diagram_reachability(fixture):
@@ -114,33 +115,39 @@ def test_sl2_hasse(sl2):
     assert not extended_leq(s1, s1**3) and not extended_leq(s1**3, s1)
 
 
-@pytest.mark.parametrize("name", ["sl3", "so24"])
+@pytest.mark.parametrize("name", ["sl3", "so24", "sl4"])
 def test_reduced_expression_independence(name):
     preset = load_preset(name)
+    words_of = {}  # all reduced words, per Weyl element
     for u in enumerate_U(preset):
-        words = all_reduced_words(project_to_W(u))
+        w = project_to_W(u)
+        if w.matrix not in words_of:
+            words_of[w.matrix] = all_reduced_words(w)
+        words = words_of[w.matrix]
         assert 1 <= len(words) <= 16
         reference = down_set(u)
         for word in words:
             assert down_set_from_word(u, word) == reference
 
 
-@pytest.mark.parametrize("name", ["sl3", "so24"])
+@pytest.mark.parametrize("name", ["sl3", "so24", "sl4"])
 def test_projection_monotone_and_bruhat_recovery(name):
     from wtits.rootsys import bruhat_leq, weyl_group
 
     preset = load_preset(name)
     table = enumerate_U(preset)
+    group_w = weyl_group(preset.root_datum)
+    bruhat = {(v.matrix, w.matrix): bruhat_leq(v, w) for v in group_w for w in group_w}
+    pi = {u.matrix: project_to_W(u).matrix for u in table}
     for lo in table:
         for hi in table:
             if extended_leq(lo, hi):
-                assert bruhat_leq(project_to_W(lo), project_to_W(hi))
-    for v in weyl_group(preset.root_datum):
-        for w in weyl_group(preset.root_datum):
-            lifted = extended_leq(
-                lift_word(preset, reduced_word(v)), lift_word(preset, reduced_word(w))
-            )
-            assert lifted == bruhat_leq(v, w)
+                assert bruhat[pi[lo.matrix], pi[hi.matrix]]
+    lifts = {w.matrix: lift_word(preset, reduced_word(w)) for w in group_w}
+    for v in group_w:
+        for w in group_w:
+            lifted = extended_leq(lifts[v.matrix], lifts[w.matrix])
+            assert lifted == bruhat[v.matrix, w.matrix]
 
 
 @pytest.mark.parametrize("name", ["sl3", "so24"])
@@ -322,3 +329,36 @@ def test_poset_validation():
     assert p.leq(0, 2) and not p.leq(2, 0)
     assert p.minimal_elements() == (0,)
     assert p.maximal_elements() == (2,)
+
+
+def test_verify_partial_order_rejects_bad_relations():
+    _verify_partial_order({(0, 1), (1, 2), (0, 2)}, "chain")
+    with pytest.raises(InvariantViolation, match="antisymmetry"):
+        _verify_partial_order({(0, 1), (1, 0)}, "cycle")
+    with pytest.raises(InvariantViolation, match="transitivity"):
+        _verify_partial_order({(0, 1), (1, 2)}, "gap")
+
+
+def test_down_set_disagreement_names_element(monkeypatch):
+    from wtits import xorder
+
+    # a fresh (uncached) group, with the drop-pattern route made to lose u
+    preset = load_config(
+        {
+            "name": "custom-sl2",
+            "n": 2,
+            "generators": [[[0, -1], [1, 0]]],
+            "simple_roots": [[1, -1]],
+            "a_basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        }
+    )
+    real = xorder._drop_products
+    monkeypatch.setattr(
+        xorder, "_drop_products", lambda tables, word: real(tables, word) - {tables.identity}
+    )
+    with pytest.raises(InvariantViolation) as err:
+        down_set(preset.identity())
+    message = str(err.value)
+    named = message.removeprefix("down-set routes disagree for ").partition(":")[0]
+    assert named in {display_word(u) for u in enumerate_U(preset)}
+    assert "((" not in message  # no raw matrix

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import ClosureBoundExceeded
 from .exact import (
@@ -353,6 +354,17 @@ class WeylTable:
                 return False
             w = nxt
         return True
+
+    def reduced_words(self, w: int) -> Iterator[tuple[int, ...]]:
+        """Every reduced word of w, lazily, in the order of
+        `all_reduced_words`: first letters ascending, then recursively."""
+        if not self.length[w]:
+            yield ()
+            return
+        for i, row in enumerate(self.left, start=1):
+            if self.length[row[w]] < self.length[w]:
+                for tail in self.reduced_words(row[w]):
+                    yield (i,) + tail
 
     def element(self, w: int) -> WeylElement:
         """The Fraction-matrix Weyl element with index w: r_i times the

@@ -15,10 +15,13 @@ first question that needs them, and so are all down-sets.
 Because this order is the load-bearing piece of the whole package, the
 down-set of every element is always computed twice: once as the closure
 of covers (the union of the covers' down-sets, by increasing length), and
-once by a subset-BFS over the valid drop patterns of one fixed reduced
-expression.  The two routes must agree on every element -- a disagreement
-raises instead of returning silently wrong data.  This redundancy is
-permanent, not test scaffolding.
+once as the subword grid {s_1^{k_1} ... s_d^{k_d} c : k in {0,1,2}^d} of
+the canonical reduced word -- the closed Schubert cell as the image of its
+characteristic map (the subword property, lifted to U).  The two routes
+must agree on every element -- a disagreement raises instead of returning
+silently wrong data.  This redundancy is permanent, not test scaffolding.
+The same grid with exponents up to 3 gives the candidates of the partial
+converse test for control sets.
 
 Quotient orders on right cosets (Morse components, control sets) are set
 algebra on the members' bitsets, and their partial-order axioms are
@@ -29,12 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, ReducedLiftUnavailable
-from .rootsys import all_reduced_words
 from .utits import (
     Coset,
     FiniteGroupTable,
@@ -43,8 +44,6 @@ from .utits import (
     compile_group,
     cosets,
     display_word,
-    lift_word,
-    project_to_W,
 )
 
 
@@ -84,42 +83,18 @@ def _covers(tables: GroupTables) -> tuple[tuple[int, ...], ...]:
     return tables.covers
 
 
-def _drop_products(tables: GroupTables, word: Sequence[int]) -> set[int]:
-    """Subset-BFS route, without the trailing C factor: the lifts of the
-    reduced word with every reachable drop pattern, each dropped letter at
-    exponent 0 or 2.  A pattern is reachable when its positions can be
-    dropped one at a time with every intermediate word reduced."""
-    d = len(word)
-    full = (1 << d) - 1
-    reachable = {full}
-    tried = {full}
-    frontier = [full]
-    while frontier:
-        found = []
-        for kept in frontier:
-            for pos in _bits(kept):
-                smaller = kept ^ (1 << pos)
-                if smaller not in tried:
-                    tried.add(smaller)
-                    if tables.weyl.is_reduced([word[j] for j in _bits(smaller)]):
-                        reachable.add(smaller)
-                        found.append(smaller)
-        frontier = found
-    # Products position by position; patterns sharing their first j
-    # positions share the partial products, keyed by those bits.
-    level = {0: {tables.identity}}
-    for j, letter in enumerate(word):
+def _grid(tables: GroupTables, word: Sequence[int], top: int) -> set[int]:
+    """Indices of every s_1^{k_1} ... s_d^{k_d} with k in {0..top}^d, for
+    the 1-based letters of `word`: one pass along the generator tables per
+    letter and exponent."""
+    grid = {tables.identity}
+    for letter in word:
         step = tables.right[letter - 1]
-        bit = 1 << j
-        nxt = {}
-        for kept in {r & ((bit << 1) - 1) for r in reachable}:
-            base = level[kept & (bit - 1)]
-            if kept & bit:
-                nxt[kept] = {step[x] for x in base}
-            else:
-                nxt[kept] = base | {step[step[x]] for x in base}
-        level = nxt
-    return set().union(*level.values())
+        power = grid
+        for _ in range(top):
+            power = {step[x] for x in power}
+            grid = grid | power
+    return grid
 
 
 def _down_masks(tables: GroupTables) -> tuple[int, ...]:
@@ -133,19 +108,19 @@ def _down_masks(tables: GroupTables) -> tuple[int, ...]:
             for v in covers[k]:
                 mask |= via_covers[v]
             via_covers[k] = mask
-        products: dict[int, set[int]] = {}  # per Weyl element; the C part varies
+        grids: dict[int, set[int]] = {}  # per Weyl element; the C part varies
         for k, w in enumerate(tables.pi):
-            if w not in products:
-                products[w] = _drop_products(tables, tables.weyl.word[w])
+            if w not in grids:
+                grids[w] = _grid(tables, tables.weyl.word[w], 2)
             c_right = tables.c_right[tables.c_part[k]]
-            via_bfs = 0
-            for x in products[w]:
-                via_bfs |= 1 << c_right[x]
-            if via_bfs != via_covers[k]:
+            via_grid = 0
+            for x in grids[w]:
+                via_grid |= 1 << c_right[x]
+            if via_grid != via_covers[k]:
                 raise InvariantViolation(
                     f"down-set routes disagree for {display_word(tables.U.elements[k])}: "
                     f"covers give {via_covers[k].bit_count()} elements, "
-                    f"drop-pattern BFS gives {via_bfs.bit_count()}"
+                    f"the subword grid gives {via_grid.bit_count()}"
                 )
         tables.down = tuple(via_covers)
     return tables.down
@@ -161,10 +136,9 @@ def down_covers(u: UElement) -> frozenset[UElement]:
 
 
 def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
-    """Subset-BFS route: all elements obtained from the given reduced
-    expression of pi(u) by dropping positions one at a time (every
-    intermediate word reduced) and choosing exponent 0 or 2 at each dropped
-    position.  Includes u itself."""
+    """Grid route for any reduced expression of pi(u): every
+    s_1^{k_1} ... s_d^{k_d} c with k in {0,1,2}^d, where u = s_1 ... s_d c.
+    Includes u itself."""
     tables = compile_group(u.preset)
     word = tuple(word)
     if any(not 1 <= i <= u.preset.rank for i in word):
@@ -177,7 +151,7 @@ def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
         raise ValueError("word does not project to pi(u)")
     c_right = tables.c_right[c]
     elements = tables.U.elements
-    return frozenset(elements[c_right[x]] for x in _drop_products(tables, word))
+    return frozenset(elements[c_right[x]] for x in _grid(tables, word, 2))
 
 
 def down_set(u: UElement) -> frozenset[UElement]:
@@ -231,8 +205,12 @@ def transitive_reduction(
 ) -> frozenset[tuple[int, int]]:
     """Minimal edge set with the same reachability; edges are (lower, upper)."""
     edges = set(edges)
-    down = _closure_masks(n, edges)
-    strictly_below_children = [0] * n
+    return _reduce(edges, _closure_masks(n, edges))
+
+
+def _reduce(edges: set[tuple[int, int]], down: list[int]) -> frozenset[tuple[int, int]]:
+    """The edges not implied by others, given the closure `down` of all."""
+    strictly_below_children = [0] * len(down)
     for lo, hi in edges:
         strictly_below_children[hi] |= down[lo] & ~(1 << lo)
     return frozenset(
@@ -265,9 +243,6 @@ class Poset:
         """Reflexive order: element i below element j."""
         return bool(self._down_map()[j] >> i & 1)
 
-    def down_ids(self, i: int) -> frozenset[int]:
-        return frozenset(_bits(self._down_map()[i]))
-
     def minimal_elements(self) -> tuple[int, ...]:
         uppers = {hi for _, hi in self.covers}
         return tuple(i for i in range(len(self.elements)) if i not in uppers)
@@ -279,8 +254,7 @@ class Poset:
     def validate(self) -> None:
         """Covers must be acyclic and equal to the transitive reduction of
         their own closure."""
-        self._down_map()
-        if transitive_reduction(len(self.elements), self.covers) != self.covers:
+        if _reduce(self.covers, self._down_map()) != self.covers:
             raise InvariantViolation("cover set is not transitively reduced")
 
 
@@ -294,10 +268,8 @@ def hasse(group: FiniteGroupTable) -> Poset:
     pos = {k: n for n, k in enumerate(ids)}
     covers = _covers(tables)
     edges = {(pos[v], pos[k]) for k in ids for v in covers[k]}
-    poset = Poset(
-        [tables.U.elements[k] for k in ids], transitive_reduction(len(ids), edges)
-    )
-    poset.validate()
+    poset = Poset([tables.U.elements[k] for k in ids], edges)
+    poset.validate()  # drop covers join consecutive lengths: already reduced
     return poset
 
 
@@ -340,8 +312,13 @@ def _verify_partial_order(pairs: set[tuple[int, int]], what: str) -> None:
         if i != j and above.get(j, 0) >> i & 1:
             raise InvariantViolation(f"{what} relation fails antisymmetry on ({i}, {j})")
     for i, j in pairs:
-        if above.get(j, 0) & ~(above[i] | 1 << i):
-            raise InvariantViolation(f"{what} relation fails transitivity")
+        missing = above.get(j, 0) & ~(above[i] | 1 << i)
+        if missing:
+            k = next(_bits(missing))
+            raise InvariantViolation(
+                f"{what} relation fails transitivity on ({i}, {j}): "
+                f"({j}, {k}) holds but ({i}, {k}) does not"
+            )
 
 
 def _coset_bitsets(
@@ -408,12 +385,16 @@ def control_forward_edges(quotient: QuotientPoset) -> list[tuple[Coset, Coset]]:
 # -- the partial converse test -------------------------------------------------
 
 
-def _reduced_lift_of_class(coset: Coset) -> tuple[UElement, tuple[int, ...]]:
+def _reduced_lift_of_class(
+    tables: GroupTables, coset: Coset
+) -> tuple[UElement, tuple[int, ...]]:
     """Some member of the coset that is a plain product of generators along a
-    reduced word (no trailing C part), together with that word."""
+    reduced word (no trailing C part), together with that word: the first
+    member by key, and its first word in `WeylTable.reduced_words` order."""
     for member in coset.members:
-        for word in all_reduced_words(project_to_W(member)):
-            if lift_word(member.preset, word).matrix == member.matrix:
+        k = tables.position(member)
+        for word in tables.weyl.reduced_words(tables.pi[k]):
+            if tables.walk(tables.identity, [i - 1 for i in word]) == k:
                 return member, word
     raise ReducedLiftUnavailable(
         "no member of the class is a generator product with reduced projection"
@@ -430,9 +411,9 @@ def converse_candidates(
     set of v's class precedes the control set of u's class.
 
     Takes a reduced generator product s_1...s_d in the class of v, forms
-    every s_1^{k_1}...s_d^{k_d} with k_i in {0,1,2,3}, and returns the ones
-    lying in the class of u.  An empty result refutes the hypothesis; a
-    nonempty one decides nothing.
+    the grid of every s_1^{k_1}...s_d^{k_d} with k_i in {0,1,2,3}, and
+    returns the ones lying in the class of u.  An empty result refutes the
+    hypothesis; a nonempty one decides nothing.
     """
     classes = cosets(group, U_S)
 
@@ -444,16 +425,10 @@ def converse_candidates(
 
     v_class = class_of(v)
     u_class = class_of(u)
-    _, word = _reduced_lift_of_class(v_class)
-    preset = u.preset
-    found = set()
-    for ks in iter_product((0, 1, 2, 3), repeat=len(word)):
-        prod = preset.identity()
-        for letter, k in zip(word, ks):
-            prod = prod * (preset.generator(letter) ** k)
-        if prod in u_class:
-            found.add(prod)
-    return frozenset(found)
+    tables = compile_group(u.preset)
+    _, word = _reduced_lift_of_class(tables, v_class)
+    grid = _grid(tables, word, 3)
+    return frozenset(m for m in u_class.members if tables.position(m) in grid)
 
 
 @dataclass(frozen=True)

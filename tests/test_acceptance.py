@@ -155,7 +155,7 @@ def test_criterion_05_reduced_expression_independence(name):
     preset = load_preset(name)
     checked = 0
     for u in enumerate_U(preset):
-        reference = down_set(u)  # internally cross-checks covers vs drop BFS
+        reference = down_set(u)  # internally cross-checks covers vs subword grid
         words = all_reduced_words(project_to_W(u))
         assert len(words) <= 16
         for word in words:

@@ -1,6 +1,9 @@
 """Extended Bruhat order and quotient orders, validated edge-for-edge
 against the transcribed incidence diagrams and by exhaustive axiom checks."""
 
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 import fixture_sl3
@@ -27,8 +30,11 @@ from wtits import (
 )
 from wtits.cli import parse_element
 from wtits.rootsys import all_reduced_words, length, longest_element, reduced_word
-from wtits import InvariantViolation, load_config
+from wtits import InvariantViolation, ReducedLiftUnavailable, load_config
+from wtits.utits import compile_group
 from wtits.xorder import Poset, _verify_partial_order, down_set_from_word, transitive_reduction
+
+CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
 
 def diagram_reachability(fixture):
@@ -335,14 +341,14 @@ def test_verify_partial_order_rejects_bad_relations():
     _verify_partial_order({(0, 1), (1, 2), (0, 2)}, "chain")
     with pytest.raises(InvariantViolation, match="antisymmetry"):
         _verify_partial_order({(0, 1), (1, 0)}, "cycle")
-    with pytest.raises(InvariantViolation, match="transitivity"):
+    with pytest.raises(InvariantViolation, match=r"transitivity on \(0, 1\)"):
         _verify_partial_order({(0, 1), (1, 2)}, "gap")
 
 
 def test_down_set_disagreement_names_element(monkeypatch):
     from wtits import xorder
 
-    # a fresh (uncached) group, with the drop-pattern route made to lose u
+    # a fresh (uncached) group, with the grid route made to lose u
     preset = load_config(
         {
             "name": "custom-sl2",
@@ -352,9 +358,9 @@ def test_down_set_disagreement_names_element(monkeypatch):
             "a_basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
         }
     )
-    real = xorder._drop_products
+    real = xorder._grid
     monkeypatch.setattr(
-        xorder, "_drop_products", lambda tables, word: real(tables, word) - {tables.identity}
+        xorder, "_grid", lambda tables, word, top: real(tables, word, top) - {tables.identity}
     )
     with pytest.raises(InvariantViolation) as err:
         down_set(preset.identity())
@@ -362,3 +368,110 @@ def test_down_set_disagreement_names_element(monkeypatch):
     named = message.removeprefix("down-set routes disagree for ").partition(":")[0]
     assert named in {display_word(u) for u in enumerate_U(preset)}
     assert "((" not in message  # no raw matrix
+
+
+def test_hasse_rejects_unreduced_covers(monkeypatch):
+    from wtits import xorder
+
+    # a fresh SL(3) group whose covers gain an edge spanning two lengths
+    preset = load_config(
+        {
+            "name": "custom-sl3",
+            "n": 3,
+            "generators": [
+                [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+                [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+            ],
+            "simple_roots": [[1, -1, 0], [0, 1, -1]],
+            "a_basis": [
+                [[int(r == c == p) for c in range(3)] for r in range(3)] for p in range(3)
+            ],
+        }
+    )
+    real = xorder._covers
+
+    def with_long_edge(tables):
+        covers = list(real(tables))
+        top = tables.walk(tables.identity, [0, 1])  # s1 s2, length 2
+        covers[top] += (tables.identity,)
+        return tuple(covers)
+
+    monkeypatch.setattr(xorder, "_covers", with_long_edge)
+    with pytest.raises(InvariantViolation, match="not transitively reduced"):
+        hasse(enumerate_U(preset))
+
+
+@pytest.mark.parametrize("name", ["sl3", "so24", "sl4"])
+def test_table_reduced_words_match_fraction_route(name):
+    weyl = compile_group(load_preset(name)).weyl
+    for w in range(len(weyl)):
+        assert tuple(weyl.reduced_words(w)) == all_reduced_words(weyl.element(w))
+
+
+def reference_lift_word(coset):
+    """First member (by key) that lifts one of its reduced words exactly,
+    by Fraction words and matrix products; that word, or None."""
+    for member in coset.members:
+        for word in all_reduced_words(project_to_W(member)):
+            if lift_word(member.preset, word).matrix == member.matrix:
+                return word
+    return None
+
+
+def reference_products(preset, word):
+    """Every s_1^{k_1}...s_d^{k_d} with k_i in {0,1,2,3}, by matrix products."""
+    found = set()
+    for ks in product((0, 1, 2, 3), repeat=len(word)):
+        prod = preset.identity()
+        for letter, k in zip(word, ks):
+            prod = prod * (preset.generator(letter) ** k)
+        found.add(prod)
+    return found
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: load_preset("sl3"), lambda: load_preset("so24"), lambda: load_config(str(CUSTOM_O3))],
+    ids=["sl3", "so24", "custom"],
+)
+def test_converse_candidates_match_matrix_loop(make):
+    preset = make()
+    table = enumerate_U(preset)
+    for i in range(1, preset.rank + 1):
+        u_s = subgroup_closure(preset, [preset.generator(i)])
+        classes = cosets(table, u_s)
+        for v_class in classes:
+            word = reference_lift_word(v_class)
+            products = None if word is None else reference_products(preset, word)
+            for u_class in classes:
+                u, v = u_class.representative, v_class.representative
+                if word is None:
+                    with pytest.raises(ReducedLiftUnavailable):
+                        converse_candidates(table, u_s, u, v)
+                else:
+                    want = {x for x in products if x in u_class}
+                    assert converse_candidates(table, u_s, u, v) == want
+
+
+def test_converse_grid_matches_matrix_loop_sl4():
+    from wtits import xorder
+    from wtits.rootsys import is_reduced
+
+    # the lift search is checked against the Fraction route on smaller
+    # groups above; here its word is checked to be a reduced lift
+    preset = load_preset("sl4")
+    tables = compile_group(preset)
+    liftable = 0
+    for i in range(1, preset.rank + 1):
+        u_s = subgroup_closure(preset, [preset.generator(i)])
+        for v_class in cosets(enumerate_U(preset), u_s):
+            try:
+                member, word = xorder._reduced_lift_of_class(tables, v_class)
+            except ReducedLiftUnavailable:
+                continue
+            liftable += 1
+            assert member in v_class and lift_word(preset, word) == member
+            assert is_reduced(preset.root_datum, word)
+            grid = {tables.U.elements[k] for k in xorder._grid(tables, word, 3)}
+            assert grid == reference_products(preset, word)
+    assert liftable == 36

@@ -383,6 +383,13 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wtits",
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="numerical oracles")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
     p_schubert = oracle_sub.add_parser("schubert", parents=[common])
-    p_schubert.add_argument("--samples", type=int, default=100_000)
+    p_schubert.add_argument("--samples", type=nonnegative_int, default=100_000)
     p_schubert.add_argument("--seed", type=int, default=default_seed)
     p_schubert.add_argument("--tol", type=float, default=1e-2)
     p_schubert.add_argument("--margin", type=float, default=5e-2)
@@ -437,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow = oracle_sub.add_parser("flow", parents=[common])
     p_flow.add_argument("--H", required=True, help="comma-separated diagonal entries")
     p_flow.add_argument("--nilpotent", default="", help='tokens like "e23" or "e23=0.5"')
-    p_flow.add_argument("--steps", type=int, default=2000)
-    p_flow.add_argument("--grid", type=int, default=48)
+    p_flow.add_argument("--steps", type=nonnegative_int, default=2000)
+    p_flow.add_argument("--grid", type=nonnegative_int, default=48)
     p_flow.add_argument("--seed", type=int, default=default_seed)
     p_flow.add_argument("--time-step", type=float, default=1.0, dest="time_step")
     p_flow.add_argument("--json", action="store_true")

@@ -4,7 +4,8 @@ The maximal compact subgroup of SL(n,R) is SO(n) and the relevant isotropy
 component M_0 is trivial, so the extended flag manifold is SO(n) itself and
 a point of it is just a special orthogonal matrix.  This module provides:
 
-  * the Iwasawa projection (QR with positive upper factor),
+  * the Iwasawa projection (QR with positive upper factor), for one matrix
+    or a stack of them,
   * the rank-one cell maps psi (block rotations, and the sphere version
     used by non-split groups),
   * the characteristic maps Psi_u that parametrize Schubert cells,
@@ -12,6 +13,18 @@ a point of it is just a special orthogonal matrix.  This module provides:
   * translation flows x -> K-part(g x) and recovery of their minimal
     Morse components, and
   * the contraction estimate for conjugated unipotents.
+
+A cell sample starts with the exact {0, 1/2, 1}^d grid rows, whose images
+are the group elements of the closed cell, so every positive incidence
+verdict comes from those rows (distance at rounding level).  The uniform
+draws after them only bound the negative-pair margin: how close the closed
+cell comes to an element outside it.
+
+A flow advances all of its starts (the group points, then the random
+ones) as one (starts, n, n) stack: each step is one product with the flow
+matrix and one batched QR, with every check applied to each matrix.
+Sample and start stacks are refused from their predicted size, before any
+allocation, above MAX_STACK_FLOATS.
 
 Everything random is driven by named integer seeds; per-cell sampling
 derives its substream from (seed, cell index) so reports are reproducible
@@ -39,6 +52,20 @@ from .utits import (
 from .xorder import extended_leq
 
 ORTHO_TOL = 1e-10
+MAX_STACK_FLOATS = 1 << 25  # 256 MiB of float64: the largest cell sample or flow stack
+
+
+def _require_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _require_stack_size(floats: int, what: str) -> None:
+    """Refuse a stack from its predicted size, before it is allocated."""
+    if floats > MAX_STACK_FLOATS:
+        raise ValueError(
+            f"{what} needs {floats} floats, over the cap of {MAX_STACK_FLOATS}"
+        )
 
 
 def _as_float(mat) -> np.ndarray:
@@ -62,22 +89,30 @@ def require_flag_point(k: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
 
 def iwasawa_K(g) -> np.ndarray:
     """K-factor of the Iwasawa decomposition g = k a n, computed as the QR
-    factorization normalized to a positive-diagonal upper factor."""
+    factorization normalized to a positive-diagonal upper factor.
+
+    `g` is one matrix or a stack (..., n, n); a stack is factored in one
+    batched QR and every matrix of it must pass every check."""
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("expected a square matrix")
     det = np.linalg.det(g)
-    if not np.isfinite(det) or det <= 0:
+    if not (np.isfinite(det) & (det > 0)).all():
         raise ValueError("Iwasawa projection needs det g > 0")
     q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    if np.any(signs == 0):
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    if (signs == 0).any():
         raise ValueError("matrix is numerically singular")
-    k = q * signs  # flip columns so the upper factor has positive diagonal
-    residual = np.linalg.norm(k @ (signs[:, None] * r) - g)
-    if residual >= ORTHO_TOL * max(1.0, np.linalg.norm(g)):
+    k = q * signs[..., None, :]  # flip columns so the upper factor has positive diagonal
+    residual = _frobenius(k @ (signs[..., :, None] * r) - g)
+    if (residual >= ORTHO_TOL * np.maximum(1.0, _frobenius(g))).any():
         raise ArithmeticError("QR reconstruction residual too large")
     return k
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (a scalar for one matrix)."""
+    return np.sqrt(np.einsum("...ij,...ij->...", x, x))
 
 
 def _rotation_block_of(gen: UElement) -> tuple[int, int, int]:
@@ -199,14 +234,16 @@ def sample_schubert(u: UElement, count: int, seed: int) -> CellSample:
     preset = u.preset
     if any(m != 1 for m in preset.root_datum.multiplicities):
         raise ValueError("cell sampling requires a split preset (all multiplicities 1)")
+    _require_nonnegative("count", count)
     word, c_float = _reduced_lift_data(u)
     d = len(word)
+    n = preset.n
+    _require_stack_size((count + 3**d + 1) * n * n, f"a cell sample with count={count}")
     grid = np.array(list(iter_product((0.0, 0.5, 1.0), repeat=d)), dtype=float)
     interior = np.full((1, d), 0.5)
     rng = np.random.default_rng([seed, *u_cell_key(u)])
     uniforms = rng.random((count, d))
     ts = np.vstack([interior, grid, uniforms]) if d else np.zeros((1, 0))
-    n = preset.n
     points = np.broadcast_to(np.eye(n), (ts.shape[0], n, n)).copy()
     for col, letter in enumerate(word):
         points = points @ psi_split_batch(preset.generator(letter), ts[:, col])
@@ -230,7 +267,8 @@ def u_cell_key(u: UElement) -> tuple[int, ...]:
 def min_distance(u_lo: UElement, sample: CellSample) -> float:
     target = _as_float(u_lo)
     diffs = sample.points - target
-    return float(np.sqrt((diffs * diffs).sum(axis=(1, 2))).min())
+    diffs *= diffs
+    return float(np.sqrt(diffs.sum(axis=(1, 2)).min()))
 
 
 def incidence_test(u_lo: UElement, sample: CellSample, tol: float) -> bool:
@@ -357,7 +395,8 @@ class FlowSpec:
 
 
 def flow_step(spec: FlowSpec, x) -> np.ndarray:
-    """One step of the induced flow on K = G/AN: x -> K-part of g x."""
+    """One step of the induced flow on K = G/AN: x -> K-part of g x, for one
+    point or a stack (..., n, n) of points."""
     return iwasawa_K(spec.flow_matrix @ np.asarray(x, dtype=float))
 
 
@@ -373,23 +412,23 @@ def _h_blocks(H: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def component_distance(x: np.ndarray, u_rep: UElement, blocks) -> float:
+def component_distance(x: np.ndarray, u_rep: UElement, blocks) -> float | np.ndarray:
     """Frobenius distance from x to the component K_H^0 u: per-block special
-    orthogonal Procrustes on M = x u^T."""
+    orthogonal Procrustes on M = x u^T.  For a stack (..., n, n) of points it
+    returns the array of their distances."""
     m = x @ _as_float(u_rep).T
-    n = m.shape[0]
+    n = m.shape[-1]
     trace_max = 0.0
     for lo, hi in blocks:
-        sub = m[lo:hi, lo:hi]
+        sub = m[..., lo:hi, lo:hi]
         if hi - lo == 1:
-            trace_max += sub[0, 0]
+            trace_max += sub[..., 0, 0]
             continue
         uu, sv, vt = np.linalg.svd(sub)
-        if np.linalg.det(uu @ vt) < 0:
-            sv = sv.copy()
-            sv[-1] = -sv[-1]
-        trace_max += sv.sum()
-    return float(np.sqrt(max(0.0, 2 * n - 2 * trace_max)))
+        improper = np.linalg.det(uu @ vt) < 0
+        sv[..., -1] = np.where(improper, -sv[..., -1], sv[..., -1])
+        trace_max += sv.sum(axis=-1)
+    return np.sqrt(np.maximum(0.0, 2 * n - 2 * trace_max))
 
 
 @dataclass
@@ -431,6 +470,8 @@ def recover_morse(
     """
     if any(m != 1 for m in preset.root_datum.multiplicities):
         raise ValueError("flow recovery requires a split preset")
+    _require_nonnegative("grid", grid)
+    _require_nonnegative("iters", iters)
     datum = preset.root_datum
     if len(spec.H) != preset.n:
         raise ValueError("H dimension does not match the preset")
@@ -442,16 +483,16 @@ def recover_morse(
     theta = tuple(i + 1 for i, val in enumerate(simple_values) if abs(val) <= 1e-9)
 
     table = enumerate_U(preset)
+    n = preset.n
+    _require_stack_size((len(table) + grid) * n * n, f"a flow stack with grid={grid}")
     u_h = subgroup_U_H(preset, theta)
     classes = cosets(table, u_h)
     blocks = _h_blocks(spec.H)
     degenerate = len(theta) == datum.rank and not np.any(spec.nilpotent)
 
-    recurrent = tuple(
-        u
-        for u in table
-        if np.linalg.norm(flow_step(spec, _as_float(u)) - _as_float(u)) < 1e-9
-    )
+    points = np.array([_as_float(u) for u in table])
+    moved = _frobenius(flow_step(spec, points) - points)
+    recurrent = tuple(u for u, dist in zip(table, moved) if dist < 1e-9)
     per_component = tuple(
         sum(1 for u in recurrent if u in coset) for coset in classes
     )
@@ -465,28 +506,22 @@ def recover_morse(
         )
     )
 
-    rng = np.random.default_rng(seed)
-    starts = [_as_float(u) for u in table]
-    for _ in range(grid):
-        gauss = rng.standard_normal((preset.n, preset.n))
-        if np.linalg.det(gauss) < 0:
-            gauss[:, [0, 1]] = gauss[:, [1, 0]]
-        starts.append(iwasawa_K(gauss))
-    assignment: list[int | None] = []
-    distances: list[float] = []
-    non_convergent: list[int] = []
-    for idx, start in enumerate(starts):
-        x = start
-        for _ in range(iters):
-            x = flow_step(spec, x)
-        dists = [component_distance(x, coset.representative, blocks) for coset in classes]
-        best = int(np.argmin(dists))
-        distances.append(dists[best])
-        if dists[best] <= converge_tol:
-            assignment.append(best)
-        else:
-            assignment.append(None)
-            non_convergent.append(idx)
+    # one draw of `grid` matrices is the same stream as `grid` single draws
+    gauss = np.random.default_rng(seed).standard_normal((grid, n, n))
+    flip = np.linalg.det(gauss) < 0
+    gauss[flip, :, :2] = gauss[flip][..., [1, 0]]
+    limits = np.concatenate([points, iwasawa_K(gauss)])
+    for _ in range(iters):
+        limits = flow_step(spec, limits)
+    dists = np.stack(
+        [component_distance(limits, coset.representative, blocks) for coset in classes],
+        axis=-1,
+    )
+    nearest = dists.argmin(axis=-1)
+    distances = dists.min(axis=-1)
+    converged = distances <= converge_tol
+    assignment = [int(k) if ok else None for k, ok in zip(nearest, converged)]
+    non_convergent = np.flatnonzero(~converged)
     labels = tuple(coset_label(coset) for coset in classes)
     return MorseReport(
         preset=preset.name,
@@ -496,10 +531,10 @@ def recover_morse(
         component_labels=labels,
         recurrent_per_component=per_component,
         attractor_components=attractors,
-        start_count=len(starts),
+        start_count=len(limits),
         component_assignment=tuple(assignment),
-        limit_distances=tuple(distances),
-        non_convergent=tuple(non_convergent),
+        limit_distances=tuple(distances.tolist()),
+        non_convergent=tuple(non_convergent.tolist()),
         seed=seed,
     )
 

@@ -19,5 +19,10 @@ def sl3():
 
 
 @pytest.fixture(scope="session")
+def sl4():
+    return load_preset("sl4")
+
+
+@pytest.fixture(scope="session")
 def so24():
     return load_preset("so24")

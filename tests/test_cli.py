@@ -221,6 +221,22 @@ def test_cmd_oracle_flow_small(capsys):
     assert code == 0 and "degenerate" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schubert", "--samples", "-5"],
+        ["flow", "--H", "2,-1,-1", "--grid", "-3"],
+        ["flow", "--H", "2,-1,-1", "--steps", "-1"],
+    ],
+    ids=["samples", "grid", "steps"],
+)
+def test_cmd_oracle_refuses_negative_sizes(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *argv, "--preset", "sl3"])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be nonnegative, got {argv[-1]}" in capsys.readouterr().err
+
+
 def test_cmd_morse_extra_gens(capsys):
     # empty Theta with s1 supplied explicitly reproduces the Theta={1} quotient
     code, out, _ = run(

@@ -22,16 +22,26 @@ from wtits import (
     sample_schubert,
 )
 from wtits.oracle import (
+    MAX_STACK_FLOATS,
     component_distance,
     _h_blocks,
     min_distance,
     rank_one_generators,
     schubert_agreement_report,
 )
+from wtits.utits import canonical_form, cosets, subgroup_U_H
 
 
 def as_float(u):
     return np.array(u.matrix, dtype=float)
+
+
+def positive_stack(rng, shape, n=3):
+    """Gaussian matrices of the given stack shape, each with det > 0."""
+    g = rng.standard_normal((*shape, n, n))
+    flip = np.linalg.det(g) < 0
+    g[flip, :, :2] = g[flip][..., [1, 0]]
+    return g
 
 
 class TestIwasawa:
@@ -64,6 +74,48 @@ class TestIwasawa:
             iwasawa_K(np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
             iwasawa_K(np.zeros((3, 3)))
+
+    def test_stack_equals_single_calls(self):
+        stack = positive_stack(np.random.default_rng(17), (2, 5))
+        k = iwasawa_K(stack)
+        assert k.shape == stack.shape
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(k[idx], iwasawa_K(stack[idx]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.diag([1.0, -1.0, 1.0]), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+        ids=["negative-det", "singular"],
+    )
+    def test_stack_rejects_a_bad_slice_like_the_single_call(self, bad):
+        stack = positive_stack(np.random.default_rng(3), (4,))
+        stack[2] = bad
+        with pytest.raises(ValueError) as single:
+            iwasawa_K(bad)
+        with pytest.raises(ValueError) as batched:
+            iwasawa_K(stack)
+        assert str(batched.value) == str(single.value)
+
+    def test_stack_checks_every_factorization(self, monkeypatch):
+        stack = positive_stack(np.random.default_rng(5), (4,))
+        qr = np.linalg.qr
+
+        def zero_pivot(g):
+            q, r = qr(g)
+            r[2, 1, 1] = 0.0
+            return q, r
+
+        def wrong_q(g):
+            q, r = qr(g)
+            q[3] = -q[3]
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", zero_pivot)
+        with pytest.raises(ValueError, match="numerically singular"):
+            iwasawa_K(stack)
+        monkeypatch.setattr(np.linalg, "qr", wrong_q)
+        with pytest.raises(ArithmeticError, match="residual"):
+            iwasawa_K(stack)
 
     def test_flag_point_validator(self, sl3):
         from wtits import require_flag_point
@@ -260,6 +312,33 @@ class TestFlow:
         for a in report.component_assignment[24:]:
             assert a in report.attractor_components
 
+    @pytest.mark.parametrize("iters", [10, 1200])
+    def test_recover_morse_matches_per_start_loop(self, sl3, iters):
+        spec = self.reference_flow()
+        report = recover_morse(sl3, spec, grid=16, iters=iters, seed=42)
+        # the loop the stacked flow replaced: one start and one 2-D step at a time
+        table = enumerate_U(sl3)
+        rng = np.random.default_rng(42)
+        starts = [as_float(u) for u in table]
+        for _ in range(16):
+            gauss = rng.standard_normal((3, 3))
+            if np.linalg.det(gauss) < 0:
+                gauss[:, [0, 1]] = gauss[:, [1, 0]]
+            starts.append(iwasawa_K(gauss))
+        classes = cosets(table, subgroup_U_H(sl3, report.theta))
+        blocks = _h_blocks(spec.H)
+        expected = []
+        for x in starts:
+            for _ in range(iters):
+                x = flow_step(spec, x)
+            expected.append([component_distance(x, c.representative, blocks) for c in classes])
+        assert report.limit_distances == tuple(min(d) for d in expected)
+        assert report.component_assignment == tuple(
+            int(np.argmin(d)) if min(d) <= 1e-4 else None for d in expected
+        )
+        if iters == 10:
+            assert report.non_convergent and max(report.limit_distances) > 1e-4
+
     def test_recover_morse_regular(self, sl3):
         spec = FlowSpec(H=np.array([1.0, 0.0, -1.0]))
         report = recover_morse(sl3, spec, grid=4, iters=200, seed=3)
@@ -269,6 +348,57 @@ class TestFlow:
     def test_recover_morse_degenerate(self, sl3):
         report = recover_morse(sl3, FlowSpec(H=np.zeros(3)), grid=0, iters=1, seed=3)
         assert report.degenerate
+
+    @pytest.mark.parametrize(
+        "H, nilpotent, theta",
+        [((3.0, 1.0, -1.0, -3.0), None, ()), ((3.0, -1.0, -1.0, -1.0), (1, 2), (2, 3))],
+        ids=["regular", "theta23-e23"],
+    )
+    def test_recover_morse_sl4(self, sl4, H, nilpotent, theta):
+        nil = np.zeros((4, 4))
+        if nilpotent:
+            nil[nilpotent] = 1.0
+        report = recover_morse(sl4, FlowSpec(H=np.array(H), nilpotent=nil), iters=200, seed=42)
+        table = enumerate_U(sl4)
+        assert report.theta == theta
+        assert report.start_count == len(table) + 48
+        assert not report.non_convergent
+        expected = len(table) // len(subgroup_U_H(sl4, theta))
+        assert report.components_found() == len(report.component_labels) == expected
+        assert all(k > 0 for k in report.recurrent_per_component)
+        for a in report.component_assignment[len(table):]:
+            assert a in report.attractor_components
+
+
+class TestSizeGuards:
+    def test_negative_sizes_name_the_argument(self, sl3):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_schubert(sl3.generator(1), -5, 42)
+        spec = FlowSpec(H=np.array([1.0, 0.0, -1.0]))
+        with pytest.raises(ValueError, match="grid must be nonnegative"):
+            recover_morse(sl3, spec, grid=-3, iters=1)
+        with pytest.raises(ValueError, match="iters must be nonnegative"):
+            recover_morse(sl3, spec, grid=0, iters=-1)
+
+    def test_stack_caps_from_the_prediction_alone(self, sl3, monkeypatch):
+        # every draw fails, so a size the guard lets through allocates nothing
+        def no_draws(*args, **kwargs):
+            raise AssertionError("passed the guard")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        u = sl3.generator(1) * sl3.generator(2) * sl3.generator(1)
+        d = len(canonical_form(u)[0])
+        count = MAX_STACK_FLOATS // 9 - 3**d  # (count + 3^d + 1) * 9 just over the cap
+        with pytest.raises(ValueError, match="over the cap"):
+            sample_schubert(u, count, 42)
+        with pytest.raises(AssertionError, match="passed the guard"):
+            sample_schubert(u, count - 1, 42)
+        spec = FlowSpec(H=np.array([1.0, 0.0, -1.0]))
+        grid = MAX_STACK_FLOATS // 9 - len(enumerate_U(sl3)) + 1  # (|U| + grid) * 9
+        with pytest.raises(ValueError, match="over the cap"):
+            recover_morse(sl3, spec, grid=grid, iters=1)
+        with pytest.raises(AssertionError, match="passed the guard"):
+            recover_morse(sl3, spec, grid=grid - 1, iters=1)
 
 
 class TestContraction:

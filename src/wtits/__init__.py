@@ -6,6 +6,11 @@ from exact integer matrix generators; computes the extended Bruhat order on
 U together with its quotient orders indexing minimal Morse components and
 control sets; and cross-validates the combinatorics against a numerical
 Schubert-cell/translation-flow oracle on SO(n).
+
+Everything but the oracle is exact integer/Fraction arithmetic.  The
+oracle names re-exported here (`sample_schubert`, `recover_morse`, ...)
+resolve on first access, so numpy is imported only by code that uses the
+oracle, such as the `oracle` CLI commands.
 """
 
 from .errors import (
@@ -58,20 +63,23 @@ from .xorder import (
     morse_quotient_order,
     pair_status,
 )
-from .oracle import (
-    CellSample,
-    FlowSpec,
-    MorseReport,
-    contraction_check,
-    flow_step,
-    incidence_test,
-    iwasawa_K,
-    psi_rank_one,
-    psi_split,
-    recover_morse,
-    require_flag_point,
-    sample_schubert,
-    schubert_agreement_report,
+
+# resolved by the module __getattr__ below (PEP 562), so that importing
+# wtits does not import the oracle or numpy
+_ORACLE_NAMES = (
+    "CellSample",
+    "FlowSpec",
+    "MorseReport",
+    "contraction_check",
+    "flow_step",
+    "incidence_test",
+    "iwasawa_K",
+    "psi_rank_one",
+    "psi_split",
+    "recover_morse",
+    "require_flag_point",
+    "sample_schubert",
+    "schubert_agreement_report",
 )
 
 __version__ = "0.1.0"
@@ -119,18 +127,18 @@ __all__ = [
     "hasse",
     "morse_quotient_order",
     "pair_status",
-    "CellSample",
-    "FlowSpec",
-    "MorseReport",
-    "contraction_check",
-    "flow_step",
-    "incidence_test",
-    "iwasawa_K",
-    "psi_rank_one",
-    "psi_split",
-    "recover_morse",
-    "require_flag_point",
-    "sample_schubert",
-    "schubert_agreement_report",
+    *_ORACLE_NAMES,
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ORACLE_NAMES))

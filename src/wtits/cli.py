@@ -4,7 +4,7 @@ Subcommands: `group` (preset inspection), `order leq` / `order hasse`
 (extended Bruhat order queries and diagrams), `morse` (quotient order of
 minimal Morse components), `control` (control-set machinery for a given
 U(S)), and `oracle schubert` / `oracle flow` (numerical cross-checks on
-SO(n)).
+SO(n)).  Only the `oracle` commands import numpy and `wtits.oracle`.
 
 Element expressions are whitespace-separated tokens `1`, `s<i>` or
 `s<i>^<k>` (plus `c<j>` / `c<j>^<k>` for custom groups with extra C
@@ -21,8 +21,6 @@ import json
 import os
 import re
 import sys
-
-import numpy as np
 
 from .errors import ExprParseError, InvariantViolation, PresetError, ReducedLiftUnavailable
 from .rootsys import reduced_word
@@ -42,7 +40,6 @@ from .utits import (
     subgroup_closure,
     subgroup_U_H,
 )
-from .oracle import FlowSpec, recover_morse, schubert_agreement_report
 from .xorder import (
     control_forward_edges,
     control_quotient_order,
@@ -318,6 +315,11 @@ def cmd_control(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # the only numpy user: other commands never import it
+    import numpy as np
+
+    from .oracle import FlowSpec, recover_morse, schubert_agreement_report
+
     preset = _load(args)
     if args.oracle_cmd == "schubert":
         report = schubert_agreement_report(

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from wtits import (
+    CellSample,
     FlowSpec,
     contraction_check,
+    display_word,
     down_covers,
     enumerate_U,
     flow_step,
@@ -22,6 +24,7 @@ from wtits import (
     sample_schubert,
 )
 from wtits.oracle import (
+    GRAM_BLOCK,
     MAX_STACK_FLOATS,
     component_distance,
     _h_blocks,
@@ -259,6 +262,52 @@ class TestIncidence:
         report = schubert_agreement_report(sl3, count=500, seed=42)
         assert report["agree"] and report["margin_ok"]
         assert len(report["pairs"]) == 576
+
+
+class TestBatchedMinDistance:
+    """The sequence form of `min_distance` (Gram pass plus exact recheck)
+    must equal a per-target loop of the one-element form bit for bit."""
+
+    @pytest.mark.parametrize("count", [0, GRAM_BLOCK + 1000])
+    def test_every_sl3_cell(self, sl3, count):
+        table = enumerate_U(sl3)
+        rows = []
+        for hi in table:
+            sample = sample_schubert(hi, count, 42)
+            rows.append(len(sample.points))
+            batched = min_distance(table, sample)
+            single = np.array([min_distance(lo, sample) for lo in table])
+            assert np.array_equal(batched, single), display_word(hi)
+        assert (max(rows) > GRAM_BLOCK) == (count > 0)  # a block boundary is crossed
+
+    def test_rows_tied_within_the_slack(self, sl3):
+        # per target two rows 1e-9 and 2e-9 away in random directions: their
+        # squared distances differ by 3e-18, far inside the slack and below
+        # the Gram rounding error, so only the exact recheck tells them apart
+        table = enumerate_U(sl3)
+        rng = np.random.default_rng(5)
+        rows = []
+        for u in table:
+            for scale in rng.permutation([1e-9, 2e-9]):
+                bump = rng.standard_normal((3, 3))
+                rows.append(as_float(u) + scale * bump / np.linalg.norm(bump))
+        points = np.array(rows)
+        sample = CellSample(u=sl3.identity(), points=points, parameters=np.zeros((len(rows), 0)))
+        batched = min_distance(table, sample)
+        single = np.array([min_distance(lo, sample) for lo in table])
+        assert np.array_equal(batched, single)
+        assert np.allclose(single, 1e-9, rtol=1e-6)
+
+    def test_one_target_and_empty_inputs(self, sl3):
+        sample = sample_schubert(sl3.generator(1), 10, 42)
+        assert min_distance([sl3.identity()], sample).tolist() == [
+            min_distance(sl3.identity(), sample)
+        ]
+        assert min_distance([], sample).shape == (0,)
+        empty = CellSample(u=sl3.identity(), points=np.zeros((0, 3, 3)), parameters=np.zeros((0, 0)))
+        for target in (sl3.identity(), [sl3.identity()]):
+            with pytest.raises(ValueError, match="empty cell sample"):
+                min_distance(target, empty)
 
 
 class TestFlow:

@@ -1,6 +1,7 @@
 """Extended Bruhat order and quotient orders, validated edge-for-edge
 against the transcribed incidence diagrams and by exhaustive axiom checks."""
 
+import math
 from itertools import product
 from pathlib import Path
 
@@ -154,6 +155,44 @@ def test_projection_monotone_and_bruhat_recovery(name):
         for w in group_w:
             lifted = extended_leq(lifts[v.matrix], lifts[w.matrix])
             assert lifted == bruhat[v.matrix, w.matrix]
+
+
+def sign_stripped_permutation(u):
+    """One-line notation of a signed permutation matrix: row i has its
+    nonzero entry in column perm[i]."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in u.matrix)
+
+
+def tableau_leq(v, w):
+    """Bruhat order on S_n by the tableau criterion (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Thm 2.6.3): v <= w iff for every k the
+    sorted first k values of v are entrywise at most those of w."""
+    return all(
+        a <= b
+        for k in range(1, len(v))
+        for a, b in zip(sorted(v[:k]), sorted(w[:k]))
+    )
+
+
+@pytest.mark.parametrize("name", ["sl4", "sl5"])
+def test_bruhat_recovery_matches_tableau_criterion(name):
+    # a third Bruhat implementation, independent of rootsys.bruhat_leq: the
+    # extended order on reduced-word lifts against the tableau criterion
+    preset = load_preset(name)
+    weyl = compile_group(preset).weyl
+    lifts = [lift_word(preset, word) for word in weyl.word]
+    perms = [sign_stripped_permutation(u) for u in lifts]
+    assert len(set(perms)) == len(perms) == math.factorial(preset.n)
+    for perm, ell in zip(perms, weyl.length):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        assert inversions == ell
+    relations = 0
+    for v, pv in zip(lifts, perms):
+        for w, pw in zip(lifts, perms):
+            leq = extended_leq(v, w)
+            assert leq == tableau_leq(pv, pw), (display_word(v), display_word(w))
+            relations += leq
+    assert len(perms) ** 2 > relations > len(perms)
 
 
 @pytest.mark.parametrize("name", ["sl3", "so24"])

@@ -37,6 +37,7 @@ from .utits import (
     check_quotient_isomorphism,
     load_config,
     load_preset,
+    predicted_sl_size,
     subgroup_closure,
     subgroup_U_H,
 )
@@ -46,6 +47,7 @@ from .xorder import (
     hasse,
     morse_quotient_order,
     pair_status,
+    require_order_memory,
 )
 
 _TOKEN = re.compile(r"(s|c)(\d+)(?:\^(\d+))?$")
@@ -168,6 +170,17 @@ def _load(args) -> GroupPreset:
     return load_preset(args.preset)
 
 
+def _load_order(args) -> GroupPreset:
+    """`_load` for the order commands: an sl<n> preset is refused from its
+    predicted |U| = n! * 2^(n-1) before anything is loaded, as `xorder`
+    refuses any group from its exact |U| before the first order bitset."""
+    if not getattr(args, "config", None):
+        size = predicted_sl_size(args.preset)
+        if size is not None:
+            require_order_memory(size)
+    return _load(args)
+
+
 def cmd_group(args) -> int:
     preset = _load(args)
     table = enumerate_U(preset)
@@ -197,7 +210,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_order(args) -> int:
-    preset = _load(args)
+    preset = _load_order(args)
     table = enumerate_U(preset)
     if args.order_cmd == "leq":
         lo = parse_element(preset, args.lhs)
@@ -230,7 +243,7 @@ def _parse_gens(preset: GroupPreset, text: str) -> list[UElement]:
 
 
 def cmd_morse(args) -> int:
-    preset = _load(args)
+    preset = _load_order(args)
     table = enumerate_U(preset)
     theta = _parse_theta(args.theta)
     extra = _parse_gens(preset, args.extra_gens)
@@ -258,7 +271,7 @@ def cmd_morse(args) -> int:
 
 
 def cmd_control(args) -> int:
-    preset = _load(args)
+    preset = _load_order(args)
     table = enumerate_U(preset)
     gens = _parse_gens(preset, args.us_gens)
     u_s = subgroup_closure(preset, gens)

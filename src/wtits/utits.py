@@ -8,12 +8,19 @@ projection pi onto the Weyl group, read off by conjugating the Cartan basis.
 
 The first query then compiles the group once into `GroupTables`: the
 closure of the generators numbers the elements of U and records right
-multiplication by every generator as it finds each product.  Everything
-else is read off those integer tables by lookups: inverses, pi (propagated
-along the generator edges into a `WeylTable` of permutations), the
-abelian normal subgroup C, canonical reduced lifts u = s_1 ... s_d c, their
-display words, and right-coset partitions.  Subgroups U_H and U(S) are
-small closures of their generator matrices.
+multiplication by every generator as it finds each product.  U lies in
+K = SO(n), so the integer generators of every built-in preset are signed
+permutations and U is a subgroup of the hyperoctahedral group B_n.  The
+closure then keys each element by its signed-column code
+(code[j] = +-(i+1) when column j has its +-1 in row i), a product with a
+generator is n lookups, and each code becomes its matrix once, after the
+closure; a custom config with any other generator runs the same closure
+on integer matrix products.  Everything else is read off those integer
+tables by lookups: inverses, pi (propagated along the generator edges
+into a `WeylTable` of permutations), the abelian normal subgroup C,
+canonical reduced lifts u = s_1 ... s_d c, their display words, and
+right-coset partitions.  Subgroups U_H and U(S) are small closures of
+their generator matrices, by the same closure.
 
 Canonical element keys are the integer matrices themselves, so equality and
 hashing are exact; table indices follow the order of those keys.
@@ -27,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ClosureBoundExceeded, InvariantViolation, PresetError
 from .exact import (
@@ -155,6 +162,38 @@ class FiniteGroupTable:
                     )
 
 
+def _signed_code(mat: IntMatrix) -> tuple[int, ...] | None:
+    """The signed-column code of a signed permutation matrix: code[j] = +-(i+1)
+    when column j has its +-1 in row i.  None for any other matrix."""
+    if not is_signed_permutation(mat):
+        return None
+    return tuple(next((i + 1) * x for i, x in enumerate(col) if x) for col in zip(*mat))
+
+
+def _code_step(gen: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Right multiplication, on codes, by the generator whose code is `gen`.
+    If its column j is eps_j times unit column sigma_j, column j of a * gen
+    is eps_j times column sigma_j of a, so code a maps to
+    (eps_j * a[sigma_j])_j: n lookups instead of an n x n matrix product."""
+    pairs = tuple((abs(c) - 1, 1 if c > 0 else -1) for c in gen)
+    return lambda a: tuple([a[s] * e for s, e in pairs])
+
+
+def _code_matrices(codes: list, n: int) -> None:
+    """Replace every code in `codes` by its matrix, in place.  The matrices
+    share their n^2 possible unit rows."""
+    plus = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    minus = [tuple(-x for x in row) for row in plus]
+    rows: list = [None] * n
+    for k, code in enumerate(codes):
+        for j, c in enumerate(code):
+            if c > 0:
+                rows[c - 1] = plus[j]
+            else:
+                rows[-c - 1] = minus[j]
+        codes[k] = tuple(rows)
+
+
 def _closure(
     identity: IntMatrix, generators: Sequence[IntMatrix], bound: int
 ) -> tuple[list[IntMatrix], list[list[int]], list[tuple[int, ...]]]:
@@ -164,28 +203,47 @@ def _closure(
     right[g][k] = index of elements[k] * generators[g] recorded as each
     product is found, and the generator word each element was first reached
     by (a shortest one).  More than `bound` elements raise.
+
+    When every generator is a signed permutation (all built-in presets:
+    U lies in the hyperoctahedral group), elements are keyed by their
+    signed-column codes (`_signed_code`) and a product is n lookups
+    (`_code_step`); each code becomes its matrix once, after the loop.
+    Any other generator set runs the same loop on the matrices themselves,
+    with `mat_mul` as the step.  Discovery order does not depend on the
+    keys, so both give the same elements, table and words.
     """
-    mats = [identity]
-    found = {identity: 0}
+    codes = [_signed_code(m) for m in (identity, *generators)]
+    signed = None not in codes
+    if signed:
+        start = codes[0]
+        steps = [_code_step(gen) for gen in codes[1:]]
+    else:
+        start = identity
+        steps = [lambda a, gen=gen: mat_mul(a, gen) for gen in generators]
+    keys = [start]
+    found = {start: 0}
     words: list[tuple[int, ...]] = [()]
     right: list[list[int]] = [[] for _ in generators]
     k = 0
-    while k < len(mats):
-        for g, (gen, row) in enumerate(zip(generators, right)):
-            prod = mat_mul(mats[k], gen)
+    while k < len(keys):
+        for g, (step, row) in enumerate(zip(steps, right)):
+            prod = step(keys[k])
             j = found.get(prod)
             if j is None:
-                if len(mats) >= bound:
+                if len(keys) >= bound:
                     raise ClosureBoundExceeded(
                         f"closure exceeded {bound} elements; "
                         "the configuration likely does not define the intended finite group"
                     )
-                j = found[prod] = len(mats)
-                mats.append(prod)
+                j = found[prod] = len(keys)
+                keys.append(prod)
                 words.append(words[k] + (g,))
             row.append(j)
         k += 1
-    return mats, right, words
+    del found  # the matrices replace the codes one by one, with no index left
+    if signed:
+        _code_matrices(keys, len(identity))
+    return keys, right, words
 
 
 def close_under_products(
@@ -311,6 +369,17 @@ def load_preset(name: str) -> GroupPreset:
         preset = _sl_preset(n, tuple(range(1, n)), key, f"SL({n},R)")
     validate_preset(preset)
     return preset
+
+
+def predicted_sl_size(name: str) -> int | None:
+    """|U| = n! * 2^(n-1) of the preset sl<n>, predicted from its name alone
+    (None for any other name, and for n > 1000, which `load_preset` refuses
+    by the closure bound)."""
+    m = _SL_NAME.match(name.strip().lower())
+    n = int(m.group(1)) if m else 0
+    if not 2 <= n <= 1000:
+        return None
+    return math.factorial(n) << (n - 1)
 
 
 def _refuse_oversized_sl(n: int, bound: int) -> None:
@@ -492,11 +561,10 @@ class GroupTables:
 
         c_tokens, c_right = self._close_c()
         c_members = sorted(c_tokens)
-        elements = self.U.elements
         for c in c_members:
             if self.pi[c] != weyl.identity:
                 raise InvariantViolation(
-                    f"C element {elements[c].matrix} has nontrivial Weyl projection"
+                    f"C element {self._word_name(c)} has nontrivial Weyl projection"
                 )
         for a in c_members:
             for b in c_members:
@@ -510,7 +578,10 @@ class GroupTables:
             back = self.words[u_inv]
             for c in c_members:
                 if self.walk(c_right[c][u], back) not in c_tokens:
-                    raise InvariantViolation("C is not normal in U")
+                    raise InvariantViolation(
+                        f"C is not normal in U: u c u^-1 escapes C for u = "
+                        f"{self._word_name(u)}, c = {self._word_name(c)}"
+                    )
         lifts = [self.walk(e, [i - 1 for i in word]) for word in weyl.word]
         self.c_part = tuple(
             self.mul(self.inverse[lifts[w]], k) for k, w in enumerate(self.pi)
@@ -518,10 +589,10 @@ class GroupTables:
         for k, c in enumerate(self.c_part):
             if c not in c_tokens:
                 raise InvariantViolation(
-                    f"canonical C part {elements[c].matrix} of {elements[k].matrix} "
+                    f"canonical C part {self._word_name(c)} of {self._word_name(k)} "
                     "escapes C; preset data corrupted"
                 )
-        self.C = FiniteGroupTable(elements[c] for c in c_members)
+        self.C = FiniteGroupTable(self.U.elements[c] for c in c_members)
         self.c_right = c_right
         self.c_tokens = c_tokens
         self.s_tokens = tuple(tuple(f"s{i}" for i in word) for word in weyl.word)
@@ -555,6 +626,14 @@ class GroupTables:
             found.sort(key=c_tokens.__getitem__)
             frontier = found
         return c_tokens, c_right
+
+    def _word_name(self, k: int) -> str:
+        """u_k spelled by its generator word `words[k]`, e.g. "s1 s2 c1": the
+        name compile-time errors use, since display words need the
+        finished tables."""
+        rank = self.preset.rank
+        letters = (f"s{g + 1}" if g < rank else f"c{g - rank + 1}" for g in self.words[k])
+        return " ".join(letters) or "1"
 
     def walk(self, k: int, letters: Iterable[int]) -> int:
         """The index of u_k times the generators `letters` (0-based)."""

@@ -26,6 +26,10 @@ converse test for control sets.
 Quotient orders on right cosets (Morse components, control sets) are set
 algebra on the members' bitsets, and their partial-order axioms are
 verified on the spot.
+
+The down-sets hold |U|^2 bits.  A group whose |U|^2 / 8 bytes exceed
+MAX_ORDER_BYTES is refused by name before its covers or any bitset are
+built (`require_order_memory`).
 """
 
 from __future__ import annotations
@@ -45,6 +49,21 @@ from .utits import (
     cosets,
     display_word,
 )
+
+
+MAX_ORDER_BYTES = 1 << 30  # 1 GiB: the largest |U|^2 bits of order bitsets
+
+
+def require_order_memory(size: int) -> None:
+    """Refuse the extended order on `size` elements from its predicted
+    memory, before anything is allocated: its down-set bitsets alone hold
+    size^2 bits."""
+    predicted = size * size // 8
+    if predicted > MAX_ORDER_BYTES:
+        raise ValueError(
+            f"the extended order on |U| = {size} elements needs {predicted} bytes "
+            f"of down-set bitsets (|U|^2/8), over the cap of {MAX_ORDER_BYTES}"
+        )
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -79,6 +98,7 @@ def _drop_covers(tables: GroupTables, k: int) -> tuple[int, ...]:
 def _covers(tables: GroupTables) -> tuple[tuple[int, ...], ...]:
     """Indices of the elements covered by each element."""
     if tables.covers is None:
+        require_order_memory(len(tables.pi))
         tables.covers = tuple(_drop_covers(tables, k) for k in range(len(tables.pi)))
     return tables.covers
 
@@ -326,8 +346,9 @@ def _coset_bitsets(
 ) -> tuple[list[Coset], list[list[int]], list[int], tuple[int, ...]]:
     """The cosets, their member indices, their member bitsets, and the
     down-set bitset of every element of U."""
-    classes = cosets(group, subgroup)
     tables = compile_group(group.preset)
+    require_order_memory(len(tables.pi))
+    classes = cosets(group, subgroup)
     members = [[tables.position(m) for m in c.members] for c in classes]
     masks = [reduce(or_, (1 << k for k in ids)) for ids in members]
     return classes, members, masks, _down_masks(tables)

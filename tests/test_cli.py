@@ -286,6 +286,32 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "hasse", "--preset", "sl7"],
+        ["order", "leq", "--preset", "sl7", "--lhs", "1", "--rhs", "s1"],
+        ["morse", "--preset", "sl7", "--theta", "1"],
+        ["control", "--preset", "sl(7)", "--us-gens", "s1"],
+    ],
+)
+def test_order_commands_refuse_sl7_before_loading(capsys, monkeypatch, argv):
+    import wtits.cli as cli
+    import wtits.utits as utits
+    from wtits.xorder import MAX_ORDER_BYTES
+
+    def no_build(*args):
+        raise AssertionError("sl7 must not be loaded")
+
+    monkeypatch.setattr(cli, "load_preset", no_build)
+    monkeypatch.setattr(utits, "_sl_preset", no_build)
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    # |U| = 7! * 2^6 = 322560, and 322560^2 / 8 bytes of bitsets
+    assert "|U| = 322560 elements needs 13005619200 bytes" in err
+    assert f"over the cap of {MAX_ORDER_BYTES}" in err
+
+
 def test_unknown_preset_exit_code(capsys):
     code, _, err = run(capsys, ["group", "--preset", "g2"])
     assert code == 2 and "error" in err

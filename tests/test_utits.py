@@ -2,6 +2,8 @@
 subgroups and cosets.  Expected matrices are frozen from the defining data
 of the groups (independent hand multiplication where derived)."""
 
+import re
+
 import pytest
 
 from wtits import (
@@ -280,6 +282,95 @@ def test_closure_bound():
     preset = load_preset("sl3")
     with pytest.raises(ClosureBoundExceeded):
         close_under_products(preset, [preset.generator(1), preset.generator(2)], bound=5)
+
+
+SHEAR_SL2 = {  # SL(2) conjugated by the shear [[1, 1], [0, 1]]: not a signed permutation
+    "name": "shear-sl2",
+    "n": 2,
+    "generators": [[[1, -2], [1, -1]]],
+    "simple_roots": [[1, -1]],
+    "a_basis": [[[1, -1], [0, 0]], [[0, 1], [0, 1]]],
+}
+
+
+def test_closure_bound_generic_step():
+    preset = load_config(SHEAR_SL2)
+    assert len(close_under_products(preset, [preset.generator(1)], bound=4)) == 4
+    with pytest.raises(ClosureBoundExceeded):
+        close_under_products(preset, [preset.generator(1)], bound=3)
+
+
+def test_non_signed_permutation_group():
+    from wtits import hasse
+
+    preset = load_config(SHEAR_SL2)
+    table = enumerate_U(preset)
+    assert len(table) == 4
+    assert len(enumerate_C(preset)) == 2
+    poset = hasse(table)
+    assert len(poset) == 4
+    # 1 and s1^2 both sit below s1 and s1^3
+    assert [display_word(u) for u in poset.elements] == ["s1^2", "1", "s1 s1^2", "s1"]
+    assert sorted(poset.covers) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+SL3_CONFIG = {
+    "name": "custom-sl3",
+    "n": 3,
+    "generators": [
+        [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+        [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+    ],
+    "simple_roots": [[0, 1, -1], [1, -1, 0]],
+    "a_basis": [[[int(r == c == p) for c in range(3)] for r in range(3)] for p in range(3)],
+}
+
+
+def test_compile_errors_name_c_element_by_word(monkeypatch):
+    import wtits.utits as utits
+
+    preset = load_config(SL3_CONFIG)  # fresh: compiled by this test
+    real = utits.GroupTables._close_c
+
+    def with_s1_in_c(self):
+        c_tokens, c_right = real(self)
+        s1 = self.right[0][self.identity]
+        c_tokens[s1] = ("s1",)
+        c_right[s1] = self.right[0]
+        return c_tokens, c_right
+
+    monkeypatch.setattr(utits.GroupTables, "_close_c", with_s1_in_c)
+    with pytest.raises(InvariantViolation) as err:
+        enumerate_U(preset)
+    assert str(err.value) == "C element s1 has nontrivial Weyl projection"
+
+
+def test_compile_errors_name_c_part_by_word(monkeypatch):
+    import wtits.utits as utits
+    from wtits.rootsys import WeylTable
+
+    preset = load_config(SL3_CONFIG)
+
+    class SwappedWords(WeylTable):
+        """Canonical words of r1 and r2 exchanged."""
+
+        def __init__(self, datum, bound):
+            super().__init__(datum, bound)
+            word = list(self.word)
+            r1, r2 = word.index((1,)), word.index((2,))
+            word[r1], word[r2] = word[r2], word[r1]
+            self.word = tuple(word)
+
+    monkeypatch.setattr(utits, "WeylTable", SwappedWords)
+    with pytest.raises(InvariantViolation) as err:
+        enumerate_U(preset)
+    message = str(err.value)
+    assert message.startswith("canonical C part ")
+    assert message.endswith(" escapes C; preset data corrupted")
+    part, _, whole = message.removeprefix("canonical C part ").partition(" of ")
+    whole = whole.removesuffix(" escapes C; preset data corrupted")
+    words = r"(1|s[12]( s[12])*)"
+    assert re.fullmatch(words, part) and re.fullmatch(words, whole)  # no raw matrix
 
 
 @pytest.mark.parametrize("n,predicted", [(9, 92897280), (12, 980995276800)])

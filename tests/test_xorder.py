@@ -409,6 +409,50 @@ def test_down_set_disagreement_names_element(monkeypatch):
     assert "((" not in message  # no raw matrix
 
 
+def test_order_refused_from_predicted_memory(monkeypatch):
+    from wtits import xorder
+    from wtits.xorder import MAX_ORDER_BYTES, require_order_memory
+
+    require_order_memory(23040)  # sl6: 66,355,200 bytes
+    with pytest.raises(ValueError, match="322560 elements needs 13005619200 bytes"):
+        require_order_memory(322560)  # sl7, from the prediction alone
+    assert MAX_ORDER_BYTES == 1 << 30
+
+    # a fresh group of 4 elements: 16 bits, 2 bytes
+    preset = load_config(
+        {
+            "name": "custom-sl2",
+            "n": 2,
+            "generators": [[[0, -1], [1, 0]]],
+            "simple_roots": [[1, -1]],
+            "a_basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        }
+    )
+    table = enumerate_U(preset)
+    u_h = subgroup_U_H(preset, {1})
+
+    def no_build(*args):
+        raise AssertionError("no order data may be built")
+
+    monkeypatch.setattr(xorder, "_drop_covers", no_build)
+    monkeypatch.setattr(xorder, "cosets", no_build)
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 1)
+    s1 = preset.generator(1)
+    for build in (
+        lambda: hasse(table),
+        lambda: down_set(s1),
+        lambda: extended_leq(s1, s1),
+        lambda: morse_quotient_order(table, u_h),
+        lambda: control_quotient_order(table, u_h),
+    ):
+        with pytest.raises(ValueError, match=r"\|U\| = 4 elements needs 2 bytes .* cap of 1$"):
+            build()
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 2)  # at the cap: allowed
+    for build in (lambda: hasse(table), lambda: morse_quotient_order(table, u_h)):
+        with pytest.raises(AssertionError, match="no order data"):
+            build()
+
+
 def test_hasse_rejects_unreduced_covers(monkeypatch):
     from wtits import xorder
 

@@ -23,7 +23,7 @@ import re
 import sys
 
 from .errors import ExprParseError, InvariantViolation, PresetError, ReducedLiftUnavailable
-from .rootsys import reduced_word
+from .rootsys import reduced_word, weyl_table
 from .utits import (
     FiniteGroupTable,
     GroupPreset,
@@ -172,13 +172,17 @@ def _load(args) -> GroupPreset:
 
 def _load_order(args) -> GroupPreset:
     """`_load` for the order commands: an sl<n> preset is refused from its
-    predicted |U| = n! * 2^(n-1) before anything is loaded, as `xorder`
-    refuses any group from its exact |U| before the first order bitset."""
-    if not getattr(args, "config", None):
-        size = predicted_sl_size(args.preset)
-        if size is not None:
-            require_order_memory(size)
-    return _load(args)
+    predicted |U| = n! * 2^(n-1) before anything is loaded, and a custom
+    config from its |W| <= |U| before U is closed, as `xorder` refuses any
+    group from its exact |U| before the first order bitset."""
+    if getattr(args, "config", None):
+        preset = load_config(args.config)
+        require_order_memory(len(weyl_table(preset.root_datum)), from_weyl=True)
+        return preset
+    size = predicted_sl_size(args.preset)
+    if size is not None:
+        require_order_memory(size)
+    return load_preset(args.preset)
 
 
 def cmd_group(args) -> int:

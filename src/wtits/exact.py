@@ -57,10 +57,6 @@ def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a))
 
 
-def is_identity(a: IntMatrix) -> bool:
-    return a == identity_matrix(len(a))
-
-
 def is_signed_permutation(a: IntMatrix) -> bool:
     """Exactly one entry of modulus 1 per row and per column, rest zero."""
     n = len(a)

@@ -6,19 +6,20 @@ question asked here (length, descent, order) reduces to exact arithmetic.
 Simple-root indices are 1-based throughout the public API, matching the
 generator labels s1, s2, ... used everywhere else.
 
-The Fraction elements favor transparency over speed: length is an
-inversion count over the positive roots, reduced words come from
-smallest-descent stripping, and the Bruhat-Chevalley order uses the
-classical descent recursion.  `WeylTable` reads the simple reflections off
-them once and answers the same questions by lookups in permutation tables;
-the group layer runs on that table.
+One table answers every question: `WeylTable` reads the simple reflections
+off their validated Fraction matrices once, enumerates the group as
+permutations of the root list, and answers lengths, reduced words,
+reducedness and the Bruhat-Chevalley order by lookups.  Each `RootDatum`
+keeps one such table (`weyl_table`), which the group layer shares, and the
+public functions map a `WeylElement` to its index by its root
+permutation.  Fraction arithmetic remains only to validate a datum and to
+build the `WeylElement`s the library hands out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import ClosureBoundExceeded
@@ -27,12 +28,13 @@ from .exact import (
     FracVector,
     frac_identity,
     frac_mat_mul,
-    frac_matrix,
     frac_vec_mat,
     solve_in_span,
 )
 
 Covector = tuple[Fraction, ...]
+
+DEFAULT_CLOSURE_BOUND = 10**6  # the most elements any group closure may reach
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ class RootDatum:
     diagonal coordinates of sl(n) for a rank n-1 system).  `multiplicities`
     holds, per simple root, the dimension m of the rank-one flag sphere S^m
     attached to it; m > 1 forces the squared generator lift to be trivial.
+    `_table` holds the Weyl table once `weyl_table` has built it; nothing
+    else about a datum changes.
     """
 
     rank: int
@@ -50,6 +54,7 @@ class RootDatum:
     simple_roots: tuple[Covector, ...]
     positive_roots: tuple[Covector, ...]
     multiplicities: tuple[int, ...]
+    _table: "WeylTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(
@@ -194,11 +199,14 @@ def weyl_identity(datum: RootDatum) -> WeylElement:
     return WeylElement(datum, eye, eye, 0)
 
 
-@lru_cache(maxsize=None)
-def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
-    """The reflection r_i attached to the i-th simple root (1-based)."""
+def _check_index(datum: RootDatum, i: int) -> None:
     if not 1 <= i <= datum.rank:
         raise IndexError(f"simple root index {i} out of range 1..{datum.rank}")
+
+
+def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
+    """The reflection r_i attached to the i-th simple root (1-based)."""
+    _check_index(datum, i)
     refl = _reflection_matrix(datum, i)
     return make_weyl_element(datum, refl, refl)
 
@@ -208,89 +216,21 @@ def length(w: WeylElement) -> int:
     return w.cached_length
 
 
-def left_descents(w: WeylElement) -> list[int]:
-    """Simple indices i with l(r_i w) < l(w), ascending."""
-    return [
-        i
-        for i in range(1, w.datum.rank + 1)
-        if length(simple_reflection(w.datum, i) * w) < length(w)
-    ]
-
-
-def reduced_word(w: WeylElement) -> list[int]:
-    """Deterministic reduced word: strip the smallest left descent first."""
-    word: list[int] = []
-    current = w
-    while length(current) > 0:
-        i = left_descents(current)[0]
-        word.append(i)
-        current = simple_reflection(current.datum, i) * current
-    return word
-
-
-def evaluate_word(datum: RootDatum, word) -> WeylElement:
-    result = weyl_identity(datum)
-    for i in word:
-        result = result * simple_reflection(datum, i)
-    return result
-
-
-def is_reduced(datum: RootDatum, word) -> bool:
-    """True iff the word's product has length equal to the word's length."""
-    word = list(word)
-    return length(evaluate_word(datum, word)) == len(word)
-
-
-@lru_cache(maxsize=None)
-def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Bruhat-Chevalley order via the classical descent recursion:
-    for a left descent i of w,  v <= w  iff  (r_i v <= r_i w when i is also
-    a descent of v, else v <= r_i w)."""
-    if v.datum != w.datum:
-        raise ValueError("elements live over different root data")
-    if length(v) == 0:
-        return True
-    if length(v) > length(w):
-        return False
-    i = left_descents(w)[0]
-    r = simple_reflection(w.datum, i)
-    rv = r * v
-    if length(rv) < length(v):
-        return bruhat_leq(rv, r * w)
-    return bruhat_leq(v, r * w)
-
-
-@lru_cache(maxsize=None)
-def weyl_group(datum: RootDatum) -> tuple[WeylElement, ...]:
-    """All elements, enumerated by closure of the simple reflections and
-    returned sorted by (length, matrix)."""
-    gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
-    seen = {weyl_identity(datum).matrix: weyl_identity(datum)}
-    frontier = list(seen.values())
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                prod = w * g
-                if prod.matrix not in seen:
-                    seen[prod.matrix] = prod
-                    new.append(prod)
-        frontier = new
-    return tuple(sorted(seen.values(), key=lambda w: (length(w), w.matrix)))
-
-
 class WeylTable:
     """The Weyl group as permutations of the root list, for table lookups.
 
     Each simple reflection's permutation is read once off its validated
-    Fraction matrix; the group is then enumerated by closure of those
-    permutations, refusing more than `bound` elements.  Elements are indices
-    in discovery order, 0 being the identity:
+    Fraction matrix, kept in `reflections`; the group is then enumerated by
+    closure of those permutations, refusing more than `bound` elements.
+    Elements are indices in discovery order, 0 being the identity:
 
     * `length[w]` counts the positive roots w sends negative,
     * `right[i - 1][w]` is w r_i and `left[i - 1][w]` is r_i w,
-    * `word[w]` is the deterministic reduced word of `reduced_word`
-      (smallest left descent stripped first).
+    * `word[w]` is the deterministic reduced word (smallest left descent
+      stripped first), so `word[w][0]` is the smallest left descent of w,
+    * `position(x)` is the index of a `WeylElement` x, found from the
+      permutation it makes of the root list, which the images of the
+      simple roots determine.
 
     The tables are tuples and never change; only the Fraction elements
     handed out by `element` are built lazily, once each.
@@ -302,10 +242,8 @@ class WeylTable:
         positives = datum.positive_roots
         roots = positives + tuple(_neg(r) for r in positives)
         where = {root: k for k, root in enumerate(roots)}
-        gens = [
-            tuple(where[simple_reflection(datum, i).act_root(root)] for root in roots)
-            for i in range(1, datum.rank + 1)
-        ]
+        self.reflections = tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
+        gens = [tuple(where[r.act_root(root)] for root in roots) for r in self.reflections]
         perms = [tuple(range(len(roots)))]
         index = {perms[0]: 0}
         right: list[list[int]] = [[] for _ in gens]
@@ -326,6 +264,11 @@ class WeylTable:
             k += 1
         n_pos = len(positives)
         self.datum = datum
+        # a Weyl element is linear, so the images of the simple roots fix
+        # its whole root permutation: they key `position`
+        simples = [where[root] for root in datum.simple_roots]
+        self._where = where
+        self._by_simples = {tuple(perm[k] for k in simples): w for w, perm in enumerate(perms)}
         self.right = tuple(tuple(row) for row in right)
         self.left = tuple(
             tuple(index[tuple(gen[x] for x in perm)] for perm in perms) for gen in gens
@@ -344,6 +287,14 @@ class WeylTable:
     def __len__(self) -> int:
         return len(self.length)
 
+    def position(self, x: WeylElement) -> int:
+        """The index of x, looked up by where x sends the simple roots."""
+        if x.datum != self.datum:
+            raise ValueError("the element lives over a different root datum")
+        return self._by_simples[
+            tuple(self._where[x.act_root(root)] for root in self.datum.simple_roots)
+        ]
+
     def is_reduced(self, word) -> bool:
         """Walk the word along `right`; it is reduced iff every letter
         raises the length."""
@@ -355,9 +306,25 @@ class WeylTable:
             w = nxt
         return True
 
+    def bruhat_leq(self, v: int, w: int) -> bool:
+        """v <= w in the Bruhat-Chevalley order, by the classical descent
+        recursion (Bjorner-Brenti, Combinatorics of Coxeter Groups, Ch. 2)
+        run as a loop: for the smallest left descent i of w, v <= w iff
+        r_i v <= r_i w when i is also a left descent of v, else v <= r_i w."""
+        length = self.length
+        while length[v]:
+            if length[v] > length[w]:
+                return False
+            row = self.left[self.word[w][0] - 1]
+            if length[row[v]] < length[v]:
+                v = row[v]
+            w = row[w]
+        return True
+
     def reduced_words(self, w: int) -> Iterator[tuple[int, ...]]:
-        """Every reduced word of w, lazily, in the order of
-        `all_reduced_words`: first letters ascending, then recursively."""
+        """Every reduced word of w, lazily: first letters (the left
+        descents) ascending, each followed by the reduced words of the rest
+        in the same order."""
         if not self.length[w]:
             yield ()
             return
@@ -375,29 +342,58 @@ class WeylTable:
                 elt = weyl_identity(self.datum)
             else:
                 i = self.word[w][0]
-                elt = simple_reflection(self.datum, i) * self.element(self.left[i - 1][w])
+                elt = self.reflections[i - 1] * self.element(self.left[i - 1][w])
             self._elements[w] = elt
         return elt
 
 
+def weyl_table(datum: RootDatum) -> WeylTable:
+    """The datum's Weyl table, built on first use and kept on the datum."""
+    table = datum._table
+    if table is None:
+        table = WeylTable(datum, DEFAULT_CLOSURE_BOUND)
+        object.__setattr__(datum, "_table", table)
+    return table
+
+
+def reduced_word(w: WeylElement) -> list[int]:
+    """Deterministic reduced word: the smallest left descent stripped first."""
+    table = weyl_table(w.datum)
+    return list(table.word[table.position(w)])
+
+
+def is_reduced(datum: RootDatum, word) -> bool:
+    """True iff the word's product has length equal to the word's length.
+    A letter outside 1..rank raises IndexError."""
+    word = list(word)
+    for i in word:
+        _check_index(datum, i)
+    return weyl_table(datum).is_reduced(word)
+
+
+def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
+    """The Bruhat-Chevalley order, looked up as `WeylTable.bruhat_leq`."""
+    if v.datum != w.datum:
+        raise ValueError("elements live over different root data")
+    table = weyl_table(w.datum)
+    return table.bruhat_leq(table.position(v), table.position(w))
+
+
+def weyl_group(datum: RootDatum) -> tuple[WeylElement, ...]:
+    """All elements, sorted by (length, matrix)."""
+    table = weyl_table(datum)
+    return tuple(
+        sorted(map(table.element, range(len(table))), key=lambda w: (length(w), w.matrix))
+    )
+
+
 def longest_element(datum: RootDatum) -> WeylElement:
-    elements = weyl_group(datum)
-    top = max(elements, key=length)
-    ties = [w for w in elements if length(w) == length(top)]
+    table = weyl_table(datum)
+    top = max(table.length)
+    ties = [w for w, ell in enumerate(table.length) if ell == top]
     if len(ties) != 1:
         raise ValueError("longest element is not unique; not a finite Weyl group?")
-    return top
-
-
-def all_reduced_words(w: WeylElement) -> tuple[tuple[int, ...], ...]:
-    """Every reduced word of w (small groups only; used for independence checks)."""
-    if length(w) == 0:
-        return ((),)
-    words = []
-    for i in left_descents(w):
-        rest = simple_reflection(w.datum, i) * w
-        words.extend((i,) + tail for tail in all_reduced_words(rest))
-    return tuple(words)
+    return table.element(ties[0])
 
 
 def split_roots_by_H(datum: RootDatum, theta) -> tuple[tuple[Covector, ...], tuple[Covector, ...]]:

@@ -17,10 +17,10 @@ generator is n lookups, and each code becomes its matrix once, after the
 closure; a custom config with any other generator runs the same closure
 on integer matrix products.  Everything else is read off those integer
 tables by lookups: inverses, pi (propagated along the generator edges
-into a `WeylTable` of permutations), the abelian normal subgroup C,
-canonical reduced lifts u = s_1 ... s_d c, their display words, and
-right-coset partitions.  Subgroups U_H and U(S) are small closures of
-their generator matrices, by the same closure.
+into the root datum's `WeylTable` of permutations), the abelian normal
+subgroup C, canonical reduced lifts u = s_1 ... s_d c, their display
+words, and right-coset partitions.  Subgroups U_H and U(S) are small
+closures of their generator matrices, by the same closure.
 
 Canonical element keys are the integer matrices themselves, so equality and
 hashing are exact; table indices follow the order of those keys.
@@ -49,15 +49,14 @@ from .exact import (
     solve_in_span,
 )
 from .rootsys import (
+    DEFAULT_CLOSURE_BOUND,
     RootDatum,
     WeylElement,
-    WeylTable,
     length,
     make_weyl_element,
     simple_reflection,
+    weyl_table,
 )
-
-DEFAULT_CLOSURE_BOUND = 10**6
 
 WordToken = tuple[int, int]  # (1-based generator index, exponent)
 
@@ -146,20 +145,6 @@ class FiniteGroupTable:
 
     def is_subset_of(self, other: "FiniteGroupTable") -> bool:
         return all(m in other.index for m in self.index)
-
-    def validate(self) -> None:
-        """Check the group axioms by brute force (identity, closure, inverses)."""
-        ident = self.preset.identity()
-        if ident not in self:
-            raise InvariantViolation("table does not contain the identity")
-        for a in self.elements:
-            if a.inverse() not in self:
-                raise InvariantViolation(f"inverse of {a.matrix} missing from table")
-            for b in self.elements:
-                if a * b not in self:
-                    raise InvariantViolation(
-                        f"table not closed: {a.matrix} * {b.matrix} escapes"
-                    )
 
 
 def _signed_code(mat: IntMatrix) -> tuple[int, ...] | None:
@@ -506,7 +491,9 @@ class GroupTables:
     * `right[g][k]`: the index of u_k * (generator g), recorded by the closure,
     * `words[k]`: a shortest generator word of u_k, so `mul(a, b)` is a walk
       along `right`,
-    * `inverse[k]`; `pi[k]`, an index into the permutation table `weyl`,
+    * `inverse[k]`; `pi[k]`, an index into `weyl`, the root datum's own
+      `WeylTable` (`rootsys.weyl_table`), so the group and the public Weyl
+      functions share one table,
     * `c_part[k]`: the C factor of the canonical decomposition
       u = s_1 ... s_d c, where s_1 ... s_d lifts the word `weyl.word[pi[k]]`,
     * `c_right[c]`: right multiplication by each element c of C,
@@ -515,8 +502,12 @@ class GroupTables:
 
     Construction checks, on lookups and exhaustively: pi is well defined on
     every generator edge, C lies in the kernel of pi and is abelian,
-    |U| = |W| * |C|, u c u^-1 lies in C for every u and c, and every
-    canonical C part lies in C.  The tables never change afterwards; the
+    |U| = |W| * |C|, C is normal in U, and every canonical C part lies in
+    C.  Normality is checked on the generators: g C g^-1 lies in C for each
+    of the r + m generators g.  That is the same check as u C u^-1 in C for
+    every u, at (r + m) * |C| walks instead of |U| * |C|: conjugation by g
+    is injective, so it maps the finite C onto itself, and every u is a
+    positive word in the generators.  The tables never change afterwards; the
     extended order, computed by `xorder` on first use, is published once
     each into `covers` and `down`.
     """
@@ -524,7 +515,7 @@ class GroupTables:
     def __init__(self, preset: GroupPreset, bound: int):
         rank = preset.rank
         self.preset = preset
-        self.weyl = weyl = WeylTable(preset.root_datum, bound)
+        self.weyl = weyl = weyl_table(preset.root_datum)
         mats, right, words = _closure(
             identity_matrix(preset.n), preset.generators + preset.c_generators, bound
         )
@@ -574,13 +565,14 @@ class GroupTables:
             raise InvariantViolation(
                 f"|U| = {len(mats)} != |W| * |C| = {len(weyl)} * {len(c_members)}"
             )
-        for u, u_inv in enumerate(self.inverse):
-            back = self.words[u_inv]
+        for row in self.right:
+            g = row[e]
+            back = self.words[self.inverse[g]]
             for c in c_members:
-                if self.walk(c_right[c][u], back) not in c_tokens:
+                if self.walk(c_right[c][g], back) not in c_tokens:
                     raise InvariantViolation(
-                        f"C is not normal in U: u c u^-1 escapes C for u = "
-                        f"{self._word_name(u)}, c = {self._word_name(c)}"
+                        f"C is not normal in U: g c g^-1 escapes C for the generator "
+                        f"g = {self._word_name(g)}, c = {self._word_name(c)}"
                     )
         lifts = [self.walk(e, [i - 1 for i in word]) for word in weyl.word]
         self.c_part = tuple(

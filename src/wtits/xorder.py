@@ -54,14 +54,16 @@ from .utits import (
 MAX_ORDER_BYTES = 1 << 30  # 1 GiB: the largest |U|^2 bits of order bitsets
 
 
-def require_order_memory(size: int) -> None:
+def require_order_memory(size: int, from_weyl: bool = False) -> None:
     """Refuse the extended order on `size` elements from its predicted
     memory, before anything is allocated: its down-set bitsets alone hold
-    size^2 bits."""
+    size^2 bits.  With `from_weyl`, `size` is |W|, a lower bound on |U|
+    known before U is closed, and the message says so."""
     predicted = size * size // 8
     if predicted > MAX_ORDER_BYTES:
+        count, least = ("|U| >= |W| =", "at least ") if from_weyl else ("|U| =", "")
         raise ValueError(
-            f"the extended order on |U| = {size} elements needs {predicted} bytes "
+            f"the extended order on {count} {size} elements needs {least}{predicted} bytes "
             f"of down-set bitsets (|U|^2/8), over the cap of {MAX_ORDER_BYTES}"
         )
 

@@ -1,11 +1,14 @@
 """Command-line surface: parsing, outputs, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from wtits import ExprParseError, extended_leq, enumerate_U
 from wtits.cli import hasse_dot, hasse_json, main, parse_element
+
+CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
 
 def run(capsys, argv):
@@ -310,6 +313,30 @@ def test_order_commands_refuse_sl7_before_loading(capsys, monkeypatch, argv):
     # |U| = 7! * 2^6 = 322560, and 322560^2 / 8 bytes of bitsets
     assert "|U| = 322560 elements needs 13005619200 bytes" in err
     assert f"over the cap of {MAX_ORDER_BYTES}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["order", "hasse"], ["morse", "--theta", "1"], ["control", "--us-gens", "s1"]],
+)
+def test_order_commands_refuse_config_from_weyl_size(capsys, monkeypatch, argv):
+    import wtits.utits as utits
+    from wtits import xorder
+
+    def no_closure(*args):
+        raise AssertionError("U must not be closed")
+
+    monkeypatch.setattr(utits, "_closure", no_closure)
+    argv = argv + ["--config", str(CUSTOM_O3)]
+    # |W| = 2 gives |W|^2/8 = 0 bytes: refused one byte below, let through at the cap
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "|U| >= |W| = 2 elements needs at least 0 bytes" in err
+    assert "over the cap of -1" in err
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 0)
+    with pytest.raises(AssertionError, match="U must not be closed"):
+        run(capsys, argv)
 
 
 def test_unknown_preset_exit_code(capsys):

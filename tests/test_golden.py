@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import weyl_reference as ref
 from wtits import (
     control_quotient_order,
     enumerate_U,
@@ -17,7 +18,7 @@ from wtits import (
     subgroup_U_H,
 )
 from wtits.cli import hasse_dot, hasse_json, quotient_json
-from wtits.rootsys import length, reduced_word
+from wtits.rootsys import length
 from wtits.utits import canonical_form, compile_group, project_by_conjugation, project_to_W
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,4 +60,4 @@ def test_tables_match_fraction_route(group):
         exact = project_by_conjugation(u)
         assert project_to_W(u).matrix == exact.matrix
         assert tables.length(k) == length(exact)
-        assert canonical_form(u)[0] == tuple(reduced_word(exact))
+        assert canonical_form(u)[0] == tuple(ref.reduced_word(exact))

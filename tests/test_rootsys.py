@@ -1,21 +1,24 @@
 """Root system / Weyl group layer, checked against independent oracles:
 Cayley-graph distances for lengths, permutation inversion counts for the
-symmetric group, and exhaustive subword search for the Bruhat order."""
+symmetric group, exhaustive subword search and the tableau criterion for
+the Bruhat order, and the Fraction-matrix reference routes of
+`weyl_reference` for every table-backed answer."""
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtits import load_preset
+import weyl_reference as ref
+from weyl_reference import all_reduced_words, evaluate_word, left_descents
+from wtits import load_config, load_preset
 from wtits.rootsys import (
-    all_reduced_words,
     bruhat_leq,
-    evaluate_word,
     is_reduced,
-    left_descents,
     length,
     longest_element,
     reduced_word,
@@ -23,7 +26,10 @@ from wtits.rootsys import (
     split_roots_by_H,
     weyl_group,
     weyl_identity,
+    weyl_table,
 )
+
+CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
 
 def cayley_distances(datum):
@@ -126,6 +132,10 @@ def test_is_reduced(sl3):
     assert not is_reduced(datum, [1, 1])
     assert is_reduced(datum, [1, 2, 1])
     assert not is_reduced(datum, [1, 2, 1, 2])
+    for letter in (0, datum.rank + 1):  # 0 must not read the last table row
+        for word in ([letter], [1, 1, letter]):  # also after a descent
+            with pytest.raises(IndexError, match="out of range"):
+                is_reduced(datum, word)
 
 
 def subword_leq(v, w) -> bool:
@@ -147,10 +157,12 @@ def subword_leq(v, w) -> bool:
 @pytest.mark.parametrize("name", ["sl3", "so24"])
 def test_bruhat_leq_matches_subword_oracle(name):
     datum = load_preset(name).root_datum
-    group = weyl_group(datum)
+    group = ref.weyl_group(datum)
     for v in group:
         for w in group:
-            assert bruhat_leq(v, w) == subword_leq(v, w), (v.matrix, w.matrix)
+            expected = subword_leq(v, w)
+            assert ref.bruhat_leq(v, w) == expected, (v.matrix, w.matrix)
+            assert bruhat_leq(v, w) == expected, (v.matrix, w.matrix)
 
 
 def test_bruhat_examples(sl3):
@@ -221,3 +233,78 @@ def test_random_words_sl4(word):
     assert is_reduced(datum, reduced_word(w))
     for i in left_descents(w):
         assert length(simple_reflection(datum, i) * w) == length(w) - 1
+
+
+GROUPS = {
+    "sl3": lambda: load_preset("sl3"),
+    "so24": lambda: load_preset("so24"),
+    "sl4": lambda: load_preset("sl4"),
+    "custom": lambda: load_config(str(CUSTOM_O3)),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_exported_names_match_fraction_reference(group):
+    # every table-backed name against the Fraction route, on every element
+    # or pair; the reference shares no table with the library
+    datum = GROUPS[group]().root_datum
+    group_w = ref.weyl_group(datum)
+    assert weyl_group(datum) == group_w  # same elements in the same order
+    assert longest_element(datum) == group_w[-1]
+    assert length(group_w[-2]) < length(group_w[-1])
+    reflections = {simple_reflection(datum, i).matrix for i in range(1, datum.rank + 1)}
+    assert reflections == {w.matrix for w in group_w if length(w) == 1}
+    for w in group_w:
+        word = ref.reduced_word(w)
+        assert reduced_word(w) == word
+        assert length(w) == len(word)
+        assert is_reduced(datum, word)
+        for i in range(1, datum.rank + 1):
+            assert is_reduced(datum, word + [i]) == ref.is_reduced(datum, word + [i])
+        for v in group_w:
+            assert bruhat_leq(v, w) == ref.bruhat_leq(v, w), (v.matrix, w.matrix)
+
+
+@pytest.mark.parametrize("name", ["sl4", "sl5"])
+def test_bruhat_leq_matches_tableau_criterion(name):
+    preset = load_preset(name)
+    table = weyl_table(preset.root_datum)
+    elements = [table.element(w) for w in range(len(table))]
+    perms = [ref.permutation(x) for x in elements]
+    assert len(set(perms)) == len(perms) == math.factorial(preset.n)
+    relations = 0
+    for v, pv in enumerate(perms):
+        for w, pw in enumerate(perms):
+            leq = table.bruhat_leq(v, w)
+            assert leq == ref.tableau_leq(pv, pw), (v, w)
+            relations += leq
+    assert len(perms) ** 2 > relations > len(perms)
+    if name == "sl4":  # the public name, through each element's position
+        for v, pv in zip(elements, perms):
+            for w, pw in zip(elements, perms):
+                assert bruhat_leq(v, w) == ref.tableau_leq(pv, pw)
+
+
+def test_table_queries_make_no_fraction_products(monkeypatch):
+    from wtits import rootsys
+
+    datum = load_preset("sl4").root_datum
+    words = [list(word) for word in weyl_table(datum).word]
+    group_w = weyl_group(datum)  # builds every element the table hands out
+    real, calls = rootsys.frac_mat_mul, []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(rootsys, "frac_mat_mul", counted)
+    for v in group_w:
+        reduced_word(v)
+        for w in group_w:
+            bruhat_leq(v, w)
+    for word in words:
+        is_reduced(datum, word)
+        is_reduced(datum, word + [1])
+    longest_element(datum)
+    assert not calls
+

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import weyl_reference as ref
 from wtits import (
     ClosureBoundExceeded,
     InvariantViolation,
@@ -90,9 +91,9 @@ def test_enumerate_C_sl3_exact(sl3):
 
 
 def test_group_axioms_exhaustive(sl3, so24):
-    enumerate_U(sl3).validate()
-    enumerate_U(so24).validate()
-    enumerate_C(sl3).validate()
+    ref.validate_group_table(enumerate_U(sl3))
+    ref.validate_group_table(enumerate_U(so24))
+    ref.validate_group_table(enumerate_C(sl3))
 
 
 def test_projection_is_homomorphism_with_kernel_C(sl3):
@@ -107,9 +108,9 @@ def test_projection_is_homomorphism_with_kernel_C(sl3):
             assert project_to_W(u * v).matrix == (project_to_W(u) * project_to_W(v)).matrix
     kernel = {u.matrix for u in table if project_to_W(u).is_identity()}
     assert kernel == {c.matrix for c in c_table}
-    # surjectivity
+    # surjectivity, onto the Fraction route's closure of the reflections
     assert {project_to_W(u).matrix for u in table} == {
-        w.matrix for w in weyl_group(sl3.root_datum)
+        w.matrix for w in ref.weyl_group(sl3.root_datum)
     }
 
 
@@ -346,7 +347,7 @@ def test_compile_errors_name_c_element_by_word(monkeypatch):
 
 
 def test_compile_errors_name_c_part_by_word(monkeypatch):
-    import wtits.utits as utits
+    import wtits.rootsys as rootsys
     from wtits.rootsys import WeylTable
 
     preset = load_config(SL3_CONFIG)
@@ -361,7 +362,7 @@ def test_compile_errors_name_c_part_by_word(monkeypatch):
             word[r1], word[r2] = word[r2], word[r1]
             self.word = tuple(word)
 
-    monkeypatch.setattr(utits, "WeylTable", SwappedWords)
+    monkeypatch.setattr(rootsys, "WeylTable", SwappedWords)
     with pytest.raises(InvariantViolation) as err:
         enumerate_U(preset)
     message = str(err.value)
@@ -371,6 +372,30 @@ def test_compile_errors_name_c_part_by_word(monkeypatch):
     whole = whole.removesuffix(" escapes C; preset data corrupted")
     words = r"(1|s[12]( s[12])*)"
     assert re.fullmatch(words, part) and re.fullmatch(words, whole)  # no raw matrix
+
+
+def test_compile_errors_name_normality_by_word(monkeypatch):
+    import wtits.utits as utits
+
+    preset = load_config(SL3_CONFIG)
+    real = utits.GroupTables._close_c
+
+    def with_s1_c_escaping(self):
+        # s1 * c recorded as s2 for c = s1^2, so s1 c s1^-1 projects to r2 r1
+        c_tokens, c_right = real(self)
+        s1, s2 = self.right[0][self.identity], self.right[1][self.identity]
+        c = self.right[0][s1]
+        table = list(c_right[c])
+        table[s1] = s2
+        c_right[c] = tuple(table)
+        return c_tokens, c_right
+
+    monkeypatch.setattr(utits.GroupTables, "_close_c", with_s1_c_escaping)
+    with pytest.raises(InvariantViolation) as err:
+        enumerate_U(preset)
+    assert str(err.value) == (
+        "C is not normal in U: g c g^-1 escapes C for the generator g = s1, c = s1 s1"
+    )
 
 
 @pytest.mark.parametrize("n,predicted", [(9, 92897280), (12, 980995276800)])

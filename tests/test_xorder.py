@@ -9,6 +9,7 @@ import pytest
 
 import fixture_sl3
 import fixture_so24
+import weyl_reference as ref
 from wtits import (
     control_forward_edges,
     control_quotient_order,
@@ -30,7 +31,7 @@ from wtits import (
     subgroup_closure,
 )
 from wtits.cli import parse_element
-from wtits.rootsys import all_reduced_words, length, longest_element, reduced_word
+from wtits.rootsys import length, longest_element
 from wtits import InvariantViolation, ReducedLiftUnavailable, load_config
 from wtits.utits import compile_group
 from wtits.xorder import Poset, _verify_partial_order, down_set_from_word, transitive_reduction
@@ -129,7 +130,7 @@ def test_reduced_expression_independence(name):
     for u in enumerate_U(preset):
         w = project_to_W(u)
         if w.matrix not in words_of:
-            words_of[w.matrix] = all_reduced_words(w)
+            words_of[w.matrix] = ref.all_reduced_words(w)
         words = words_of[w.matrix]
         assert 1 <= len(words) <= 16
         reference = down_set(u)
@@ -139,49 +140,30 @@ def test_reduced_expression_independence(name):
 
 @pytest.mark.parametrize("name", ["sl3", "so24", "sl4"])
 def test_projection_monotone_and_bruhat_recovery(name):
-    from wtits.rootsys import bruhat_leq, weyl_group
-
     preset = load_preset(name)
     table = enumerate_U(preset)
-    group_w = weyl_group(preset.root_datum)
-    bruhat = {(v.matrix, w.matrix): bruhat_leq(v, w) for v in group_w for w in group_w}
+    group_w = ref.weyl_group(preset.root_datum)
+    bruhat = {(v.matrix, w.matrix): ref.bruhat_leq(v, w) for v in group_w for w in group_w}
     pi = {u.matrix: project_to_W(u).matrix for u in table}
     for lo in table:
         for hi in table:
             if extended_leq(lo, hi):
                 assert bruhat[pi[lo.matrix], pi[hi.matrix]]
-    lifts = {w.matrix: lift_word(preset, reduced_word(w)) for w in group_w}
+    lifts = {w.matrix: lift_word(preset, ref.reduced_word(w)) for w in group_w}
     for v in group_w:
         for w in group_w:
             lifted = extended_leq(lifts[v.matrix], lifts[w.matrix])
             assert lifted == bruhat[v.matrix, w.matrix]
 
 
-def sign_stripped_permutation(u):
-    """One-line notation of a signed permutation matrix: row i has its
-    nonzero entry in column perm[i]."""
-    return tuple(next(j for j, x in enumerate(row) if x) for row in u.matrix)
-
-
-def tableau_leq(v, w):
-    """Bruhat order on S_n by the tableau criterion (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, Thm 2.6.3): v <= w iff for every k the
-    sorted first k values of v are entrywise at most those of w."""
-    return all(
-        a <= b
-        for k in range(1, len(v))
-        for a, b in zip(sorted(v[:k]), sorted(w[:k]))
-    )
-
-
 @pytest.mark.parametrize("name", ["sl4", "sl5"])
 def test_bruhat_recovery_matches_tableau_criterion(name):
-    # a third Bruhat implementation, independent of rootsys.bruhat_leq: the
+    # a third Bruhat implementation, independent of the descent recursion: the
     # extended order on reduced-word lifts against the tableau criterion
     preset = load_preset(name)
     weyl = compile_group(preset).weyl
     lifts = [lift_word(preset, word) for word in weyl.word]
-    perms = [sign_stripped_permutation(u) for u in lifts]
+    perms = [ref.permutation(u) for u in lifts]
     assert len(set(perms)) == len(perms) == math.factorial(preset.n)
     for perm, ell in zip(perms, weyl.length):
         inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
@@ -190,7 +172,7 @@ def test_bruhat_recovery_matches_tableau_criterion(name):
     for v, pv in zip(lifts, perms):
         for w, pw in zip(lifts, perms):
             leq = extended_leq(v, w)
-            assert leq == tableau_leq(pv, pw), (display_word(v), display_word(w))
+            assert leq == ref.tableau_leq(pv, pw), (display_word(v), display_word(w))
             relations += leq
     assert len(perms) ** 2 > relations > len(perms)
 
@@ -488,14 +470,14 @@ def test_hasse_rejects_unreduced_covers(monkeypatch):
 def test_table_reduced_words_match_fraction_route(name):
     weyl = compile_group(load_preset(name)).weyl
     for w in range(len(weyl)):
-        assert tuple(weyl.reduced_words(w)) == all_reduced_words(weyl.element(w))
+        assert tuple(weyl.reduced_words(w)) == ref.all_reduced_words(weyl.element(w))
 
 
 def reference_lift_word(coset):
     """First member (by key) that lifts one of its reduced words exactly,
     by Fraction words and matrix products; that word, or None."""
     for member in coset.members:
-        for word in all_reduced_words(project_to_W(member)):
+        for word in ref.all_reduced_words(project_to_W(member)):
             if lift_word(member.preset, word).matrix == member.matrix:
                 return word
     return None
@@ -538,7 +520,6 @@ def test_converse_candidates_match_matrix_loop(make):
 
 def test_converse_grid_matches_matrix_loop_sl4():
     from wtits import xorder
-    from wtits.rootsys import is_reduced
 
     # the lift search is checked against the Fraction route on smaller
     # groups above; here its word is checked to be a reduced lift
@@ -554,7 +535,7 @@ def test_converse_grid_matches_matrix_loop_sl4():
                 continue
             liftable += 1
             assert member in v_class and lift_word(preset, word) == member
-            assert is_reduced(preset.root_datum, word)
+            assert ref.is_reduced(preset.root_datum, word)
             grid = {tables.U.elements[k] for k in xorder._grid(tables, word, 3)}
             assert grid == reference_products(preset, word)
     assert liftable == 36

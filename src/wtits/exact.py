@@ -53,10 +53,6 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    return tuple(zip(*a))
-
-
 def is_signed_permutation(a: IntMatrix) -> bool:
     """Exactly one entry of modulus 1 per row and per column, rest zero."""
     n = len(a)
@@ -99,26 +95,18 @@ def mat_inverse(a: IntMatrix) -> IntMatrix:
     verified by a multiplication; anything else goes through rational
     elimination with an integrality check.
     """
-    t = transpose(a)
-    if mat_mul(a, t) == identity_matrix(len(a)):
+    n = len(a)
+    t = tuple(zip(*a))
+    if mat_mul(a, t) == identity_matrix(n):
         return t
-    inv = frac_inverse(frac_matrix(a))
-    rows = []
-    for row in inv:
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not invertible over the integers")
-            out.append(int(x))
-        rows.append(tuple(out))
-    return tuple(rows)
+    # column i of the inverse solves a x = e_i
+    columns = [solve_in_span(t, unit) for unit in frac_identity(n)]
+    if None in columns or any(x.denominator != 1 for col in columns for x in col):
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(tuple(int(col[i]) for col in columns) for i in range(n))
 
 
 # -- rational matrices -------------------------------------------------------
-
-
-def frac_matrix(rows: Iterable[Iterable]) -> FracMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def frac_identity(n: int) -> FracMatrix:
@@ -133,30 +121,9 @@ def frac_mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     )
 
 
-def frac_mat_vec(m: FracMatrix, v: FracVector) -> FracVector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
 def frac_vec_mat(v: FracVector, m: FracMatrix) -> FracVector:
     """Row vector times matrix; the natural action on covectors."""
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
-
-
-def frac_inverse(m: FracMatrix) -> FracMatrix:
-    n = len(m)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 def solve_in_span(columns: Sequence[FracVector], target: FracVector) -> FracVector | None:

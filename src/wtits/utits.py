@@ -350,7 +350,13 @@ def load_preset(name: str) -> GroupPreset:
         n = int(m.group(1))
         if n < 2:
             raise PresetError("sl(n) requires n >= 2")
-        _refuse_oversized_sl(n, DEFAULT_CLOSURE_BOUND)
+        predicted = predicted_sl_size(key)  # None for n > 1000: n! is not worth computing
+        if predicted is None or predicted > DEFAULT_CLOSURE_BOUND:
+            size = f"{n}!*2^{n - 1}" + ("" if predicted is None else f" = {predicted}")
+            raise ClosureBoundExceeded(
+                f"sl{n} would have |U| = {size} elements, "
+                f"above the closure bound {DEFAULT_CLOSURE_BOUND}"
+            )
         preset = _sl_preset(n, tuple(range(1, n)), key, f"SL({n},R)")
     validate_preset(preset)
     return preset
@@ -365,21 +371,6 @@ def predicted_sl_size(name: str) -> int | None:
     if not 2 <= n <= 1000:
         return None
     return math.factorial(n) << (n - 1)
-
-
-def _refuse_oversized_sl(n: int, bound: int) -> None:
-    """Refuse sl<n> before building anything when |U| = |W| * |C| =
-    n! * 2^(n-1) exceeds the closure bound."""
-    if n > 1000:  # far beyond any bound; not worth computing n!
-        raise ClosureBoundExceeded(
-            f"sl{n} would have |U| = {n}!*2^{n - 1} elements, above the closure bound {bound}"
-        )
-    predicted = math.factorial(n) << (n - 1)
-    if predicted > bound:
-        raise ClosureBoundExceeded(
-            f"sl{n} would have |U| = {n}!*2^{n - 1} = {predicted} elements, "
-            f"above the closure bound {bound}"
-        )
 
 
 def load_config(source) -> GroupPreset:
@@ -742,12 +733,7 @@ def subgroup_U_H(
     theta = sorted(set(theta))
     if any(not 1 <= i <= preset.rank for i in theta):
         raise IndexError(f"Theta {theta} not within 1..{preset.rank}")
-    table_U = enumerate_U(preset)
-    for extra in extra_gens:
-        if extra not in table_U:
-            raise ValueError(f"extra generator {extra.matrix} is not an element of U")
-    gens = [preset.generator(i) for i in theta] + list(extra_gens)
-    return close_under_products(preset, gens)
+    return subgroup_closure(preset, [preset.generator(i) for i in theta] + list(extra_gens))
 
 
 def subgroup_closure(preset: GroupPreset, gens: Sequence[UElement]) -> FiniteGroupTable:
@@ -774,15 +760,9 @@ class Coset:
         return len(self.members)
 
 
-def cosets(
-    group: FiniteGroupTable,
-    subgroup: FiniteGroupTable,
-    side: str = "right",
-) -> list[Coset]:
-    """Partition `group` into cosets of `subgroup` (right cosets Hu by
-    default), sorted by representative key."""
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
+def cosets(group: FiniteGroupTable, subgroup: FiniteGroupTable) -> list[Coset]:
+    """Partition `group` into right cosets Hu of `subgroup`, sorted by
+    representative key."""
     if not subgroup.is_subset_of(group):
         raise ValueError("subgroup is not contained in group")
     tables = compile_group(group.preset)
@@ -794,9 +774,7 @@ def cosets(
         k = tables.position(u)
         if k in seen:
             continue
-        members = sorted(  # index order is key order
-            tables.mul(h, k) if side == "right" else tables.mul(k, h) for h in subgroup_ids
-        )
+        members = sorted(tables.mul(h, k) for h in subgroup_ids)  # index order is key order
         seen.update(members)
         out.append(
             Coset(

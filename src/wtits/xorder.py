@@ -23,9 +23,9 @@ silently wrong data.  This redundancy is permanent, not test scaffolding.
 The same grid with exponents up to 3 gives the candidates of the partial
 converse test for control sets.
 
-Quotient orders on right cosets (Morse components, control sets) are set
-algebra on the members' bitsets, and their partial-order axioms are
-verified on the spot.
+A quotient order on right cosets (Morse components, control sets) is one
+bitset row per class, holding the classes at or below it; its covers and
+its partial-order check are read off the rows.
 
 The down-sets hold |U|^2 bits.  A group whose |U|^2 / 8 bytes exceed
 MAX_ORDER_BYTES is refused by name before its covers or any bitset are
@@ -222,22 +222,14 @@ def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return down
 
 
-def transitive_reduction(
-    n: int, edges: Iterable[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    """Minimal edge set with the same reachability; edges are (lower, upper)."""
-    edges = set(edges)
-    return _reduce(edges, _closure_masks(n, edges))
-
-
-def _reduce(edges: set[tuple[int, int]], down: list[int]) -> frozenset[tuple[int, int]]:
-    """The edges not implied by others, given the closure `down` of all."""
-    strictly_below_children = [0] * len(down)
-    for lo, hi in edges:
-        strictly_below_children[hi] |= down[lo] & ~(1 << lo)
-    return frozenset(
-        (lo, hi) for lo, hi in edges if not strictly_below_children[hi] >> lo & 1
-    )
+def _reduce(candidates: Sequence[int], down: Sequence[int]) -> list[int]:
+    """The candidate edges not implied by others, as rows: `candidates[j]`
+    holds the lower ends of the edges into j and `down` is the reflexive
+    closure of all edges; (i, j) is implied when i lies strictly below
+    another lower end of j."""
+    return [
+        lows & ~reduce(or_, (down[i] ^ (1 << i) for i in _bits(lows)), 0) for lows in candidates
+    ]
 
 
 class Poset:
@@ -276,7 +268,10 @@ class Poset:
     def validate(self) -> None:
         """Covers must be acyclic and equal to the transitive reduction of
         their own closure."""
-        if _reduce(self.covers, self._down_map()) != self.covers:
+        rows = [0] * len(self.elements)
+        for lo, hi in self.covers:
+            rows[hi] |= 1 << lo
+        if _reduce(rows, self._down_map()) != rows:
             raise InvariantViolation("cover set is not transitively reduced")
 
 
@@ -302,63 +297,89 @@ def hasse(group: FiniteGroupTable) -> Poset:
 class QuotientPoset:
     """Partial order on right cosets.
 
-    `relation` holds the strict pairs (lower index, upper index) of the full
-    order; `kind` records which quotient rule produced it ("morse" for the
-    Morse-component rule, "control-forward" for the control-set rule).
+    `below[j]` is the bitset of the classes at or below class j; `kind`
+    records which quotient rule produced it ("morse" for the Morse-component
+    rule, "control-forward" for the control-set rule).
     """
 
     kind: str
     cosets: tuple[Coset, ...]
-    relation: frozenset[tuple[int, int]]
+    below: tuple[int, ...]
+
+    @property
+    def relation(self) -> frozenset[tuple[int, int]]:
+        """The strict pairs (lower index, upper index) of the order."""
+        return frozenset(
+            (i, j) for j, row in enumerate(self.below) for i in _bits(row ^ (1 << j))
+        )
 
     def leq(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in self.relation
+        return bool(self.below[j] >> i & 1)
 
     def covers(self) -> frozenset[tuple[int, int]]:
-        return transitive_reduction(len(self.cosets), self.relation)
+        strict = [row ^ (1 << j) for j, row in enumerate(self.below)]
+        return frozenset(
+            (i, j) for j, row in enumerate(_reduce(strict, self.below)) for i in _bits(row)
+        )
 
     def index_of(self, u: UElement) -> int:
-        for k, coset in enumerate(self.cosets):
-            if u in coset:
-                return k
-        raise KeyError(f"{u.matrix} lies in no coset")
+        return _index_of(self.cosets, u)
 
 
-def _verify_partial_order(pairs: set[tuple[int, int]], what: str) -> None:
-    """Antisymmetry and transitivity of a relation given as (lower, upper)
-    pairs, checked on the bitset of the elements above each element."""
-    above: dict[int, int] = {}
-    for i, j in pairs:
-        above[i] = above.get(i, 0) | 1 << j
-    for i, j in pairs:
-        if i != j and above.get(j, 0) >> i & 1:
-            raise InvariantViolation(f"{what} relation fails antisymmetry on ({i}, {j})")
-    for i, j in pairs:
-        missing = above.get(j, 0) & ~(above[i] | 1 << i)
-        if missing:
-            k = next(_bits(missing))
+def _index_of(classes: Sequence[Coset], u: UElement) -> int:
+    """Index of the class that contains u."""
+    for k, coset in enumerate(classes):
+        if u in coset:
+            return k
+    raise KeyError(f"{u.matrix} lies in no coset")
+
+
+def _verify_partial_order(below: Sequence[int], what: str) -> None:
+    """Reflexivity, antisymmetry and transitivity of an order given as rows,
+    `below[j]` holding the elements at or below j."""
+    above = [0] * len(below)  # the columns: the elements at or above each
+    for j, row in enumerate(below):
+        if not row >> j & 1:
+            raise InvariantViolation(f"{what} relation fails reflexivity on {j}")
+        for i in _bits(row):
+            above[i] |= 1 << j
+    for j, row in enumerate(below):
+        both = (row & above[j]) ^ (1 << j)
+        if both:
             raise InvariantViolation(
-                f"{what} relation fails transitivity on ({i}, {j}): "
-                f"({j}, {k}) holds but ({i}, {k}) does not"
+                f"{what} relation fails antisymmetry on ({next(_bits(both))}, {j})"
             )
+        outside = ~row
+        for i in _bits(row):
+            missing = below[i] & outside
+            if missing:
+                k = next(_bits(missing))
+                raise InvariantViolation(
+                    f"{what} relation fails transitivity on ({k}, {i}): "
+                    f"({i}, {j}) holds but ({k}, {j}) does not"
+                )
 
 
-def _coset_bitsets(
-    group: FiniteGroupTable, subgroup: FiniteGroupTable
-) -> tuple[list[Coset], list[list[int]], list[int], tuple[int, ...]]:
-    """The cosets, their member indices, their member bitsets, and the
-    down-set bitset of every element of U."""
+def _quotient(group: FiniteGroupTable, subgroup: FiniteGroupTable, kind: str) -> QuotientPoset:
+    """The cosets of `subgroup` with one row per class, built by the `kind`
+    rule from the members' down-sets and verified to be a partial order."""
     tables = compile_group(group.preset)
     require_order_memory(len(tables.pi))
     classes = cosets(group, subgroup)
+    down = _down_masks(tables)
     members = [[tables.position(m) for m in c.members] for c in classes]
     masks = [reduce(or_, (1 << k for k in ids)) for ids in members]
-    return classes, members, masks, _down_masks(tables)
-
-
-def _quotient(classes: list[Coset], pairs: set[tuple[int, int]], kind: str) -> QuotientPoset:
-    _verify_partial_order(pairs, kind)
-    return QuotientPoset(kind=kind, cosets=tuple(classes), relation=frozenset(pairs))
+    below = []
+    for ids in members:
+        downs = [down[k] for k in ids]
+        if kind == "morse":
+            outside = ~reduce(or_, downs)
+            row = (i for i, lo in enumerate(masks) if not lo & outside)
+        else:
+            row = (i for i, lo in enumerate(masks) if all(d & lo for d in downs))
+        below.append(reduce(or_, (1 << i for i in row), 0))
+    _verify_partial_order(below, kind)
+    return QuotientPoset(kind=kind, cosets=tuple(classes), below=tuple(below))
 
 
 def morse_quotient_order(group: FiniteGroupTable, U_H: FiniteGroupTable) -> QuotientPoset:
@@ -366,28 +387,13 @@ def morse_quotient_order(group: FiniteGroupTable, U_H: FiniteGroupTable) -> Quot
     class(v) iff every member of class(u) sits below some member of
     class(v).  This is the Schubert-inclusion direction; the dynamical
     order of the Morse components themselves is its inverse."""
-    classes, members, masks, down = _coset_bitsets(group, U_H)
-    below = [reduce(or_, (down[b] for b in ids)) for ids in members]
-    pairs = {
-        (i, j)
-        for i, lo in enumerate(masks)
-        for j, reach in enumerate(below)
-        if i != j and not lo & ~reach
-    }
-    return _quotient(classes, pairs, "morse")
+    return _quotient(group, U_H, "morse")
 
 
 def control_quotient_order(group: FiniteGroupTable, U_S: FiniteGroupTable) -> QuotientPoset:
     """Order on U(S) \\ U indexing control sets: class(u) below class(v) iff
     every member of class(v) sits above some member of class(u)."""
-    classes, members, masks, down = _coset_bitsets(group, U_S)
-    pairs = {
-        (i, j)
-        for i, lo in enumerate(masks)
-        for j, hi in enumerate(members)
-        if i != j and all(down[b] & lo for b in hi)
-    }
-    return _quotient(classes, pairs, "control-forward")
+    return _quotient(group, U_S, "control-forward")
 
 
 def control_forward_edges(quotient: QuotientPoset) -> list[tuple[Coset, Coset]]:
@@ -439,15 +445,8 @@ def converse_candidates(
     hypothesis; a nonempty one decides nothing.
     """
     classes = cosets(group, U_S)
-
-    def class_of(x: UElement) -> Coset:
-        for c in classes:
-            if x in c:
-                return c
-        raise ValueError(f"{x.matrix} is not an element of the group")
-
-    v_class = class_of(v)
-    u_class = class_of(u)
+    v_class = classes[_index_of(classes, v)]
+    u_class = classes[_index_of(classes, u)]
     tables = compile_group(u.preset)
     _, word = _reduced_lift_of_class(tables, v_class)
     grid = _grid(tables, word, 3)

@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 from wtits.exact import (
     as_int_matrix,
     determinant,
-    frac_identity,
-    frac_inverse,
-    frac_mat_mul,
-    frac_matrix,
     identity_matrix,
     is_signed_permutation,
     mat_inverse,
     mat_mul,
     mat_pow,
     solve_in_span,
-    transpose,
 )
 
 
@@ -40,7 +35,7 @@ def test_determinant_known_values():
 
 def test_mat_inverse_orthogonal_and_unimodular():
     rot = ((0, -1), (1, 0))
-    assert mat_inverse(rot) == transpose(rot)
+    assert mat_inverse(rot) == tuple(zip(*rot))
     shear = ((1, 5), (0, 1))
     inv = mat_inverse(shear)
     assert inv == ((1, -5), (0, 1))
@@ -48,14 +43,14 @@ def test_mat_inverse_orthogonal_and_unimodular():
     with pytest.raises(ValueError):
         mat_inverse(((2, 0), (0, 1)))  # determinant 2: no integer inverse
     with pytest.raises(ValueError):
-        frac_inverse(frac_matrix(((1, 2), (2, 4))))
+        mat_inverse(((1, 2), (2, 4)))  # singular
 
 
 def test_mat_pow():
     rot = ((0, -1), (1, 0))
     assert mat_pow(rot, 0) == identity_matrix(2)
     assert mat_pow(rot, 4) == identity_matrix(2)
-    assert mat_pow(rot, -1) == transpose(rot)
+    assert mat_pow(rot, -1) == tuple(zip(*rot))
     shear = ((1, 1), (0, 1))
     assert mat_pow(shear, 7) == ((1, 7), (0, 1))
     assert mat_pow(shear, -3) == ((1, -3), (0, 1))
@@ -106,13 +101,6 @@ def test_inverse_roundtrip_on_unimodular(m):
     inv = mat_inverse(m)
     assert mat_mul(m, inv) == identity_matrix(len(m))
     assert mat_mul(inv, m) == identity_matrix(len(m))
-
-
-@settings(max_examples=40, deadline=None)
-@given(unimodular())
-def test_frac_inverse_agrees(m):
-    inv = frac_inverse(frac_matrix(m))
-    assert frac_mat_mul(frac_matrix(m), inv) == frac_identity(len(m))
 
 
 def test_derived_positive_roots():

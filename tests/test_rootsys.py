@@ -82,7 +82,9 @@ def test_simple_reflection_actions(sl3, so24):
     # sl3 labeling: r2 swaps the first two diagonal coordinates
     r2 = simple_reflection(sl3.root_datum, 2)
     vec = (Fraction(5), Fraction(7), Fraction(-12))
-    from wtits.exact import frac_mat_vec
+
+    def frac_mat_vec(m, v):
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
     assert frac_mat_vec(r2.matrix, vec) == (Fraction(7), Fraction(5), Fraction(-12))
     r1 = simple_reflection(sl3.root_datum, 1)

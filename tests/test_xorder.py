@@ -2,7 +2,7 @@
 against the transcribed incidence diagrams and by exhaustive axiom checks."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -34,7 +34,7 @@ from wtits.cli import parse_element
 from wtits.rootsys import length, longest_element
 from wtits import InvariantViolation, ReducedLiftUnavailable, load_config
 from wtits.utits import compile_group
-from wtits.xorder import Poset, _verify_partial_order, down_set_from_word, transitive_reduction
+from wtits.xorder import Poset, _reduce, _verify_partial_order, down_set_from_word
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
@@ -340,12 +340,82 @@ def test_quotient_antisymmetry_exhaustive(sl3, so24):
                     assert (b, a) not in q.relation
 
 
-def test_transitive_reduction_unit():
+def _quotient_by_definition(elements, subgroup, rule):
+    """Right cosets of `subgroup` (as sets of indices into `elements`) with
+    the strict pairs and covers of their order, from the definitions alone:
+    `extended_leq` on members, and a cover is a strict pair with no class
+    strictly between."""
+    index = {u.matrix: k for k, u in enumerate(elements)}
+    classes, seen = [], set()
+    for k, u in enumerate(elements):
+        if k not in seen:
+            members = frozenset(index[(h * u).matrix] for h in subgroup)
+            seen |= members
+            classes.append(members)
+
+    def below(lo, hi):
+        if rule == "morse":  # every member of lo sits below some member of hi
+            return all(any(extended_leq(elements[a], elements[b]) for b in hi) for a in lo)
+        # control: every member of hi sits above some member of lo
+        return all(any(extended_leq(elements[a], elements[b]) for a in lo) for b in hi)
+
+    n = len(classes)
+    strict = {(i, j) for i, j in product(range(n), repeat=2) if i != j and below(classes[i], classes[j])}
+    covers = {
+        (i, j) for i, j in strict if not any((i, k) in strict and (k, j) in strict for k in range(n))
+    }
+    return classes, strict, covers
+
+
+def _quotient_cases():
+    presets = [
+        ("sl3", lambda: load_preset("sl3")),
+        ("so24", lambda: load_preset("so24")),
+        ("custom_o3", lambda: load_config(str(CUSTOM_O3))),
+    ]
+    for name, make in presets:
+        rank = make().rank
+        for size in range(rank + 1):
+            for theta in combinations(range(1, rank + 1), size):
+                yield pytest.param(make, "theta", theta, id=f"{name}-theta{''.join(map(str, theta))}")
+        for i in range(1, rank + 1):
+            yield pytest.param(make, "gen", i, id=f"{name}-s{i}")
+    yield pytest.param(lambda: load_preset("sl4"), "theta", (1,), id="sl4-theta1")
+    yield pytest.param(lambda: load_preset("sl4"), "gen", 1, id="sl4-s1")
+
+
+@pytest.mark.parametrize("make,source,arg", _quotient_cases())
+def test_quotient_orders_match_definitions(make, source, arg):
+    """Both rules, on U_H for Theta or on U(S) = <s_i>, against the
+    definitions evaluated member by member."""
+    preset = make()
+    table = enumerate_U(preset)
+    if source == "theta":
+        subgroup = subgroup_U_H(preset, arg)
+    else:
+        subgroup = subgroup_closure(preset, [preset.generator(arg)])
+    elements = list(table)
+    for rule, build in (("morse", morse_quotient_order), ("control", control_quotient_order)):
+        quotient = build(table, subgroup)
+        classes, strict, covers = _quotient_by_definition(elements, subgroup, rule)
+        where = {frozenset(m.matrix for m in c.members): k for k, c in enumerate(quotient.cosets)}
+        rename = [where[frozenset(elements[a].matrix for a in c)] for c in classes]
+        n = len(quotient.cosets)
+        assert sorted(rename) == list(range(n))
+        assert quotient.relation == {(rename[i], rename[j]) for i, j in strict}
+        assert quotient.covers() == {(rename[i], rename[j]) for i, j in covers}
+        for i, j in product(range(n), repeat=2):
+            assert quotient.leq(i, j) == (i == j or (i, j) in quotient.relation)
+
+
+def test_reduce_unit():
+    # rows: bit i of row j is the edge (i, j); `down` is the reflexive closure
     # diamond with a redundant long edge
-    edges = {(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)}
-    assert transitive_reduction(4, edges) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+    diamond = [0b0000, 0b0001, 0b0001, 0b0111]
+    down = [0b0001, 0b0011, 0b0101, 0b1111]
+    assert _reduce(diamond, down) == [0b0000, 0b0001, 0b0001, 0b0110]
     # chain
-    assert transitive_reduction(3, {(0, 1), (1, 2), (0, 2)}) == {(0, 1), (1, 2)}
+    assert _reduce([0b000, 0b001, 0b011], [0b001, 0b011, 0b111]) == [0b000, 0b001, 0b010]
 
 
 def test_poset_validation():
@@ -359,11 +429,16 @@ def test_poset_validation():
 
 
 def test_verify_partial_order_rejects_bad_relations():
-    _verify_partial_order({(0, 1), (1, 2), (0, 2)}, "chain")
+    # rows: row j holds the elements at or below j
+    _verify_partial_order([0b001, 0b011, 0b111], "chain")
     with pytest.raises(InvariantViolation, match="antisymmetry"):
-        _verify_partial_order({(0, 1), (1, 0)}, "cycle")
-    with pytest.raises(InvariantViolation, match=r"transitivity on \(0, 1\)"):
-        _verify_partial_order({(0, 1), (1, 2)}, "gap")
+        _verify_partial_order([0b11, 0b11], "cycle")
+    with pytest.raises(
+        InvariantViolation, match=r"transitivity on \(0, 1\): \(1, 2\) holds but \(0, 2\) does not"
+    ):
+        _verify_partial_order([0b001, 0b011, 0b110], "gap")
+    with pytest.raises(InvariantViolation, match="reflexivity on 1"):
+        _verify_partial_order([0b01, 0b01], "no diagonal")
 
 
 def test_down_set_disagreement_names_element(monkeypatch):

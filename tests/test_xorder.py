@@ -405,7 +405,7 @@ def test_quotient_orders_match_definitions(make, source, arg):
         assert quotient.relation == {(rename[i], rename[j]) for i, j in strict}
         assert quotient.covers() == {(rename[i], rename[j]) for i, j in covers}
         for i, j in product(range(n), repeat=2):
-            assert quotient.leq(i, j) == (i == j or (i, j) in quotient.relation)
+            assert quotient.leq(rename[i], rename[j]) == (i == j or (i, j) in strict)
 
 
 def test_reduce_unit():

@@ -18,29 +18,42 @@ A cell sample starts with the exact {0, 1/2, 1}^d grid rows, whose images
 are the group elements of the closed cell, so every positive incidence
 verdict comes from those rows (distance at rounding level).  The uniform
 draws after them only bound the negative-pair margin: how close the closed
-cell comes to an element outside it.  Incidence is tested per cell, not
-per pair: one Gram product per block of sample rows approximates every
-squared distance to every target, and the rows near each target's minimum
-are recomputed exactly, so each distance equals the direct minimum.
+cell comes to an element outside it.  A cell is processed by two kernels,
+GRAM_BLOCK parameter rows at a time.  The sampling kernel applies each
+rank-one rotation in place, to the two columns of its plane, in a
+component-major (n, n, rows) buffer, so every update is one vector
+operation.  The distance kernel takes one Gram product of the block with
+every target; a row can be within GRAM_SLACK of a target's block minimum
+only if 2 (max_i G_ij - G_ij) <= GRAM_SLACK + (max |x|^2 - min |x|^2), and
+those rows are recomputed exactly, so each distance equals the direct
+minimum over all rows.  The agreement report streams every cell through
+both kernels without holding its point stack, one cell per worker thread,
+one worker per available CPU; the exact-layer data of every cell (reduced
+lifts, rotation planes, cell keys, target matrices) and every
+combinatorial verdict are computed on the calling thread.
 
 A flow advances all of its starts (the group points, then the random
 ones) as one (starts, n, n) stack: each step is one product with the flow
 matrix and one batched QR, with every check applied to each matrix.
 Sample and start stacks are refused from their predicted size, before any
-allocation, above MAX_STACK_FLOATS.
+allocation, above MAX_STACK_FLOATS; the report applies the same refusal to
+each cell, before any draw, although it never holds a whole cell.
 
 This is the package's only numpy user.  `wtits` resolves the names it
 re-exports from here on first access, so the exact commands never import
 it.
 
 Everything random is driven by named integer seeds; per-cell sampling
-derives its substream from (seed, cell index) so reports are reproducible
-and order-independent.
+derives its substream from (seed, cell key), so reports are reproducible
+and independent of the order and the thread in which cells run.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iter_product
 
 import numpy as np
@@ -151,24 +164,13 @@ def _rotation_block_of(gen: UElement) -> tuple[int, int, int]:
 def psi_split(alpha_block, t: float) -> np.ndarray:
     """Rank-one cell map for a split (multiplicity one) simple root: the
     rotation by angle pi*t in the generator's 2x2 block, so psi(0) = 1,
-    psi(1/2) = s and psi(1) = s^2."""
-    return psi_split_batch(alpha_block, np.array([t], dtype=float))[0]
-
-
-def psi_split_batch(alpha_block, ts: np.ndarray) -> np.ndarray:
+    psi(1/2) = s and psi(1) = s^2.  It is the one-letter case of the cell
+    sampling kernel `_cell_block`."""
     if not isinstance(alpha_block, UElement):
         raise TypeError("alpha_block must be a generator element")
-    p, q, orientation = _rotation_block_of(alpha_block)
     n = alpha_block.preset.n
-    ts = np.asarray(ts, dtype=float)
-    angles = np.pi * ts * orientation
-    out = np.broadcast_to(np.eye(n), (len(ts), n, n)).copy()
-    c, s = np.cos(angles), np.sin(angles)
-    out[:, p, p] = c
-    out[:, q, q] = c
-    out[:, p, q] = -s
-    out[:, q, p] = s
-    return out
+    plan = _CellPlan(n, (_rotation_block_of(alpha_block),), np.arange(n), np.ones(n), ())
+    return _cell_block(plan, np.array([[t]], dtype=float))[:, :, 0]
 
 
 def psi_rank_one(z: float, v, t: float) -> np.ndarray:
@@ -229,32 +231,85 @@ class CellSample:
     parameters: np.ndarray  # (N, d)
 
 
-def _reduced_lift_data(u: UElement) -> tuple[tuple[int, ...], np.ndarray]:
+@dataclass(frozen=True)
+class _CellPlan:
+    """The exact-layer data of one cell, as plain numbers: the rotation
+    plane (p, q, orientation) of each letter of u's reduced lift, the C
+    part as a signed permutation of columns (column j of Psi_u is
+    c_signs[j] times column c_columns[j] of the rotation product), and the
+    substream key."""
+
+    n: int
+    planes: tuple[tuple[int, int, int], ...]
+    c_columns: np.ndarray
+    c_signs: np.ndarray
+    key: tuple[int, ...]
+
+
+def _cell_plan(u: UElement, count: int) -> _CellPlan:
+    """Everything a cell sample needs from the exact layer, with the size
+    guard applied before anything is drawn or allocated."""
+    preset = u.preset
+    if any(m != 1 for m in preset.root_datum.multiplicities):
+        raise ValueError("cell sampling requires a split preset (all multiplicities 1)")
+    _require_nonnegative("count", count)
     word, c = canonical_form(u)
-    return word, _as_float(c)
+    n = preset.n
+    _require_stack_size((count + 3 ** len(word) + 1) * n * n, f"a cell sample with count={count}")
+    planes = tuple(_rotation_block_of(preset.generator(letter)) for letter in word)
+    # C is generated by squares of quarter turns, so c is a signed permutation
+    c_float = _as_float(c)
+    columns = np.abs(c_float).argmax(axis=0)
+    return _CellPlan(n, planes, columns, c_float[columns, np.arange(n)], u_cell_key(u))
+
+
+def _cell_parameters(plan: _CellPlan, count: int, seed: int) -> np.ndarray:
+    """The interior point, the {0, 1/2, 1}^d grid, then `count` uniform draws
+    from the cell's (seed, key) substream."""
+    d = len(plan.planes)
+    grid = np.array(list(iter_product((0.0, 0.5, 1.0), repeat=d)), dtype=float)
+    interior = np.full((1, d), 0.5)
+    rng = np.random.default_rng([seed, *plan.key])
+    uniforms = rng.random((count, d))
+    return np.vstack([interior, grid, uniforms]) if d else np.zeros((1, 0))
+
+
+def _cell_block(plan: _CellPlan, ts: np.ndarray) -> np.ndarray:
+    """Psi_u(t) = psi_1(t_1) ... psi_d(t_d) c at each row of `ts`, component
+    major: entry (i, j) of the point of row r is out[i, j, r].
+
+    Each psi is a rotation in one plane (p, q), so it is applied in place to
+    columns p and q only, each update one vector operation over the rows."""
+    n = plan.n
+    x = np.zeros((n, n, len(ts)))
+    for i in range(n):
+        x[i, i] = 1.0
+    scratch = np.empty((n, len(ts)))
+    for col, (p, q, orientation) in enumerate(plan.planes):
+        angles = np.pi * ts[:, col] * orientation
+        c, s = np.cos(angles), np.sin(angles)
+        xp, xq = x[:, p], x[:, q]
+        np.multiply(xp, s, out=scratch)
+        xp *= c
+        xp += xq * s  # x_p c + x_q s
+        xq *= c
+        xq -= scratch  # x_q c - x_p s
+    return x[:, plan.c_columns] * plan.c_signs[:, None]
+
+
+def _cell_blocks(plan: _CellPlan, ts: np.ndarray):
+    """The cell's points, GRAM_BLOCK rows of `ts` at a time."""
+    for start in range(0, len(ts), GRAM_BLOCK):
+        yield _cell_block(plan, ts[start : start + GRAM_BLOCK])
 
 
 def sample_schubert(u: UElement, count: int, seed: int) -> CellSample:
     """Sample the closed cell of u: the distinguished {0, 1/2, 1}^d grid
     followed by `count` uniform parameter draws, pushed through
     Psi_u(t) = psi_1(t_1) ... psi_d(t_d) c."""
-    preset = u.preset
-    if any(m != 1 for m in preset.root_datum.multiplicities):
-        raise ValueError("cell sampling requires a split preset (all multiplicities 1)")
-    _require_nonnegative("count", count)
-    word, c_float = _reduced_lift_data(u)
-    d = len(word)
-    n = preset.n
-    _require_stack_size((count + 3**d + 1) * n * n, f"a cell sample with count={count}")
-    grid = np.array(list(iter_product((0.0, 0.5, 1.0), repeat=d)), dtype=float)
-    interior = np.full((1, d), 0.5)
-    rng = np.random.default_rng([seed, *u_cell_key(u)])
-    uniforms = rng.random((count, d))
-    ts = np.vstack([interior, grid, uniforms]) if d else np.zeros((1, 0))
-    points = np.broadcast_to(np.eye(n), (ts.shape[0], n, n)).copy()
-    for col, letter in enumerate(word):
-        points = points @ psi_split_batch(preset.generator(letter), ts[:, col])
-    points = points @ c_float
+    plan = _cell_plan(u, count)
+    ts = _cell_parameters(plan, count, seed)
+    points = np.concatenate([x.transpose(2, 0, 1) for x in _cell_blocks(plan, ts)])
     return CellSample(u=u, points=points, parameters=ts)
 
 
@@ -271,44 +326,84 @@ def u_cell_key(u: UElement) -> tuple[int, ...]:
     )
 
 
-GRAM_BLOCK = 2048  # sample rows per Gram product of the sequence form
+GRAM_BLOCK = 2048  # sample rows per block of the sampling and distance kernels
 GRAM_SLACK = 1e-6  # squared-distance slack of the exact recheck
+GRAM_SLICE = 64  # sample rows per matrix product of the Gram pass
+
+
+def _gram(targets: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """targets @ flat, taken as a stack of products of GRAM_SLICE columns
+    each (and one for the remainder).  Products that small run on the
+    calling thread inside BLAS; a whole-block product is split over BLAS's
+    own threads, which the report's workers then oversubscribe (the sl4
+    report at 2000 draws took 1.2 s that way against 0.76 s, two workers on
+    a 2-vCPU VM)."""
+    slices = flat.shape[1] // GRAM_SLICE
+    bulk = slices * GRAM_SLICE
+    gram = np.empty((len(targets), flat.shape[1]))
+    np.matmul(
+        targets,
+        flat[:, :bulk].reshape(len(flat), slices, GRAM_SLICE).transpose(1, 0, 2),
+        out=gram[:, :bulk].reshape(len(gram), slices, GRAM_SLICE).transpose(1, 0, 2),
+    )
+    np.matmul(targets, flat[:, bulk:], out=gram[:, bulk:])
+    return gram
+
+
+def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray) -> None:
+    """Lower best[j] to the smallest squared distance from targets[j] to a
+    point of the component-major block `x` (see `_cell_block`).
+
+    One Gram product G = T x gives every inner product.  Since
+    |x_i - t_j|^2 = |x_i|^2 + |t_j|^2 - 2 G_ij, a row i within GRAM_SLACK of
+    target j's block minimum satisfies
+    2 (max_i G_ij - G_ij) <= GRAM_SLACK + (max |x|^2 - min |x|^2),
+    and exactly those rows are recomputed directly.  They are gathered into
+    a (rows, n, n) stack first, so each squared distance is summed in the
+    same order as over the points of a CellSample."""
+    n = x.shape[0]
+    flat = x.reshape(n * n, -1)
+    gram = _gram(targets.reshape(len(targets), n * n), flat)
+    norms = np.einsum("ir,ir->r", flat, flat)
+    reach = gram.max(axis=1, keepdims=True) - 0.5 * (GRAM_SLACK + (norms.max() - norms.min()))
+    hits = np.flatnonzero(gram >= reach)
+    cols, rows = hits // flat.shape[1], hits % flat.shape[1]
+    diffs = flat.T.take(rows, axis=0).reshape(-1, n, n)
+    diffs -= targets.take(cols, axis=0)
+    diffs *= diffs
+    # the hits run target by target, one segment per target with any hit
+    counts = np.bincount(cols, minlength=len(targets))
+    hit = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[hit]
+    best[hit] = np.minimum(best[hit], np.minimum.reduceat(diffs.sum(axis=(1, 2)), starts))
+
+
+def _target_stack(elements, shape) -> np.ndarray:
+    return np.array([_as_float(u) for u in elements]).reshape(-1, *shape)
 
 
 def min_distance(u_lo, sample: CellSample) -> float | np.ndarray:
     """Smallest Frobenius distance from u_lo's matrix to a sample point.
 
     `u_lo` is one element, or a sequence of elements for which the array
-    of their distances is returned from one pass over the sample: for each
-    block of GRAM_BLOCK rows, one Gram product x @ T.T with the row and
-    target norms gives every squared distance approximately, and every row
-    within GRAM_SLACK of a target's block minimum is recomputed exactly, as
-    the one-element form computes all rows.  The Gram form is off by at
-    most about 4 n^3 eps for orthogonal points and targets (|x|^2 = n;
-    2.4e-14 for n = 3), far below the slack, so the row of the exact
-    minimum is always rechecked and each distance equals the one-element
-    result bit for bit."""
+    of their distances is returned from one pass over the sample.  Each
+    block of GRAM_BLOCK rows goes through one Gram product and an exact
+    recheck of the rows it cannot rule out (`_nearest`).  The Gram form is
+    off by at most about 4 n^3 eps for orthogonal points and targets
+    (|x|^2 = n; 2.4e-14 for n = 3), far below the slack, so the row of the
+    exact minimum is always rechecked and each distance is the direct
+    minimum over all rows bit for bit."""
     points = sample.points
     if points.shape[0] == 0:
         raise ValueError("empty cell sample")
-    if isinstance(u_lo, UElement):
-        diffs = points - _as_float(u_lo)
-        diffs *= diffs
-        return float(np.sqrt(diffs.sum(axis=(1, 2)).min()))
-    targets = np.array([_as_float(u) for u in u_lo]).reshape(-1, *points.shape[1:])
-    flat_t = targets.reshape(len(targets), points[0].size)
-    t_norms = np.einsum("ij,ij->i", flat_t, flat_t)
+    single = isinstance(u_lo, UElement)
+    targets = _target_stack([u_lo] if single else u_lo, points.shape[1:])
     best = np.full(len(targets), np.inf)
     for start in range(0, len(points), GRAM_BLOCK):
-        block = points[start : start + GRAM_BLOCK]
-        x = block.reshape(len(block), -1)
-        approx = np.einsum("ij,ij->i", x, x)[:, None] + t_norms - 2 * (x @ flat_t.T)
-        rows, cols = np.nonzero(approx <= approx.min(axis=0) + GRAM_SLACK)
-        diffs = block[rows]
-        diffs -= targets[cols]
-        diffs *= diffs
-        np.minimum.at(best, cols, diffs.sum(axis=(1, 2)))
-    return np.sqrt(best)
+        block = points[start : start + GRAM_BLOCK].transpose(1, 2, 0)
+        _nearest(np.ascontiguousarray(block), targets, best)
+    distances = np.sqrt(best)
+    return float(distances[0]) if single else distances
 
 
 def incidence_test(u_lo: UElement, sample: CellSample, tol: float) -> bool:
@@ -317,6 +412,23 @@ def incidence_test(u_lo: UElement, sample: CellSample, tol: float) -> bool:
     agreement reports against the combinatorial order, never as its
     definition."""
     return min_distance(u_lo, sample) < tol
+
+
+def _worker_count() -> int:
+    """One report worker per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cell_distances(plan: _CellPlan, count: int, seed: int, targets: np.ndarray) -> np.ndarray:
+    """Distances from every target to one cell's sample, streamed block by
+    block so the cell's point stack is never held.  Touches numpy arrays
+    only, so it can run on any thread."""
+    best = np.full(len(targets), np.inf)
+    for x in _cell_blocks(plan, _cell_parameters(plan, count, seed)):
+        _nearest(x, targets, best)
+    return np.sqrt(best)
 
 
 def schubert_agreement_report(
@@ -329,32 +441,41 @@ def schubert_agreement_report(
     """Compare the sampled incidence test against the combinatorial order on
     every ordered pair of elements.
 
+    Every exact-layer value (reduced lifts, rotation planes, cell keys,
+    target matrices, the combinatorial verdicts) is computed on the calling
+    thread; the cells are sampled and measured on one worker thread per
+    CPU.  Each cell draws from its own substream, so the report does not
+    depend on the number of workers.
+
     Returns a JSON-ready report; `agree` is True when the two verdicts match
     on all pairs, `margin_ok` when every negative pair also clears the
     rejection margin.
     """
     table = enumerate_U(preset)
+    plans = [_cell_plan(hi, count) for hi in table]
+    targets = _target_stack(table, (preset.n, preset.n))
     pairs = []
     agree = True
     margin_ok = True
-    for hi in table:
-        sample = sample_schubert(hi, count, seed)
-        for lo, dist in zip(table, min_distance(table, sample).tolist()):
-            numerical = dist < tol
-            combinatorial = extended_leq(lo, hi)
-            if numerical != combinatorial:
-                agree = False
-            if not combinatorial and dist <= reject_margin:
-                margin_ok = False
-            pairs.append(
-                {
-                    "lo": display_word(lo),
-                    "hi": display_word(hi),
-                    "combinatorial": combinatorial,
-                    "numerical": numerical,
-                    "min_distance": dist,
-                }
-            )
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        cells = pool.map(partial(_cell_distances, count=count, seed=seed, targets=targets), plans)
+        for hi, distances in zip(table, cells):
+            for lo, dist in zip(table, distances.tolist()):
+                numerical = dist < tol
+                combinatorial = extended_leq(lo, hi)
+                if numerical != combinatorial:
+                    agree = False
+                if not combinatorial and dist <= reject_margin:
+                    margin_ok = False
+                pairs.append(
+                    {
+                        "lo": display_word(lo),
+                        "hi": display_word(hi),
+                        "combinatorial": combinatorial,
+                        "numerical": numerical,
+                        "min_distance": dist,
+                    }
+                )
     pairs.sort(key=lambda p: (p["hi"], p["lo"]))
     return {
         "preset": preset.name,

@@ -257,14 +257,6 @@ class Poset:
         """Reflexive order: element i below element j."""
         return bool(self._down_map()[j] >> i & 1)
 
-    def minimal_elements(self) -> tuple[int, ...]:
-        uppers = {hi for _, hi in self.covers}
-        return tuple(i for i in range(len(self.elements)) if i not in uppers)
-
-    def maximal_elements(self) -> tuple[int, ...]:
-        lowers = {lo for lo, _ in self.covers}
-        return tuple(i for i in range(len(self.elements)) if i not in lowers)
-
     def validate(self) -> None:
         """Covers must be acyclic and equal to the transitive reduction of
         their own closure."""

@@ -3,9 +3,12 @@ flows.  Closed-form expectations are derived in-line; sampling checks use
 fixed seeds."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
+
+import wtits.oracle as oracle
 
 from wtits import (
     CellSample,
@@ -28,15 +31,36 @@ from wtits.oracle import (
     MAX_STACK_FLOATS,
     component_distance,
     _h_blocks,
+    _rotation_block_of,
     min_distance,
     rank_one_generators,
     schubert_agreement_report,
+    u_cell_key,
 )
-from wtits.utits import canonical_form, cosets, subgroup_U_H
+from wtits.utits import GroupPreset, canonical_form, cosets, subgroup_U_H
 
 
 def as_float(u):
     return np.array(u.matrix, dtype=float)
+
+
+def direct_min_distance(u, points):
+    """The one-element distance computed over every row, with no Gram pass:
+    the reference every form of `min_distance` must equal bit for bit."""
+    diffs = points - as_float(u)
+    diffs *= diffs
+    return float(np.sqrt(diffs.sum(axis=(1, 2)).min()))
+
+
+def rotation(gen, t):
+    """psi for a split generator, written out: the rotation by pi*t in the
+    generator's plane."""
+    p, q, orientation = _rotation_block_of(gen)
+    out = np.eye(gen.preset.n)
+    angle = math.pi * t * orientation
+    out[p, p] = out[q, q] = math.cos(angle)
+    out[p, q], out[q, p] = -math.sin(angle), math.sin(angle)
+    return out
 
 
 def positive_stack(rng, shape, n=3):
@@ -236,6 +260,31 @@ class TestSampling:
         c_images = {tuple(np.array(c.matrix).ravel()) for c in enumerate_C(sl3)}
         assert corner_images == c_images
 
+    @pytest.mark.parametrize("name", ["sl3", "sl4"])
+    def test_points_are_products_of_rotations(self, name, request):
+        # Psi_u(t) = psi_1(t_1) ... psi_d(t_d) c, each factor a full matrix;
+        # the in-place kernel may differ from it only by rounding
+        preset = request.getfixturevalue(name)
+        for u in list(enumerate_U(preset))[::5]:
+            word, c = canonical_form(u)
+            sample = sample_schubert(u, 40, 42)
+            rows = 1 + 3 ** len(word) + 40 if word else 1  # a point cell has one row
+            assert sample.parameters.shape == (rows, len(word))
+            for t, point in zip(sample.parameters, sample.points):
+                expected = np.eye(preset.n)
+                for letter, t_i in zip(word, t):
+                    expected = expected @ rotation(preset.generator(letter), t_i)
+                assert np.allclose(point, expected @ as_float(c), rtol=0, atol=1e-14)
+
+    def test_draws_are_the_cell_substream(self, sl3):
+        # after the interior point and the grid, the rows are one whole draw
+        # of (count, d) uniforms from the (seed, cell key) stream
+        u = sl3.generator(1) * sl3.generator(2)
+        sample = sample_schubert(u, 5000, 42)
+        draws = np.random.default_rng([42, *u_cell_key(u)]).random((5000, 2))
+        assert np.array_equal(sample.parameters[1 + 3**2 :], draws)
+        assert np.array_equal(sample.parameters[0], [0.5, 0.5])
+
     def test_deterministic_given_seed(self, sl3):
         u = sl3.generator(1) * sl3.generator(2)
         a = sample_schubert(u, 100, 7)
@@ -277,7 +326,9 @@ class TestBatchedMinDistance:
             rows.append(len(sample.points))
             batched = min_distance(table, sample)
             single = np.array([min_distance(lo, sample) for lo in table])
+            direct = np.array([direct_min_distance(lo, sample.points) for lo in table])
             assert np.array_equal(batched, single), display_word(hi)
+            assert np.array_equal(single, direct), display_word(hi)
         assert (max(rows) > GRAM_BLOCK) == (count > 0)  # a block boundary is crossed
 
     def test_rows_tied_within_the_slack(self, sl3):
@@ -296,7 +347,17 @@ class TestBatchedMinDistance:
         batched = min_distance(table, sample)
         single = np.array([min_distance(lo, sample) for lo in table])
         assert np.array_equal(batched, single)
+        assert single.tolist() == [direct_min_distance(lo, points) for lo in table]
         assert np.allclose(single, 1e-9, rtol=1e-6)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1000, GRAM_BLOCK])
+    @pytest.mark.parametrize("targets", [0, 1, 24])
+    def test_gram_slices_make_one_product(self, rows, targets):
+        rng = np.random.default_rng(rows + targets)
+        t, flat = rng.standard_normal((targets, 9)), rng.standard_normal((9, rows))
+        gram = oracle._gram(t, flat)
+        assert gram.shape == (targets, rows)
+        assert np.allclose(gram, t @ flat, rtol=0, atol=1e-13)
 
     def test_one_target_and_empty_inputs(self, sl3):
         sample = sample_schubert(sl3.generator(1), 10, 42)
@@ -308,6 +369,59 @@ class TestBatchedMinDistance:
         for target in (sl3.identity(), [sl3.identity()]):
             with pytest.raises(ValueError, match="empty cell sample"):
                 min_distance(target, empty)
+
+
+class TestReportThreads:
+    """The report streams each cell through the kernels on worker threads."""
+
+    def test_report_equals_min_distance_on_the_full_sample(self, sl3, monkeypatch):
+        count = GRAM_BLOCK + 1000  # every cell of positive length crosses a block boundary
+        reports = [schubert_agreement_report(sl3, count=count, seed=42)]
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 1)
+        reports.append(schubert_agreement_report(sl3, count=count, seed=42))
+        table = enumerate_U(sl3)
+        expected = {}
+        for hi in table:
+            sample = sample_schubert(hi, count, 42)
+            for lo in table:
+                expected[display_word(lo), display_word(hi)] = min_distance(lo, sample).hex()
+        for report in reports:
+            assert report["agree"] and report["margin_ok"]
+            found = {(p["lo"], p["hi"]): p["min_distance"].hex() for p in report["pairs"]}
+            assert found == expected
+        assert reports[0] == reports[1]
+
+    def test_exact_layer_stays_on_the_calling_thread(self, sl3, monkeypatch):
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        exact_names = (
+            "canonical_form", "cosets", "coset_label", "display_word", "enumerate_U",
+            "project_to_W", "subgroup_U_H", "extended_leq", "u_cell_key",
+            "_rotation_block_of", "_cell_plan", "_as_float",
+        )
+        for name in (*exact_names, "_cell_distances"):
+            monkeypatch.setattr(oracle, name, recording(name, getattr(oracle, name)))
+        monkeypatch.setattr(GroupPreset, "generator", recording("generator", GroupPreset.generator))
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+        report = schubert_agreement_report(sl3, count=300, seed=42)
+        assert report["agree"] and len(report["pairs"]) == 576
+        main = threading.main_thread()
+        exact = [(name, thread) for name, thread in calls if name != "_cell_distances"]
+        assert {name for name, _ in exact} >= {
+            "canonical_form", "display_word", "enumerate_U", "extended_leq", "generator",
+            "u_cell_key", "_rotation_block_of", "_cell_plan", "_as_float",
+        }
+        assert [name for name, thread in exact if thread is not main] == []
+        # the cells themselves did run on the pool
+        workers = [thread for name, thread in calls if name == "_cell_distances"]
+        assert len(workers) == 24 and all(thread is not main for thread in workers)
 
 
 class TestFlow:
@@ -442,6 +556,13 @@ class TestSizeGuards:
             sample_schubert(u, count, 42)
         with pytest.raises(AssertionError, match="passed the guard"):
             sample_schubert(u, count - 1, 42)
+        # the report never holds a whole cell, yet refuses the same counts
+        # before any draw; u has the longest reduced lift of sl3
+        assert d == max(len(canonical_form(v)[0]) for v in enumerate_U(sl3))
+        with pytest.raises(ValueError, match=f"a cell sample with count={count} needs"):
+            schubert_agreement_report(sl3, count=count, seed=42)
+        with pytest.raises(AssertionError, match="passed the guard"):
+            schubert_agreement_report(sl3, count=count - 1, seed=42)
         spec = FlowSpec(H=np.array([1.0, 0.0, -1.0]))
         grid = MAX_STACK_FLOATS // 9 - len(enumerate_U(sl3)) + 1  # (|U| + grid) * 9
         with pytest.raises(ValueError, match="over the cap"):

@@ -424,8 +424,6 @@ def test_poset_validation():
     p = Poset(["a", "b", "c"], [(0, 1), (1, 2)])
     p.validate()
     assert p.leq(0, 2) and not p.leq(2, 0)
-    assert p.minimal_elements() == (0,)
-    assert p.maximal_elements() == (2,)
 
 
 def test_verify_partial_order_rejects_bad_relations():

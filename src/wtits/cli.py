@@ -30,7 +30,6 @@ from .utits import (
     UElement,
     coset_label as _coset_label,
     compile_group,
-    display_tokens,
     display_word,
     enumerate_C,
     enumerate_U,
@@ -42,7 +41,7 @@ from .utits import (
     subgroup_U_H,
 )
 from .xorder import (
-    control_forward_edges,
+    control_forward_pairs,
     control_quotient_order,
     hasse,
     morse_quotient_order,
@@ -81,10 +80,7 @@ def parse_element(preset: GroupPreset, text: str) -> UElement:
 
 def _sorted_elements(group: FiniteGroupTable) -> list[UElement]:
     tables = compile_group(group.preset)
-    return sorted(
-        group.elements,
-        key=lambda u: (tables.length(tables.position(u)), display_tokens(u)),
-    )
+    return sorted(group.elements, key=lambda u: tables.display_key(tables.position(u)))
 
 
 def _matrix_rows(u: UElement) -> list[list[int]]:
@@ -92,37 +88,27 @@ def _matrix_rows(u: UElement) -> list[list[int]]:
 
 
 def hasse_json(group: FiniteGroupTable) -> dict:
-    """Canonical JSON form of the extended order: ids follow the
-    (projection length, word) sort; covers are [upper, lower] id pairs."""
-    elements = _sorted_elements(group)
-    ids = {u.matrix: k for k, u in enumerate(elements)}
+    """Canonical JSON form of the extended order: ids are the `hasse`
+    indices, in (projection length, word) order; covers are [upper, lower]
+    id pairs."""
     poset = hasse(group)
-    covers = sorted(
-        (ids[poset.elements[hi].matrix], ids[poset.elements[lo].matrix])
-        for lo, hi in poset.covers
-    )
     return {
         "elements": [
             {"id": k, "word": display_word(u), "matrix": _matrix_rows(u)}
-            for k, u in enumerate(elements)
+            for k, u in enumerate(poset.elements)
         ],
-        "covers": [list(pair) for pair in covers],
+        "covers": sorted([hi, lo] for lo, hi in poset.covers),
     }
 
 
 def hasse_dot(group: FiniteGroupTable, name: str = "extended_bruhat") -> str:
     """Graphviz digraph; one node per element labeled by its canonical word,
     one edge per covering pair, direction upper -> lower."""
-    elements = _sorted_elements(group)
     poset = hasse(group)
+    words = [display_word(u) for u in poset.elements]
     lines = [f"digraph {name} {{"]
-    for u in elements:
-        lines.append(f'  "{display_word(u)}";')
-    edges = sorted(
-        (display_word(poset.elements[hi]), display_word(poset.elements[lo]))
-        for lo, hi in poset.covers
-    )
-    for hi_word, lo_word in edges:
+    lines.extend(f'  "{word}";' for word in words)
+    for hi_word, lo_word in sorted((words[hi], words[lo]) for lo, hi in poset.covers):
         lines.append(f'  "{hi_word}" -> "{lo_word}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -302,12 +288,12 @@ def cmd_control(args) -> int:
         members = ", ".join(sorted(display_word(m) for m in coset.members))
         print(f"D[{labels[k]}] class = {{{members}}}")
     print("control-set order facts (D[a] -> D[b] means D[a] < D[b]):")
-    for src, dst in control_forward_edges(quotient):
-        print(f"  D[{_coset_label(src)}] -> D[{_coset_label(dst)}]")
+    for src, dst in control_forward_pairs(quotient):
+        print(f"  D[{labels[src]}] -> D[{labels[dst]}]")
     if args.pair:
         lhs = parse_element(preset, args.pair[0])
         rhs = parse_element(preset, args.pair[1])
-        verdict = pair_status(table, u_s, lhs, rhs)
+        verdict = pair_status(quotient, lhs, rhs)
         a, b = display_word(lhs), display_word(rhs)
         if verdict.status == "equal":
             print(f"pair: D[{a}] = D[{b}] (same class)")

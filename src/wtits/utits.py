@@ -58,9 +58,6 @@ from .rootsys import (
     weyl_table,
 )
 
-WordToken = tuple[int, int]  # (1-based generator index, exponent)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupPreset:
     """Full algebraic datum of one concrete group.
@@ -89,28 +86,20 @@ class GroupPreset:
     def generator(self, i: int) -> "UElement":
         if not 1 <= i <= len(self.generators):
             raise IndexError(f"generator index {i} out of range 1..{len(self.generators)}")
-        return UElement(self.generators[i - 1], self, word=((i, 1),))
+        return UElement(self.generators[i - 1], self)
 
 
 @dataclass(frozen=True)
 class UElement:
-    """Element of U, keyed by its exact matrix.
-
-    `word`, when present, records one expression as (generator, exponent)
-    tokens; it is bookkeeping only and never participates in equality.
-    """
+    """Element of U, keyed by its exact matrix."""
 
     matrix: IntMatrix
     preset: GroupPreset = field(compare=False, repr=False)
-    word: tuple[WordToken, ...] | None = field(default=None, compare=False, repr=False)
 
     def __mul__(self, other: "UElement") -> "UElement":
         if self.preset is not other.preset:
             raise ValueError("cannot multiply elements of different presets")
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return UElement(mat_mul(self.matrix, other.matrix), self.preset, word=word)
+        return UElement(mat_mul(self.matrix, other.matrix), self.preset)
 
     def __pow__(self, k: int) -> "UElement":
         return UElement(mat_pow(self.matrix, k), self.preset)
@@ -503,13 +492,12 @@ class GroupTables:
     each into `covers` and `down`.
     """
 
-    def __init__(self, preset: GroupPreset, bound: int):
+    def __init__(self, preset: GroupPreset):
         rank = preset.rank
         self.preset = preset
         self.weyl = weyl = weyl_table(preset.root_datum)
-        mats, right, words = _closure(
-            identity_matrix(preset.n), preset.generators + preset.c_generators, bound
-        )
+        generators = preset.generators + preset.c_generators
+        mats, right, words = _closure(identity_matrix(preset.n), generators, DEFAULT_CLOSURE_BOUND)
         pi: list[int | None] = [None] * len(mats)
         pi[0] = weyl.identity
         for k in range(len(mats)):  # discovery order: each element after its parent
@@ -637,28 +625,37 @@ class GroupTables:
         """Length of the projection pi(u_k)."""
         return self.weyl.length[self.pi[k]]
 
+    def tokens(self, k: int) -> tuple[str, ...]:
+        """The display tokens of u_k (see `display_tokens`)."""
+        return self.s_tokens[self.pi[k]] + self.c_tokens[self.c_part[k]]
 
-def compile_group(preset: GroupPreset, bound: int = DEFAULT_CLOSURE_BOUND) -> GroupTables:
+    def display_key(self, k: int) -> tuple[int, tuple[str, ...]]:
+        """(projection length, display tokens) of u_k: the order in which
+        elements are listed in every output."""
+        return self.length(k), self.tokens(k)
+
+
+def compile_group(preset: GroupPreset) -> GroupTables:
     """The preset's compiled tables, built on first use."""
     tables = preset._tables
     if tables is None:
-        tables = GroupTables(preset, bound)
+        tables = GroupTables(preset)
         object.__setattr__(preset, "_tables", tables)
     return tables
 
 
-def enumerate_U(preset: GroupPreset, bound: int = DEFAULT_CLOSURE_BOUND) -> FiniteGroupTable:
+def enumerate_U(preset: GroupPreset) -> FiniteGroupTable:
     """The full group U as the closure of the s_i and the C generators.
 
     Compiling verifies |U| = |W| * |C| and the normality of C inside U.
     """
-    return compile_group(preset, bound).U
+    return compile_group(preset).U
 
 
-def enumerate_C(preset: GroupPreset, bound: int = DEFAULT_CLOSURE_BOUND) -> FiniteGroupTable:
+def enumerate_C(preset: GroupPreset) -> FiniteGroupTable:
     """The subgroup C: closure of the squared generators and the extra C
     generators.  Verified abelian and inside the kernel of pi."""
-    return compile_group(preset, bound).C
+    return compile_group(preset).C
 
 
 def _flatten(mat: IntMatrix) -> tuple[Fraction, ...]:
@@ -828,8 +825,7 @@ def display_tokens(u: UElement) -> tuple[str, ...]:
     followed by the shortest squared-generator factorization of the C part
     (lexicographic tie-break), e.g. ("s2", "s1", "s1^2", "s2^2")."""
     tables = compile_group(u.preset)
-    k = tables.position(u)
-    return tables.s_tokens[tables.pi[k]] + tables.c_tokens[tables.c_part[k]]
+    return tables.tokens(tables.position(u))
 
 
 def display_word(u: UElement) -> str:

@@ -13,15 +13,21 @@ element indices.  The covers of all elements are computed together on the
 first question that needs them, and so are all down-sets.
 
 Because this order is the load-bearing piece of the whole package, the
-down-set of every element is always computed twice: once as the closure
-of covers (the union of the covers' down-sets, by increasing length), and
-once as the subword grid {s_1^{k_1} ... s_d^{k_d} c : k in {0,1,2}^d} of
-the canonical reduced word -- the closed Schubert cell as the image of its
-characteristic map (the subword property, lifted to U).  The two routes
-must agree on every element -- a disagreement raises instead of returning
-silently wrong data.  This redundancy is permanent, not test scaffolding.
-The same grid with exponents up to 3 gives the candidates of the partial
-converse test for control sets.
+down-set of every element is always computed twice: once as the one
+closure of covers (the union of the covers' down-sets, by increasing
+length), and once as the subword grid {s_1^{k_1} ... s_d^{k_d} c : k in
+{0,1,2}^d} of the canonical reduced word -- the closed Schubert cell as
+the image of its characteristic map (the subword property, lifted to U).
+The two routes must agree on every element -- a disagreement raises
+instead of returning silently wrong data.  This redundancy is permanent,
+not test scaffolding.  The same grid with exponents up to 3 gives the
+candidates of the partial converse test for control sets.
+
+The Hasse diagram is the cover table itself, its elements in (projection
+length, display word) order.  It needs no closure: the order projects
+onto the Bruhat order, which is graded by length, so every cover must
+join consecutive lengths, and a graded cover set is acyclic and
+transitively reduced.  `hasse` checks that grading on every cover.
 
 A quotient order on right cosets (Morse components, control sets) is one
 bitset row per class, holding the classes at or below it; its covers and
@@ -194,32 +200,53 @@ def extended_leq(u_lo: UElement, u_hi: UElement) -> bool:
 # -- Hasse diagrams -----------------------------------------------------------
 
 
-def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Reflexive down-set bitset of every node of the digraph with edges
-    (lower, upper), built children first; a cycle raises."""
-    children: list[list[int]] = [[] for _ in range(n)]
-    parents: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in edges:
-        children[hi].append(lo)
-        parents[lo].append(hi)
-    waiting = [len(c) for c in children]
-    ready = [i for i in range(n) if not waiting[i]]
-    down = [0] * n
-    k = 0
-    while k < len(ready):
-        i = ready[k]
-        mask = 1 << i
-        for lo in children[i]:
-            mask |= down[lo]
-        down[i] = mask
-        for hi in parents[i]:
-            waiting[hi] -= 1
-            if not waiting[hi]:
-                ready.append(hi)
-        k += 1
-    if len(ready) != n:
-        raise InvariantViolation("cover relation contains a cycle")
-    return down
+class Poset:
+    """The Hasse diagram of a finite poset: its elements and its covering
+    pairs (lower index, upper index).  `hasse` builds the extended order's
+    diagram from the cover table; queries on that order go through
+    `extended_leq`."""
+
+    def __init__(self, elements: Sequence, covers: Iterable[tuple[int, int]]):
+        self.elements = tuple(elements)
+        self.covers = frozenset(covers)
+        n = len(self.elements)
+        for lo, hi in self.covers:
+            if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
+                raise ValueError(f"bad cover pair ({lo}, {hi})")
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def hasse(group: FiniteGroupTable) -> Poset:
+    """Hasse diagram of the extended Bruhat order on an enumerated group:
+    the cover table itself, elements sorted by (projection length, display
+    tokens), the order the CLI writes.
+
+    Every drop cover must join consecutive lengths, since the order
+    projects onto the Bruhat order, which is graded by length; a cover
+    that does not raises.  A graded cover set is acyclic and transitively
+    reduced (a path of two or more covers spans two or more lengths), so
+    it is its own Hasse diagram and no closure is built."""
+    tables = compile_group(group.preset)
+    ids = sorted((tables.position(u) for u in group.elements), key=tables.display_key)
+    pos = {k: n for n, k in enumerate(ids)}
+    covers = _covers(tables)
+    elements = tables.U.elements
+    edges = []
+    for k in ids:
+        top = tables.length(k)
+        for v in covers[k]:
+            if tables.length(v) != top - 1:
+                raise InvariantViolation(
+                    f"cover {display_word(elements[k])} -> {display_word(elements[v])} "
+                    f"joins lengths {top} and {tables.length(v)}, which are not consecutive"
+                )
+            edges.append((pos[v], pos[k]))
+    return Poset([elements[k] for k in ids], edges)
+
+
+# -- quotient orders ----------------------------------------------------------
 
 
 def _reduce(candidates: Sequence[int], down: Sequence[int]) -> list[int]:
@@ -230,59 +257,6 @@ def _reduce(candidates: Sequence[int], down: Sequence[int]) -> list[int]:
     return [
         lows & ~reduce(or_, (down[i] ^ (1 << i) for i in _bits(lows)), 0) for lows in candidates
     ]
-
-
-class Poset:
-    """A finite poset given by elements and covering pairs (lower, upper)."""
-
-    def __init__(self, elements: Sequence, covers: Iterable[tuple[int, int]]):
-        self.elements = tuple(elements)
-        self.covers = frozenset(covers)
-        n = len(self.elements)
-        for lo, hi in self.covers:
-            if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
-                raise ValueError(f"bad cover pair ({lo}, {hi})")
-        self._down: list[int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def _down_map(self) -> list[int]:
-        """Reflexive down-set bitset of every element."""
-        if self._down is None:
-            self._down = _closure_masks(len(self.elements), self.covers)
-        return self._down
-
-    def leq(self, i: int, j: int) -> bool:
-        """Reflexive order: element i below element j."""
-        return bool(self._down_map()[j] >> i & 1)
-
-    def validate(self) -> None:
-        """Covers must be acyclic and equal to the transitive reduction of
-        their own closure."""
-        rows = [0] * len(self.elements)
-        for lo, hi in self.covers:
-            rows[hi] |= 1 << lo
-        if _reduce(rows, self._down_map()) != rows:
-            raise InvariantViolation("cover set is not transitively reduced")
-
-
-def hasse(group: FiniteGroupTable) -> Poset:
-    """Hasse diagram of the extended Bruhat order on an enumerated group,
-    elements sorted by (projection length, matrix key)."""
-    tables = compile_group(group.preset)
-    ids = sorted(
-        (tables.position(u) for u in group.elements), key=lambda k: (tables.length(k), k)
-    )
-    pos = {k: n for n, k in enumerate(ids)}
-    covers = _covers(tables)
-    edges = {(pos[v], pos[k]) for k in ids for v in covers[k]}
-    poset = Poset([tables.U.elements[k] for k in ids], edges)
-    poset.validate()  # drop covers join consecutive lengths: already reduced
-    return poset
-
-
-# -- quotient orders ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -388,19 +362,25 @@ def control_quotient_order(group: FiniteGroupTable, U_S: FiniteGroupTable) -> Qu
     return _quotient(group, U_S, "control-forward")
 
 
+def _require_control(quotient: QuotientPoset, what: str) -> None:
+    if quotient.kind != "control-forward":
+        raise ValueError(f"{what} require a control-forward quotient")
+
+
+def control_forward_pairs(quotient: QuotientPoset) -> list[tuple[int, int]]:
+    """`control_forward_edges` as class indices (src, dst), in the same
+    order: the classes are in representative-key order, so sorting the
+    indices sorts the representatives."""
+    _require_control(quotient, "forward edges")
+    return sorted((hi, lo) for lo, hi in quotient.covers())
+
+
 def control_forward_edges(quotient: QuotientPoset) -> list[tuple[Coset, Coset]]:
     """Control-set order facts implied by the coset order, direction
     reversed: a pair (src, dst) asserts D(src.representative) strictly
     precedes D(dst.representative)."""
-    if quotient.kind != "control-forward":
-        raise ValueError("forward edges require a control-forward quotient")
-    edges = [
-        (quotient.cosets[hi], quotient.cosets[lo]) for lo, hi in quotient.covers()
-    ]
-    edges.sort(
-        key=lambda e: (e[0].representative.matrix, e[1].representative.matrix)
-    )
-    return edges
+    classes = quotient.cosets
+    return [(classes[src], classes[dst]) for src, dst in control_forward_pairs(quotient)]
 
 
 # -- the partial converse test -------------------------------------------------
@@ -422,6 +402,15 @@ def _reduced_lift_of_class(
     )
 
 
+def _grid_candidates(u_class: Coset, v_class: Coset) -> frozenset[UElement]:
+    """The members of `u_class` on the exponent-3 grid of a reduced
+    generator product in `v_class` (see `converse_candidates`)."""
+    tables = compile_group(v_class.representative.preset)
+    _, word = _reduced_lift_of_class(tables, v_class)
+    grid = _grid(tables, word, 3)
+    return frozenset(m for m in u_class.members if tables.position(m) in grid)
+
+
 def converse_candidates(
     group: FiniteGroupTable,
     U_S: FiniteGroupTable,
@@ -437,12 +426,7 @@ def converse_candidates(
     hypothesis; a nonempty one decides nothing.
     """
     classes = cosets(group, U_S)
-    v_class = classes[_index_of(classes, v)]
-    u_class = classes[_index_of(classes, u)]
-    tables = compile_group(u.preset)
-    _, word = _reduced_lift_of_class(tables, v_class)
-    grid = _grid(tables, word, 3)
-    return frozenset(m for m in u_class.members if tables.position(m) in grid)
+    return _grid_candidates(classes[_index_of(classes, u)], classes[_index_of(classes, v)])
 
 
 @dataclass(frozen=True)
@@ -461,16 +445,12 @@ class PairVerdict:
     b_before_a_candidates: frozenset[UElement] | None = None
 
 
-def pair_status(
-    group: FiniteGroupTable,
-    U_S: FiniteGroupTable,
-    a: UElement,
-    b: UElement,
-) -> PairVerdict:
-    """Decide what the machinery can about the control sets of two classes:
-    coset-order comparability settles the question (in reversed direction);
-    otherwise both converse tests are run and reported."""
-    quotient = control_quotient_order(group, U_S)
+def pair_status(quotient: QuotientPoset, a: UElement, b: UElement) -> PairVerdict:
+    """Decide what the machinery can about the control sets of the classes
+    of a and b in a control quotient: coset-order comparability settles
+    the question (in reversed direction); otherwise both converse tests
+    are run on the quotient's classes and reported."""
+    _require_control(quotient, "pair verdicts")
     i, j = quotient.index_of(a), quotient.index_of(b)
     if i == j:
         return PairVerdict(status="equal")
@@ -480,14 +460,15 @@ def pair_status(
     if quotient.leq(j, i):
         return PairVerdict(status="leq")
 
-    def run(u: UElement, v: UElement) -> frozenset[UElement] | None:
+    def run(u_class: Coset, v_class: Coset) -> frozenset[UElement] | None:
         try:
-            return converse_candidates(group, U_S, u, v)
+            return _grid_candidates(u_class, v_class)
         except ReducedLiftUnavailable:
             return None
 
+    a_class, b_class = quotient.cosets[i], quotient.cosets[j]
     return PairVerdict(
         status="undetermined",
-        a_before_b_candidates=run(b, a),
-        b_before_a_candidates=run(a, b),
+        a_before_b_candidates=run(b_class, a_class),
+        b_before_a_candidates=run(a_class, b_class),
     )

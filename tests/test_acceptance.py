@@ -137,9 +137,7 @@ def test_criterion_04_control_machinery(sl3):
     assert qc.relation == qm.relation
     assert [c.members for c in qc.cosets] == [c.members for c in qm.cosets]
     for a_expr, b_expr in fixture_sl3.UNDETERMINED_PAIRS:
-        verdict = pair_status(
-            table, u_s, parse_element(sl3, a_expr), parse_element(sl3, b_expr)
-        )
+        verdict = pair_status(qc, parse_element(sl3, a_expr), parse_element(sl3, b_expr))
         assert verdict.status == "undetermined"
     print("ACCEPTANCE 4 PASS: U(S)=<s1> gives 6=3*2 classes, W(S)={1,r1}, C(S)={1,s1^2}, order matches Morse, both open pairs undetermined")
 

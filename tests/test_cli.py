@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from wtits import ExprParseError, extended_leq, enumerate_U
+from wtits import (
+    ExprParseError,
+    display_word,
+    enumerate_U,
+    extended_leq,
+    hasse,
+    load_config,
+    load_preset,
+)
 from wtits.cli import hasse_dot, hasse_json, main, parse_element
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
@@ -72,6 +80,21 @@ def test_cmd_order_hasse_json(capsys):
     ids = {e["id"] for e in payload["elements"]}
     for hi, lo in payload["covers"]:
         assert hi in ids and lo in ids
+
+
+@pytest.mark.parametrize("source", ["sl3", "so24", "custom_o3"])
+def test_hasse_json_ids_are_hasse_indices(source):
+    preset = load_config(CUSTOM_O3) if source == "custom_o3" else load_preset(source)
+    table = enumerate_U(preset)
+    poset = hasse(table)
+    payload = hasse_json(table)
+    assert [e["id"] for e in payload["elements"]] == list(range(len(poset)))
+    assert [e["word"] for e in payload["elements"]] == [display_word(u) for u in poset.elements]
+    assert [e["matrix"] for e in payload["elements"]] == [
+        [list(row) for row in u.matrix] for u in poset.elements
+    ]
+    assert {(lo, hi) for hi, lo in payload["covers"]} == poset.covers
+    assert len(payload["covers"]) == len(poset.covers)
 
 
 def test_hasse_json_byte_stable(so24):

@@ -17,7 +17,7 @@ from wtits import (
     subgroup_closure,
     subgroup_U_H,
 )
-from wtits.cli import hasse_dot, hasse_json, quotient_json
+from wtits.cli import hasse_dot, hasse_json, main, quotient_json
 from wtits.rootsys import length
 from wtits.utits import canonical_form, compile_group, project_by_conjugation, project_to_W
 
@@ -50,6 +50,27 @@ def test_outputs_match_golden(group):
     expect("morse_theta1.json", as_file(quotient_json(morse_quotient_order(table, subgroup_U_H(preset, (1,))))))
     u_s = subgroup_closure(preset, [preset.generator(1)])
     expect("control_s1.json", as_file(quotient_json(control_quotient_order(table, u_s))))
+
+
+CLI_FLAGS = {
+    "custom": ["--config", str(ROOT / "benchmarks" / "custom_o3.json")],
+    "sl3": ["--preset", "sl3"],
+    "so24": ["--preset", "so24"],
+}
+
+
+@pytest.mark.parametrize("group", sorted(CLI_FLAGS))
+def test_control_text_matches_golden(group, capsys):
+    """`control --us-gens s1 --pair` text, forward edges and verdict, for
+    every pair the golden files list."""
+    flags = CLI_FLAGS[group]
+    golden = GOLDEN / group
+    head = (golden / "control_s1.txt").read_text(encoding="utf-8")
+    tails = json.loads((golden / "control_pairs.json").read_text(encoding="utf-8"))
+    for key, tail in tails.items():
+        lhs, rhs = key.split("|")
+        assert main(["control", *flags, "--us-gens", "s1", "--pair", lhs, rhs]) == 0
+        assert capsys.readouterr().out == head + tail, key
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

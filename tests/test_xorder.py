@@ -34,7 +34,7 @@ from wtits.cli import parse_element
 from wtits.rootsys import length, longest_element
 from wtits import InvariantViolation, ReducedLiftUnavailable, load_config
 from wtits.utits import compile_group
-from wtits.xorder import Poset, _reduce, _verify_partial_order, down_set_from_word
+from wtits.xorder import _reduce, _verify_partial_order, down_set_from_word
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
@@ -219,12 +219,11 @@ def test_morse_quotient_degenerate_cases(sl3):
     table = enumerate_U(sl3)
     trivial = subgroup_closure(sl3, [])
     q = morse_quotient_order(table, trivial)
-    poset = hasse(table)
     # the quotient by the trivial subgroup is the extended order itself
     index_by_matrix = {c.representative.matrix: k for k, c in enumerate(q.cosets)}
-    for i, lo in enumerate(poset.elements):
-        for j, hi in enumerate(poset.elements):
-            assert poset.leq(i, j) == q.leq(
+    for lo in table:
+        for hi in table:
+            assert extended_leq(lo, hi) == q.leq(
                 index_by_matrix[lo.matrix], index_by_matrix[hi.matrix]
             )
     q_full = morse_quotient_order(table, table)
@@ -299,9 +298,10 @@ def test_converse_candidates(sl3):
 def test_undetermined_pairs_surface(sl3):
     table = enumerate_U(sl3)
     u_s = subgroup_closure(sl3, [sl3.generator(1)])
+    quotient = control_quotient_order(table, u_s)
     for a_expr, b_expr in fixture_sl3.UNDETERMINED_PAIRS:
         a, b = parse_element(sl3, a_expr), parse_element(sl3, b_expr)
-        verdict = pair_status(table, u_s, a, b)
+        verdict = pair_status(quotient, a, b)
         assert verdict.status == "undetermined"
         assert (
             verdict.a_before_b_candidates or verdict.b_before_a_candidates
@@ -316,14 +316,17 @@ def test_undetermined_pairs_surface(sl3):
 def test_pair_status_determined(sl3):
     table = enumerate_U(sl3)
     u_s = subgroup_closure(sl3, [sl3.generator(1)])
+    quotient = control_quotient_order(table, u_s)
     s2 = sl3.generator(2)
     # D(s2) <= D(1) because U(S) <= U(S) s2 in the coset order
-    v = pair_status(table, u_s, s2, sl3.identity())
+    v = pair_status(quotient, s2, sl3.identity())
     assert v.status == "leq"
-    v2 = pair_status(table, u_s, sl3.identity(), s2)
+    v2 = pair_status(quotient, sl3.identity(), s2)
     assert v2.status == "geq"
-    v3 = pair_status(table, u_s, s2, sl3.generator(1) * s2)
+    v3 = pair_status(quotient, s2, sl3.generator(1) * s2)
     assert v3.status == "equal"
+    with pytest.raises(ValueError, match="control-forward quotient"):
+        pair_status(morse_quotient_order(table, subgroup_U_H(sl3, {1})), s2, s2)
 
 
 def test_quotient_antisymmetry_exhaustive(sl3, so24):
@@ -418,14 +421,6 @@ def test_reduce_unit():
     assert _reduce([0b000, 0b001, 0b011], [0b001, 0b011, 0b111]) == [0b000, 0b001, 0b010]
 
 
-def test_poset_validation():
-    with pytest.raises(Exception):
-        Poset(["a", "b"], [(0, 1), (1, 0)])._down_map()
-    p = Poset(["a", "b", "c"], [(0, 1), (1, 2)])
-    p.validate()
-    assert p.leq(0, 2) and not p.leq(2, 0)
-
-
 def test_verify_partial_order_rejects_bad_relations():
     # rows: row j holds the elements at or below j
     _verify_partial_order([0b001, 0b011, 0b111], "chain")
@@ -511,7 +506,7 @@ def test_order_refused_from_predicted_memory(monkeypatch):
 def test_hasse_rejects_unreduced_covers(monkeypatch):
     from wtits import xorder
 
-    # a fresh SL(3) group whose covers gain an edge spanning two lengths
+    # a fresh SL(3) group whose covers gain one edge at a time that breaks the grading
     preset = load_config(
         {
             "name": "custom-sl3",
@@ -526,17 +521,24 @@ def test_hasse_rejects_unreduced_covers(monkeypatch):
             ],
         }
     )
+    table = enumerate_U(preset)
     real = xorder._covers
-
-    def with_long_edge(tables):
+    tables = compile_group(preset)
+    e = tables.identity
+    s1, s2 = tables.right[0][e], tables.right[1][e]
+    s1s2 = tables.right[1][s1]
+    for hi, lo, message in [
+        (s1s2, e, "cover s1 s2 -> 1 joins lengths 2 and 0"),  # skips length 1
+        (s1, s2, "cover s1 -> s2 joins lengths 1 and 1"),  # same length
+        (e, s1, "cover 1 -> s1 joins lengths 0 and 1"),  # closes a cycle with s1 -> 1
+    ]:
         covers = list(real(tables))
-        top = tables.walk(tables.identity, [0, 1])  # s1 s2, length 2
-        covers[top] += (tables.identity,)
-        return tuple(covers)
-
-    monkeypatch.setattr(xorder, "_covers", with_long_edge)
-    with pytest.raises(InvariantViolation, match="not transitively reduced"):
-        hasse(enumerate_U(preset))
+        covers[hi] += (lo,)
+        monkeypatch.setattr(xorder, "_covers", lambda _, covers=tuple(covers): covers)
+        with pytest.raises(InvariantViolation, match=f"^{message}, which are not consecutive$"):
+            hasse(table)
+    monkeypatch.setattr(xorder, "_covers", real)
+    assert len(hasse(table).covers) == 64
 
 
 @pytest.mark.parametrize("name", ["sl3", "so24", "sl4"])

@@ -5,6 +5,14 @@ value and can serve as canonical dictionary keys for group elements.
 Integer matrices carry the group elements themselves; Fraction matrices
 appear wherever reflection coefficients or change-of-basis data can leave
 the integers.  No floating point enters here.
+
+The matrices met at load time (Weyl reflections, signed permutations,
+flattened Cartan basis matrices) are mostly zeros, so the rational kernels
+never multiply by a zero entry: `frac_mat_mul` and `frac_vec_mat` skip zero
+factors and start every sum at `Fraction(0)`, and `solve_many` eliminates
+with the pivot row's nonzero entries only.  `solve_many` also reduces one
+basis once for any number of right-hand sides, and still verifies every
+reconstruction.  `determinant` is integer Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from typing import Iterable, Sequence
 IntMatrix = tuple[tuple[int, ...], ...]
 FracMatrix = tuple[tuple[Fraction, ...], ...]
 FracVector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
@@ -66,26 +76,31 @@ def is_signed_permutation(a: IntMatrix) -> bool:
 
 
 def determinant(a: IntMatrix) -> int:
-    """Determinant via fraction-free Gaussian elimination."""
+    """Determinant via fraction-free (Bareiss) elimination on integers:
+    each step's division by the previous pivot is exact, and a remainder
+    would raise ArithmeticError."""
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
             return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
+            sign = -sign
+        top = m[col]
+        p = top[col]
         for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    if det.denominator != 1:
-        raise ArithmeticError("integer determinant came out fractional")
-    return int(det)
+            row = m[r]
+            f = row[col]
+            for j in range(col + 1, n):
+                q, rem = divmod(row[j] * p - f * top[j], prev)
+                if rem:
+                    raise ArithmeticError("integer determinant came out fractional")
+                row[j] = q
+        prev = p
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def mat_inverse(a: IntMatrix) -> IntMatrix:
@@ -100,7 +115,7 @@ def mat_inverse(a: IntMatrix) -> IntMatrix:
     if mat_mul(a, t) == identity_matrix(n):
         return t
     # column i of the inverse solves a x = e_i
-    columns = [solve_in_span(t, unit) for unit in frac_identity(n)]
+    columns = solve_many(t, frac_identity(n))
     if None in columns or any(x.denominator != 1 for col in columns for x in col):
         raise ValueError("matrix is not invertible over the integers")
     return tuple(tuple(int(col[i]) for col in columns) for i in range(n))
@@ -115,53 +130,91 @@ def frac_identity(n: int) -> FracMatrix:
 
 
 def frac_mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a b, summing only the products of two nonzero entries."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [_ZERO] * width
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def frac_vec_mat(v: FracVector, m: FracMatrix) -> FracVector:
-    """Row vector times matrix; the natural action on covectors."""
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+    """Row vector times matrix; the natural action on covectors.  Only the
+    products of two nonzero entries are summed."""
+    acc = [_ZERO] * len(m[0])
+    for x, m_row in zip(v, m):
+        if x:
+            for j, y in enumerate(m_row):
+                if y:
+                    acc[j] += x * y
+    return tuple(acc)
 
 
 def solve_in_span(columns: Sequence[FracVector], target: FracVector) -> FracVector | None:
-    """Coefficients expressing `target` in the span of `columns`, or None.
+    """Coefficients expressing `target` in the span of `columns`, or None:
+    `solve_many` with one target."""
+    return solve_many(columns, (target,))[0]
 
-    Solves the (possibly overdetermined) system by elimination and verifies
-    the reconstruction, so a None really means "not in the span".
+
+def solve_many(
+    columns: Sequence[FracVector], targets: Sequence[FracVector]
+) -> list[FracVector | None]:
+    """For each target, the coefficients expressing it in the span of
+    `columns`, or None when it lies outside.
+
+    One Gauss-Jordan elimination of [columns | targets] serves every target.
+    Pivots are chosen in the column block alone, so each answer is the one
+    a separate elimination of [columns | target] gives: the pivot variables
+    solved, the free ones zero.  Each reconstruction is then verified, so a
+    None really means "not in the span".
     """
     if not columns:
-        return () if all(x == 0 for x in target) else None
-    rows = len(target)
+        return [() if all(x == 0 for x in t) else None for t in targets]
+    rows = len(columns[0])
     k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
+    aug = [
+        [Fraction(col[i]) for col in columns] + [Fraction(t[i]) for t in targets]
+        for i in range(rows)
+    ]
+    pivots: list[int] = []  # pivots[r] is the column of row r's pivot
     r = 0
     for c in range(k):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
+        top = aug[r] = [x * inv if x else x for x in aug[r]]
+        nonzero = [(j, x) for j, x in enumerate(top) if x]
+        for i, row in enumerate(aug):
+            factor = row[c]
+            if i != r and factor:
+                for j, x in nonzero:
+                    row[j] -= factor * x
+        pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][k] != 0:
-            return None
-    coeffs = [Fraction(0)] * k
-    for row, col in pivots:
-        coeffs[col] = aug[row][k]
-    # verify (guards against rank-deficient column sets)
-    for i in range(rows):
-        if sum(coeffs[j] * columns[j][i] for j in range(k)) != target[i]:
-            return None
-    return tuple(coeffs)
+    solutions: list[FracVector | None] = []
+    for t, target in enumerate(targets, start=k):
+        if any(aug[i][t] for i in range(r, rows)):
+            solutions.append(None)
+            continue
+        coeffs = [_ZERO] * k
+        for row, col in enumerate(pivots):
+            coeffs[col] = aug[row][t]
+        # verify the reconstruction (guards against rank-deficient columns)
+        rebuilt = [_ZERO] * rows
+        for coeff, column in zip(coeffs, columns):
+            if coeff:
+                for i, x in enumerate(column):
+                    if x:
+                        rebuilt[i] += coeff * x
+        solutions.append(tuple(coeffs) if rebuilt == list(target) else None)
+    return solutions

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .errors import ClosureBoundExceeded
@@ -30,6 +31,7 @@ from .exact import (
     frac_mat_mul,
     frac_vec_mat,
     solve_in_span,
+    solve_many,
 )
 
 Covector = tuple[Fraction, ...]
@@ -45,8 +47,9 @@ class RootDatum:
     diagonal coordinates of sl(n) for a rank n-1 system).  `multiplicities`
     holds, per simple root, the dimension m of the rank-one flag sphere S^m
     attached to it; m > 1 forces the squared generator lift to be trivial.
-    `_table` holds the Weyl table once `weyl_table` has built it; nothing
-    else about a datum changes.
+    `_table` holds the Weyl table once `weyl_table` has built it, and the
+    root sets `negative_roots` and `roots` are built once each on first use;
+    nothing else about a datum changes.
     """
 
     rank: int
@@ -80,28 +83,32 @@ class RootDatum:
         return datum
 
     def _validate(self) -> None:
-        for root in self.positive_roots:
-            coeffs = self.simple_coefficients(root)
+        for root, coeffs in zip(self.positive_roots, self.positive_coefficients()):
             if coeffs is None or any(c < 0 for c in coeffs):
                 raise ValueError(
                     f"positive root {root} is not a nonnegative combination of simple roots"
                 )
-        root_set = set(self.positive_roots) | {_neg(r) for r in self.positive_roots}
         for i in range(1, self.rank + 1):
             refl = _reflection_matrix(self, i)
-            for root in root_set:
-                if frac_vec_mat(root, refl) not in root_set:
+            for root in self.roots:
+                if frac_vec_mat(root, refl) not in self.roots:
                     raise ValueError(
                         f"reflection r{i} does not permute the root set"
                     )
 
-    def simple_coefficients(self, root: Covector) -> FracVector | None:
-        """Expansion of a covector over the simple roots, if one exists."""
-        return solve_in_span(self.simple_roots, tuple(Fraction(x) for x in root))
+    def positive_coefficients(self) -> list[FracVector | None]:
+        """The expansion of each positive root over the simple roots (None
+        where there is none), in order, from one elimination."""
+        return solve_many(self.simple_roots, self.positive_roots)
 
-    @property
+    @cached_property
     def negative_roots(self) -> frozenset[Covector]:
         return frozenset(_neg(r) for r in self.positive_roots)
+
+    @cached_property
+    def roots(self) -> frozenset[Covector]:
+        """Every root, positive and negative."""
+        return frozenset(self.positive_roots) | self.negative_roots
 
 
 def _neg(root: Covector) -> Covector:
@@ -139,14 +146,12 @@ def _reflection_matrix(datum: RootDatum, i: int) -> FracMatrix:
     norm = sum(x * x for x in alpha)
     if norm == 0:
         raise ValueError("simple root has zero length")
-    n = datum.dim
-    return tuple(
-        tuple(
-            Fraction(int(r == c)) - 2 * alpha[r] * alpha[c] / norm
-            for c in range(n)
-        )
-        for r in range(n)
-    )
+    support = [k for k, x in enumerate(alpha) if x]
+    rows = [list(row) for row in frac_identity(datum.dim)]
+    for r in support:
+        for c in support:
+            rows[r][c] -= 2 * alpha[r] * alpha[c] / norm
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,7 @@ def make_weyl_element(datum: RootDatum, matrix: FracMatrix, inverse: FracMatrix)
     counts its inversions once."""
     stub = WeylElement(datum, matrix, inverse, -1)
     negatives = datum.negative_roots
-    root_set = set(datum.positive_roots) | negatives
+    root_set = datum.roots
     inversions = 0
     for root in datum.positive_roots:
         image = stub.act_root(root)
@@ -407,8 +412,7 @@ def split_roots_by_H(datum: RootDatum, theta) -> tuple[tuple[Covector, ...], tup
     if not theta <= set(range(1, datum.rank + 1)):
         raise IndexError(f"Theta {sorted(theta)} not within 1..{datum.rank}")
     zero, positive = [], []
-    for root in datum.positive_roots:
-        coeffs = datum.simple_coefficients(root)
+    for root, coeffs in zip(datum.positive_roots, datum.positive_coefficients()):
         assert coeffs is not None
         support = {j + 1 for j, c in enumerate(coeffs) if c != 0}
         (zero if support <= theta else positive).append(root)

@@ -46,7 +46,7 @@ from .exact import (
     mat_inverse,
     mat_mul,
     mat_pow,
-    solve_in_span,
+    solve_many,
 )
 from .rootsys import (
     DEFAULT_CLOSURE_BOUND,
@@ -658,32 +658,30 @@ def enumerate_C(preset: GroupPreset) -> FiniteGroupTable:
     return compile_group(preset).C
 
 
-def _flatten(mat: IntMatrix) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for row in mat for x in row)
+def _flatten(mat: IntMatrix) -> tuple[int, ...]:
+    return tuple(x for row in mat for x in row)
 
 
 def project_by_conjugation(u: UElement) -> WeylElement:
     """The projection pi(u) read off by conjugating the Cartan basis with u
     and expressing the result in that basis.  Exact and slow: it validates
-    the generators at load time and cross-checks the table in tests."""
+    the generators at load time and cross-checks the table in tests.
+
+    The n conjugates u h u^-1 and the n conjugates u^-1 h u are expressed
+    in the basis by one elimination (`solve_many`), each verified."""
     preset = u.preset
-    basis = [_flatten(h) for h in preset.a_basis]
-    u_inv = mat_inverse(u.matrix)
-
-    def conjugation_matrix(g, g_inv):
-        cols = []
-        for h in preset.a_basis:
-            conj = mat_mul(mat_mul(g, h), g_inv)
-            coeffs = solve_in_span(basis, _flatten(conj))
-            if coeffs is None:
-                raise PresetError(
-                    "element does not normalize the Cartan subspace"
-                )
-            cols.append(coeffs)
-        return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(cols)))
-
-    forward = conjugation_matrix(u.matrix, u_inv)
-    backward = conjugation_matrix(u_inv, u.matrix)
+    g, g_inv = u.matrix, mat_inverse(u.matrix)
+    conjugates = [mat_mul(mat_mul(g, h), g_inv) for h in preset.a_basis]
+    conjugates += [mat_mul(mat_mul(g_inv, h), g) for h in preset.a_basis]
+    solutions = solve_many(
+        [_flatten(h) for h in preset.a_basis], [_flatten(m) for m in conjugates]
+    )
+    if None in solutions:
+        raise PresetError("element does not normalize the Cartan subspace")
+    dim = len(preset.a_basis)
+    # column j of each matrix holds the coefficients of the j-th conjugate
+    forward = tuple(zip(*solutions[:dim]))
+    backward = tuple(zip(*solutions[dim:]))
     try:
         return make_weyl_element(preset.root_datum, forward, backward)
     except ValueError as exc:

@@ -75,11 +75,14 @@ def require_order_memory(size: int, from_weyl: bool = False) -> None:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits, ascending: the positions of the "1"s in the
+    binary digits of `mask` read from the low end, one `str.find` each.
+    Clearing the lowest bit instead costs the whole width of the int per bit."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 # -- covers and the order ------------------------------------------------------

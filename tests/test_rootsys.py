@@ -267,6 +267,36 @@ def test_exported_names_match_fraction_reference(group):
             assert bruhat_leq(v, w) == ref.bruhat_leq(v, w), (v.matrix, w.matrix)
 
 
+def dense_reflection(alpha):
+    """I - 2 alpha alpha^T / <alpha, alpha>, every entry computed."""
+    norm = sum(x * x for x in alpha)
+    n = len(alpha)
+    return [[Fraction(int(r == c)) - 2 * alpha[r] * alpha[c] / norm for c in range(n)] for r in range(n)]
+
+
+def dense_product(mats, n):
+    out = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for m in mats:
+        out = [[sum(row[k] * m[k][c] for k in range(n)) for c in range(n)] for row in out]
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_weyl_matrices_match_dense_products(group):
+    # the table's Fraction elements, built with the sparse kernels, against
+    # the reference closure and against dense products of the reflection
+    # matrices along each reduced word (inverses in reverse order)
+    datum = GROUPS[group]().root_datum
+    group_w = weyl_group(datum)
+    assert [w.matrix for w in group_w] == [w.matrix for w in ref.weyl_group(datum)]
+    reflections = [dense_reflection(alpha) for alpha in datum.simple_roots]
+    for w in group_w:
+        mats = [reflections[i - 1] for i in ref.reduced_word(w)]
+        assert w.matrix == dense_product(mats, datum.dim)
+        assert w.inverse_matrix == dense_product(mats[::-1], datum.dim)
+        assert all(type(x) is Fraction for row in w.matrix + w.inverse_matrix for x in row)
+
+
 @pytest.mark.parametrize("name", ["sl4", "sl5"])
 def test_bruhat_leq_matches_tableau_criterion(name):
     preset = load_preset(name)

@@ -279,6 +279,47 @@ def test_load_config_diagnostics():
         load_config(not_normalizing)
 
 
+C_NOT_COMMUTING = {  # c1, c2 fix the Cartan coordinates; their lower 2x2 blocks do not commute
+    "name": "c-not-commuting",
+    "n": 4,
+    "generators": [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+    "c_generators": [
+        [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+    ],
+    "simple_roots": [[1, -1]],
+    "a_basis": [
+        [[int(r == c == p) for c in range(4)] for r in range(4)] for p in range(2)
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (dict(SL2_CONFIG, generators=[[[0, 1], [1, 0]]]), r"determinant \+1"),
+        (dict(SL2_CONFIG, generators=[[[1, 1], [0, 1]]]), r"s1\^4 != identity"),
+        (
+            dict(SL2_CONFIG, a_basis=[[[1, 0], [0, 0]], [[0, 1], [0, 0]]]),
+            "does not normalize the Cartan subspace",
+        ),
+        (dict(SL2_CONFIG, simple_roots=[[1, 1]]), r"pi\(s1\) != r1"),
+        (dict(SL2_CONFIG, a_basis=[[[0, 1], [0, 0]], [[0, 0], [1, 0]]]), r"pi\(s1\) != r1"),
+        (dict(SL2_CONFIG, c_generators=[[[0, -1], [1, 0]]]), r"pi\(c1\) != 1"),
+        (C_NOT_COMMUTING, "C generators do not commute"),
+        (
+            dict(SL2_CONFIG, simple_roots=[[1, -1], [-1, 1]], multiplicities=[1, 1]),
+            r"positive root .* is not a nonnegative combination of simple roots",
+        ),
+    ],
+    ids=["determinant", "order", "normalizer", "pi-s", "pi-s-basis", "pi-c", "c-commute", "positive"],
+)
+def test_load_refusals_name_their_check(config, message):
+    # every load-time check a config can reach, pinned by its message
+    with pytest.raises(PresetError, match=message):
+        load_config(config)
+
+
 def test_closure_bound():
     preset = load_preset("sl3")
     with pytest.raises(ClosureBoundExceeded):

@@ -2,6 +2,7 @@
 against the transcribed incidence diagrams and by exhaustive axiom checks."""
 
 import math
+import random
 from itertools import combinations, product
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from wtits.cli import parse_element
 from wtits.rootsys import length, longest_element
 from wtits import InvariantViolation, ReducedLiftUnavailable, load_config
 from wtits.utits import compile_group
-from wtits.xorder import _reduce, _verify_partial_order, down_set_from_word
+from wtits.xorder import _bits, _reduce, _verify_partial_order, down_set_from_word
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
@@ -409,6 +410,28 @@ def test_quotient_orders_match_definitions(make, source, arg):
         assert quotient.covers() == {(rename[i], rename[j]) for i, j in covers}
         for i, j in product(range(n), repeat=2):
             assert quotient.leq(rename[i], rename[j]) == (i == j or (i, j) in strict)
+
+
+def lowest_bit_walk(mask):
+    """Set-bit indices by clearing the lowest bit: the definition `_bits`
+    must match."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_match_lowest_bit_walk():
+    rng = random.Random(20261018)
+    masks = [0, 1, 2, 3, 1 << 11519, 1 << 64, (1 << 64) - 1, (1 << 11520) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 11521)) for _ in range(200)]
+    masks += [sum(1 << b for b in rng.sample(range(11520), 800)) for _ in range(20)]
+    for mask in masks:
+        assert list(_bits(mask)) == lowest_bit_walk(mask)
+    assert list(_bits(1 << 11519)) == [11519]
+    assert list(_bits(0)) == []
 
 
 def test_reduce_unit():

@@ -106,12 +106,7 @@ def hasse_dot(group: FiniteGroupTable, name: str = "extended_bruhat") -> str:
     one edge per covering pair, direction upper -> lower."""
     poset = hasse(group)
     words = [display_word(u) for u in poset.elements]
-    lines = [f"digraph {name} {{"]
-    lines.extend(f'  "{word}";' for word in words)
-    for hi_word, lo_word in sorted((words[hi], words[lo]) for lo, hi in poset.covers):
-        lines.append(f'  "{hi_word}" -> "{lo_word}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph(name, words, sorted((words[hi], words[lo]) for lo, hi in poset.covers))
 
 
 def quotient_json(quotient) -> dict:
@@ -133,18 +128,19 @@ def quotient_json(quotient) -> dict:
 
 def quotient_dot(quotient, name: str) -> str:
     labels = [_coset_label(c) for c in quotient.cosets]
-    lines = [f"digraph {name} {{"]
-    for label in sorted(labels):
-        lines.append(f'  "{label}";')
-    for hi, lo in sorted((labels[j], labels[i]) for i, j in quotient.covers()):
-        lines.append(f'  "{hi}" -> "{lo}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = sorted((labels[j], labels[i]) for i, j in quotient.covers())
+    return _digraph(name, sorted(labels), edges)
 
 
-def _dump_json(payload, stream) -> None:
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+def _digraph(name: str, nodes: list[str], edges: list[tuple[str, str]]) -> str:
+    """DOT text: the nodes, then the (upper, lower) edges, in the given order."""
+    lines = [f"digraph {name} {{", *(f'  "{node}";' for node in nodes)]
+    lines += [f'  "{hi}" -> "{lo}";' for hi, lo in edges]
+    return "\n".join(lines) + "\n}\n"
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # -- commands -------------------------------------------------------------------
@@ -190,7 +186,7 @@ def cmd_group(args) -> int:
                 for c in _sorted_elements(c_table)
             ],
         }
-        _dump_json(payload, sys.stdout)
+        _write_output(_json_text(payload), None)
         return 0
     print(f"|U|={len(table)} |W|={w_count} |C|={len(c_table)}")
     for i in range(1, preset.rank + 1):
@@ -211,18 +207,19 @@ def cmd_order(args) -> int:
         return 0
     # hasse
     if args.format == "json":
-        text_out = json.dumps(hasse_json(table), indent=2, sort_keys=True) + "\n"
+        text_out = _json_text(hasse_json(table))
     else:
         text_out = hasse_dot(table, name=f"extended_bruhat_{preset.name}")
     _write_output(text_out, args.output)
     return 0
 
 
-def _parse_theta(text: str) -> set[int]:
+def _parse_theta(preset: GroupPreset, text: str) -> set[int]:
     text = text.strip()
-    if not text:
-        return set()
-    return {int(tok) for tok in text.split(",")}
+    theta = {int(tok) for tok in text.split(",")} if text else set()
+    if any(not 1 <= i <= preset.rank for i in theta):
+        raise ValueError(f"Theta {sorted(theta)} not within 1..{preset.rank}")
+    return theta
 
 
 def _parse_gens(preset: GroupPreset, text: str) -> list[UElement]:
@@ -235,27 +232,25 @@ def _parse_gens(preset: GroupPreset, text: str) -> list[UElement]:
 def cmd_morse(args) -> int:
     preset = _load_order(args)
     table = enumerate_U(preset)
-    theta = _parse_theta(args.theta)
+    theta = _parse_theta(preset, args.theta)
     extra = _parse_gens(preset, args.extra_gens)
     u_h = subgroup_U_H(preset, theta, extra_gens=extra)
     quotient = morse_quotient_order(table, u_h)
     if args.format == "json":
-        _write_output(json.dumps(quotient_json(quotient), indent=2, sort_keys=True) + "\n", args.output)
+        _write_output(_json_text(quotient_json(quotient)), args.output)
         return 0
     if args.format == "dot":
         _write_output(quotient_dot(quotient, f"morse_{preset.name}"), args.output)
         return 0
-    labels = [_coset_label(c) for c in quotient.cosets]
+    payload = quotient_json(quotient)
     print(f"U_H of size {len(u_h)} on Theta={sorted(theta)}; {len(quotient.cosets)} classes")
-    for k, coset in enumerate(quotient.cosets):
-        members = ", ".join(sorted(display_word(m) for m in coset.members))
-        print(f"[{labels[k]}] = {{{members}}}")
-    covers = sorted((labels[j], labels[i]) for i, j in quotient.covers())
+    for coset in payload["cosets"]:
+        print(f"[{coset['label']}] = {{{', '.join(coset['members'])}}}")
     print("schubert-inclusion order (upper -> lower):")
-    for hi, lo in covers:
+    for hi, lo in payload["covers"]:
         print(f"  [{hi}] -> [{lo}]")
     print("dynamical order of the Morse components is the inverse:")
-    for hi, lo in covers:
+    for hi, lo in payload["covers"]:
         print(f"  M[{lo}] -> M[{hi}]")
     return 0
 
@@ -264,6 +259,7 @@ def cmd_control(args) -> int:
     preset = _load_order(args)
     table = enumerate_U(preset)
     gens = _parse_gens(preset, args.us_gens)
+    pair = [parse_element(preset, text) for text in args.pair or ()]
     u_s = subgroup_closure(preset, gens)
     c_table = enumerate_C(preset)
     report = check_quotient_isomorphism(u_s, c_table)
@@ -290,9 +286,8 @@ def cmd_control(args) -> int:
     print("control-set order facts (D[a] -> D[b] means D[a] < D[b]):")
     for src, dst in control_forward_pairs(quotient):
         print(f"  D[{labels[src]}] -> D[{labels[dst]}]")
-    if args.pair:
-        lhs = parse_element(preset, args.pair[0])
-        rhs = parse_element(preset, args.pair[1])
+    if pair:
+        lhs, rhs = pair
         verdict = pair_status(quotient, lhs, rhs)
         a, b = display_word(lhs), display_word(rhs)
         if verdict.status == "equal":
@@ -338,7 +333,7 @@ def cmd_oracle(args) -> int:
         total = len(report["pairs"])
         print(f"{agree}/{total} pairs agree", file=sys.stderr)
         if args.json or args.output:
-            _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+            _write_output(_json_text(report), args.output)
         else:
             print(f"{agree}/{total} pairs agree (seed={report['seed']}, tol={report['tol']})")
         if not (report["agree"] and report["margin_ok"]):
@@ -346,13 +341,17 @@ def cmd_oracle(args) -> int:
         return 0
     # flow
     h_vec = [float(x) for x in args.H.split(",")]
-    nil = np.zeros((len(h_vec), len(h_vec)))
+    n = len(h_vec)
+    nil = np.zeros((n, n))
     if args.nilpotent and args.nilpotent != "0":
         for chunk in args.nilpotent.split(","):
             m = re.match(r"e(\d)(\d)(?:=(-?[\d.]+))?$", chunk.strip())
+            at = args.nilpotent.find(chunk)
             if not m:
-                raise ExprParseError(f"bad nilpotent token {chunk!r}", 0)
+                raise ExprParseError(f"bad nilpotent token {chunk!r}", at)
             i, j = int(m.group(1)), int(m.group(2))
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ExprParseError(f"nilpotent entry e{i}{j} outside 1..{n}", at)
             nil[i - 1, j - 1] = float(m.group(3) or 1.0)
     spec = FlowSpec(H=np.array(h_vec), nilpotent=nil, time_step=args.time_step)
     report = recover_morse(
@@ -376,7 +375,7 @@ def cmd_oracle(args) -> int:
             "attractor_components": list(report.attractor_components),
             "non_convergent": list(report.non_convergent),
         }
-        _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _write_output(_json_text(payload), args.output)
     return 0
 
 

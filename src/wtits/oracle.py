@@ -62,11 +62,11 @@ from .utits import (
     GroupPreset,
     UElement,
     canonical_form,
+    compile_group,
     cosets,
     coset_label,
     display_word,
     enumerate_U,
-    project_to_W,
     subgroup_U_H,
 )
 from .xorder import extended_leq
@@ -651,17 +651,11 @@ def recover_morse(
     points = np.array([_as_float(u) for u in table])
     moved = _frobenius(flow_step(spec, points) - points)
     recurrent = tuple(u for u, dist in zip(table, moved) if dist < 1e-9)
-    per_component = tuple(
-        sum(1 for u in recurrent if u in coset) for coset in classes
-    )
+    tables = compile_group(preset)
+    recurrent_ids = {tables.position(u) for u in recurrent}
+    per_component = tuple(len(recurrent_ids.intersection(coset.ids)) for coset in classes)
     attractors = tuple(
-        sorted(
-            {
-                k
-                for k, coset in enumerate(classes)
-                if any(project_to_W(m).is_identity() for m in coset.members)
-            }
-        )
+        k for k, c in enumerate(classes) if any(tables.pi[m] == tables.weyl.identity for m in c.ids)
     )
 
     # one draw of `grid` matrices is the same stream as `grid` single draws

@@ -742,11 +742,12 @@ def subgroup_closure(preset: GroupPreset, gens: Sequence[UElement]) -> FiniteGro
 
 @dataclass(frozen=True)
 class Coset:
-    """A right coset: canonical representative (smallest matrix key) plus the
-    sorted member tuple."""
+    """A right coset: canonical representative (smallest matrix key), sorted
+    members, and their ascending U indices: `members[k]` is `U.elements[ids[k]]`."""
 
     representative: UElement
     members: tuple[UElement, ...]
+    ids: tuple[int, ...]
 
     def __contains__(self, u: UElement) -> bool:
         return any(u.matrix == m.matrix for m in self.members)
@@ -755,29 +756,26 @@ class Coset:
         return len(self.members)
 
 
+def _coset(tables: GroupTables, subgroup_ids: Sequence[int], k: int) -> Coset:
+    """The right coset H u_k, for H given by the indices of its members."""
+    ids = tuple(sorted(tables.mul(h, k) for h in subgroup_ids))  # index order is key order
+    elements = tables.U.elements
+    return Coset(representative=elements[ids[0]], members=tuple(elements[m] for m in ids), ids=ids)
+
+
 def cosets(group: FiniteGroupTable, subgroup: FiniteGroupTable) -> list[Coset]:
-    """Partition `group` into right cosets Hu of `subgroup`, sorted by
-    representative key."""
+    """Partition `group` into right cosets Hu of `subgroup`, in representative
+    key order: the first element not yet placed is its class's smallest."""
     if not subgroup.is_subset_of(group):
         raise ValueError("subgroup is not contained in group")
     tables = compile_group(group.preset)
-    elements = tables.U.elements
     subgroup_ids = [tables.position(h) for h in subgroup]
     seen: set[int] = set()
     out = []
-    for u in group.elements:
-        k = tables.position(u)
-        if k in seen:
-            continue
-        members = sorted(tables.mul(h, k) for h in subgroup_ids)  # index order is key order
-        seen.update(members)
-        out.append(
-            Coset(
-                representative=elements[members[0]],
-                members=tuple(elements[m] for m in members),
-            )
-        )
-    out.sort(key=lambda c: c.representative.matrix)
+    for k in map(tables.position, group.elements):
+        if k not in seen:
+            out.append(_coset(tables, subgroup_ids, k))
+            seen.update(out[-1].ids)
     if len(out) * len(subgroup) != len(group):
         raise InvariantViolation("coset partition has the wrong cardinality")
     return out
@@ -835,5 +833,6 @@ def display_word(u: UElement) -> str:
 def coset_label(coset: Coset) -> str:
     """Display name of a coset: its member with the shortest canonical word
     (ties by token order), which reproduces the conventional class labels."""
-    best = min(coset.members, key=lambda u: (len(display_tokens(u)), display_tokens(u)))
-    return display_word(best)
+    tables = compile_group(coset.representative.preset)
+    best = min(coset.ids, key=lambda k: (len(tables.tokens(k)), tables.tokens(k)))
+    return display_word(tables.U.elements[best])

@@ -30,8 +30,8 @@ join consecutive lengths, and a graded cover set is acyclic and
 transitively reduced.  `hasse` checks that grading on every cover.
 
 A quotient order on right cosets (Morse components, control sets) is one
-bitset row per class, holding the classes at or below it; its covers and
-its partial-order check are read off the rows.
+bitset row per class, holding the classes at or below it; one transitive
+reduction of the rows gives its covers and checks that it is a partial order.
 
 The down-sets hold |U|^2 bits.  A group whose |U|^2 / 8 bytes exceed
 MAX_ORDER_BYTES is refused by name before its covers or any bitset are
@@ -51,6 +51,7 @@ from .utits import (
     FiniteGroupTable,
     GroupTables,
     UElement,
+    _coset,
     compile_group,
     cosets,
     display_word,
@@ -266,14 +267,17 @@ def _reduce(candidates: Sequence[int], down: Sequence[int]) -> list[int]:
 class QuotientPoset:
     """Partial order on right cosets.
 
-    `below[j]` is the bitset of the classes at or below class j; `kind`
-    records which quotient rule produced it ("morse" for the Morse-component
-    rule, "control-forward" for the control-set rule).
+    `below[j]` and `cover_rows[j]` are the bitsets of the classes at or below
+    class j and of those it covers; `class_of[k]` is the class of element k
+    of U (-1 outside the partitioned group).  `kind` names the rule: "morse"
+    (Morse components) or "control-forward" (control sets).
     """
 
     kind: str
     cosets: tuple[Coset, ...]
     below: tuple[int, ...]
+    cover_rows: tuple[int, ...]
+    class_of: tuple[int, ...]
 
     @property
     def relation(self) -> frozenset[tuple[int, int]]:
@@ -286,47 +290,47 @@ class QuotientPoset:
         return bool(self.below[j] >> i & 1)
 
     def covers(self) -> frozenset[tuple[int, int]]:
-        strict = [row ^ (1 << j) for j, row in enumerate(self.below)]
-        return frozenset(
-            (i, j) for j, row in enumerate(_reduce(strict, self.below)) for i in _bits(row)
-        )
+        return frozenset((i, j) for j, row in enumerate(self.cover_rows) for i in _bits(row))
 
     def index_of(self, u: UElement) -> int:
-        return _index_of(self.cosets, u)
+        k = self.class_of[compile_group(u.preset).position(u)]
+        if k < 0:
+            raise KeyError(f"{u.matrix} lies in no coset")
+        return k
 
 
-def _index_of(classes: Sequence[Coset], u: UElement) -> int:
-    """Index of the class that contains u."""
-    for k, coset in enumerate(classes):
-        if u in coset:
-            return k
-    raise KeyError(f"{u.matrix} lies in no coset")
-
-
-def _verify_partial_order(below: Sequence[int], what: str) -> None:
-    """Reflexivity, antisymmetry and transitivity of an order given as rows,
-    `below[j]` holding the elements at or below j."""
-    above = [0] * len(below)  # the columns: the elements at or above each
+def _verify_partial_order(below: Sequence[int], what: str) -> list[int]:
+    """Check that rows `below[j]` (the elements at or below j) form a partial
+    order and return its cover rows: every row holds j, no two rows are
+    equal, and row j is {j} joined with the rows of j's covers.  For i in row
+    j, stepping to a cover whose row holds i shrinks the row strictly, so the
+    walk ends at i: row i lies in row j, and distinct rows are antisymmetry."""
+    first: dict[int, int] = {}  # the first index holding each row
     for j, row in enumerate(below):
         if not row >> j & 1:
             raise InvariantViolation(f"{what} relation fails reflexivity on {j}")
-        for i in _bits(row):
-            above[i] |= 1 << j
-    for j, row in enumerate(below):
-        both = (row & above[j]) ^ (1 << j)
-        if both:
-            raise InvariantViolation(
-                f"{what} relation fails antisymmetry on ({next(_bits(both))}, {j})"
-            )
-        outside = ~row
-        for i in _bits(row):
-            missing = below[i] & outside
-            if missing:
-                k = next(_bits(missing))
+        i = first.setdefault(row, j)
+        if i != j:
+            raise InvariantViolation(f"{what} relation fails antisymmetry on ({i}, {j})")
+    cover_rows = _reduce([row ^ (1 << j) for j, row in enumerate(below)], below)
+    for j, row in enumerate(cover_rows):
+        lows = list(_bits(row))
+        for i in lows:
+            outside = below[i] & ~below[j]
+            if outside:
+                k = next(_bits(outside))
                 raise InvariantViolation(
                     f"{what} relation fails transitivity on ({k}, {i}): "
                     f"({i}, {j}) holds but ({k}, {j}) does not"
                 )
+        missing = below[j] & ~reduce(or_, (below[i] for i in lows), 1 << j)
+        if missing:
+            k = next(_bits(missing))
+            raise InvariantViolation(
+                f"{what} relation fails transitivity below {j}: "
+                f"({k}, {j}) holds but {k} lies below none of the covers of {j}"
+            )
+    return cover_rows
 
 
 def _quotient(group: FiniteGroupTable, subgroup: FiniteGroupTable, kind: str) -> QuotientPoset:
@@ -336,19 +340,20 @@ def _quotient(group: FiniteGroupTable, subgroup: FiniteGroupTable, kind: str) ->
     require_order_memory(len(tables.pi))
     classes = cosets(group, subgroup)
     down = _down_masks(tables)
-    members = [[tables.position(m) for m in c.members] for c in classes]
-    masks = [reduce(or_, (1 << k for k in ids)) for ids in members]
+    masks = [reduce(or_, (1 << k for k in c.ids)) for c in classes]
     below = []
-    for ids in members:
-        downs = [down[k] for k in ids]
+    for c in classes:
+        downs = [down[k] for k in c.ids]
         if kind == "morse":
             outside = ~reduce(or_, downs)
             row = (i for i, lo in enumerate(masks) if not lo & outside)
         else:
             row = (i for i, lo in enumerate(masks) if all(d & lo for d in downs))
         below.append(reduce(or_, (1 << i for i in row), 0))
-    _verify_partial_order(below, kind)
-    return QuotientPoset(kind=kind, cosets=tuple(classes), below=tuple(below))
+    cover_rows = _verify_partial_order(below, kind)
+    owner = {k: i for i, c in enumerate(classes) for k in c.ids}
+    class_of = tuple(owner.get(k, -1) for k in range(len(tables.pi)))  # -1: outside `group`
+    return QuotientPoset(kind, tuple(classes), tuple(below), tuple(cover_rows), class_of)
 
 
 def morse_quotient_order(group: FiniteGroupTable, U_H: FiniteGroupTable) -> QuotientPoset:
@@ -395,11 +400,10 @@ def _reduced_lift_of_class(
     """Some member of the coset that is a plain product of generators along a
     reduced word (no trailing C part), together with that word: the first
     member by key, and its first word in `WeylTable.reduced_words` order."""
-    for member in coset.members:
-        k = tables.position(member)
+    for k in coset.ids:
         for word in tables.weyl.reduced_words(tables.pi[k]):
             if tables.walk(tables.identity, [i - 1 for i in word]) == k:
-                return member, word
+                return tables.U.elements[k], word
     raise ReducedLiftUnavailable(
         "no member of the class is a generator product with reduced projection"
     )
@@ -411,7 +415,7 @@ def _grid_candidates(u_class: Coset, v_class: Coset) -> frozenset[UElement]:
     tables = compile_group(v_class.representative.preset)
     _, word = _reduced_lift_of_class(tables, v_class)
     grid = _grid(tables, word, 3)
-    return frozenset(m for m in u_class.members if tables.position(m) in grid)
+    return frozenset(tables.U.elements[k] for k in u_class.ids if k in grid)
 
 
 def converse_candidates(
@@ -428,8 +432,12 @@ def converse_candidates(
     returns the ones lying in the class of u.  An empty result refutes the
     hypothesis; a nonempty one decides nothing.
     """
-    classes = cosets(group, U_S)
-    return _grid_candidates(classes[_index_of(classes, u)], classes[_index_of(classes, v)])
+    if not U_S.is_subset_of(group):
+        raise ValueError("subgroup is not contained in group")
+    tables = compile_group(group.preset)
+    subgroup_ids = [tables.position(h) for h in U_S]
+    u_class, v_class = (_coset(tables, subgroup_ids, tables.position(x)) for x in (u, v))
+    return _grid_candidates(u_class, v_class)
 
 
 @dataclass(frozen=True)
@@ -463,15 +471,14 @@ def pair_status(quotient: QuotientPoset, a: UElement, b: UElement) -> PairVerdic
     if quotient.leq(j, i):
         return PairVerdict(status="leq")
 
-    def run(u_class: Coset, v_class: Coset) -> frozenset[UElement] | None:
+    def run(u: int, v: int) -> frozenset[UElement] | None:
         try:
-            return _grid_candidates(u_class, v_class)
+            return _grid_candidates(quotient.cosets[u], quotient.cosets[v])
         except ReducedLiftUnavailable:
             return None
 
-    a_class, b_class = quotient.cosets[i], quotient.cosets[j]
     return PairVerdict(
         status="undetermined",
-        a_before_b_candidates=run(b_class, a_class),
-        b_before_a_candidates=run(a_class, b_class),
+        a_before_b_candidates=run(j, i),
+        b_before_a_candidates=run(i, j),
     )

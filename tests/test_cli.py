@@ -304,6 +304,29 @@ def test_invariant_violation_exit_code(capsys):
     assert "invariant violation" in err
 
 
+@pytest.mark.parametrize("theta", ["5", "0"])
+def test_cmd_morse_refuses_theta_outside_rank(capsys, theta):
+    code, out, err = run(capsys, ["morse", "--preset", "sl3", "--theta", theta])
+    assert code == 2 and out == ""
+    assert f"Theta [{theta}] not within 1..2" in err
+
+
+def test_cmd_oracle_flow_refuses_nilpotent_outside_matrix(capsys):
+    code, out, err = run(
+        capsys, ["oracle", "flow", "--preset", "sl3", "--H", "1,0,-1", "--nilpotent", "e91"]
+    )
+    assert code == 2 and out == ""
+    assert "parse error: nilpotent entry e91 outside 1..3" in err
+
+
+def test_cmd_control_parses_pair_before_printing(capsys):
+    code, out, err = run(
+        capsys, ["control", "--preset", "sl3", "--us-gens", "s1", "--pair", "s1", "s9"]
+    )
+    assert code == 2 and out == ""
+    assert "parse error: no generator s9" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(
         capsys, ["order", "leq", "--preset", "sl3", "--lhs", "zz", "--rhs", "s1"]

@@ -37,11 +37,23 @@ from wtits.oracle import (
     schubert_agreement_report,
     u_cell_key,
 )
-from wtits.utits import GroupPreset, canonical_form, cosets, subgroup_U_H
+from wtits.utits import GroupPreset, canonical_form, cosets, project_to_W, subgroup_U_H
 
 
 def as_float(u):
     return np.array(u.matrix, dtype=float)
+
+
+def assert_class_counts_match_matrices(preset, report):
+    """A report's recurrent_per_component and attractor_components against
+    their definitions on matrices: coset membership and pi(m) = 1."""
+    classes = cosets(enumerate_U(preset), subgroup_U_H(preset, report.theta))
+    assert report.recurrent_per_component == tuple(
+        sum(1 for u in report.recurrent_points if u in c) for c in classes
+    )
+    assert report.attractor_components == tuple(
+        k for k, c in enumerate(classes) if any(project_to_W(m).is_identity() for m in c.members)
+    )
 
 
 def direct_min_distance(u, points):
@@ -403,7 +415,7 @@ class TestReportThreads:
 
         exact_names = (
             "canonical_form", "cosets", "coset_label", "display_word", "enumerate_U",
-            "project_to_W", "subgroup_U_H", "extended_leq", "u_cell_key",
+            "subgroup_U_H", "extended_leq", "u_cell_key",
             "_rotation_block_of", "_cell_plan", "_as_float",
         )
         for name in (*exact_names, "_cell_distances"):
@@ -474,6 +486,7 @@ class TestFlow:
         assert len(report.attractor_components) == 2
         for a in report.component_assignment[24:]:
             assert a in report.attractor_components
+        assert_class_counts_match_matrices(sl3, report)
 
     @pytest.mark.parametrize("iters", [10, 1200])
     def test_recover_morse_matches_per_start_loop(self, sl3, iters):
@@ -531,6 +544,7 @@ class TestFlow:
         assert all(k > 0 for k in report.recurrent_per_component)
         for a in report.component_assignment[len(table):]:
             assert a in report.attractor_components
+        assert_class_counts_match_matrices(sl4, report)
 
 
 class TestSizeGuards:

@@ -399,8 +399,13 @@ def test_quotient_orders_match_definitions(make, source, arg):
     else:
         subgroup = subgroup_closure(preset, [preset.generator(arg)])
     elements = list(table)
+    tables = compile_group(preset)
     for rule, build in (("morse", morse_quotient_order), ("control", control_quotient_order)):
         quotient = build(table, subgroup)
+        for k, c in enumerate(quotient.cosets):
+            positions = [tables.position(m) for m in c.members]
+            assert list(c.ids) == positions == sorted(positions)
+            assert all(quotient.class_of[p] == k for p in positions)
         classes, strict, covers = _quotient_by_definition(elements, subgroup, rule)
         where = {frozenset(m.matrix for m in c.members): k for k, c in enumerate(quotient.cosets)}
         rename = [where[frozenset(elements[a].matrix for a in c)] for c in classes]
@@ -446,9 +451,20 @@ def test_reduce_unit():
 
 def test_verify_partial_order_rejects_bad_relations():
     # rows: row j holds the elements at or below j
-    _verify_partial_order([0b001, 0b011, 0b111], "chain")
+    chain = [0b001, 0b011, 0b111]
+    assert _verify_partial_order(chain, "chain") == _reduce([0b000, 0b001, 0b011], chain)
     with pytest.raises(InvariantViolation, match="antisymmetry"):
         _verify_partial_order([0b11, 0b11], "cycle")
+    # equal rows that are not transitive: only the distinct-rows test sees it
+    with pytest.raises(InvariantViolation, match="antisymmetry"):
+        _verify_partial_order([0b0111, 0b0111, 0b1100, 0b1000], "equal rows")
+    # distinct rows, a 2-cycle (1, 2) and (2, 1), and not transitive
+    with pytest.raises(InvariantViolation):
+        _verify_partial_order([0b1111, 0b1110, 0b0110, 0b1000], "two-cycle")
+    # distinct rows, no cover's row reaches outside its upper row, and still
+    # not transitive: (1, 2) and (2, 3) hold but (1, 3) does not
+    with pytest.raises(InvariantViolation, match=r"transitivity below 0: \(1, 0\) holds"):
+        _verify_partial_order([0b1111, 0b1011, 0b0111, 0b1101], "cycles")
     with pytest.raises(
         InvariantViolation, match=r"transitivity on \(0, 1\): \(1, 2\) holds but \(0, 2\) does not"
     ):

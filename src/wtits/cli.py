@@ -36,6 +36,7 @@ from .utits import (
     check_quotient_isomorphism,
     load_config,
     load_preset,
+    predicted_sl_positive_roots,
     predicted_sl_size,
     subgroup_closure,
     subgroup_U_H,
@@ -46,6 +47,7 @@ from .xorder import (
     hasse,
     morse_quotient_order,
     pair_status,
+    require_cover_memory,
     require_order_memory,
 )
 
@@ -152,19 +154,28 @@ def _load(args) -> GroupPreset:
     return load_preset(args.preset)
 
 
-def _load_order(args) -> GroupPreset:
+def _load_order(args, hasse: bool = False) -> GroupPreset:
     """`_load` for the order commands: an sl<n> preset is refused from its
-    predicted |U| = n! * 2^(n-1) before anything is loaded, and a custom
-    config from its |W| <= |U| before U is closed, as `xorder` refuses any
-    group from its exact |U| before the first order bitset."""
+    predicted |U| = n! * 2^(n-1) and |Phi+| = n(n-1)/2 before anything is
+    loaded, and a custom config from its |W| <= |U| before U is closed, as
+    `xorder` refuses any group from its exact |U| (`_require_order_sizes`)."""
     if getattr(args, "config", None):
         preset = load_config(args.config)
-        require_order_memory(len(weyl_table(preset.root_datum)), from_weyl=True)
+        size = len(weyl_table(preset.root_datum))
+        _require_order_sizes(size, len(preset.root_datum.positive_roots), hasse, from_weyl=True)
         return preset
     size = predicted_sl_size(args.preset)
     if size is not None:
-        require_order_memory(size)
+        _require_order_sizes(size, predicted_sl_positive_roots(args.preset), hasse)
     return load_preset(args.preset)
+
+
+def _require_order_sizes(size: int, positive_roots: int, hasse: bool, from_weyl: bool = False) -> None:
+    """Every order command builds the covers; all but the Hasse diagram also
+    build |U|^2 bits of down-sets, whose refusal is checked first."""
+    if not hasse:
+        require_order_memory(size, from_weyl=from_weyl)
+    require_cover_memory(size, positive_roots, from_weyl=from_weyl)
 
 
 def cmd_group(args) -> int:
@@ -196,7 +207,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_order(args) -> int:
-    preset = _load_order(args)
+    preset = _load_order(args, hasse=args.order_cmd == "hasse")
     table = enumerate_U(preset)
     if args.order_cmd == "leq":
         lo = parse_element(preset, args.lhs)

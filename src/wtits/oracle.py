@@ -19,18 +19,24 @@ are the group elements of the closed cell, so every positive incidence
 verdict comes from those rows (distance at rounding level).  The uniform
 draws after them only bound the negative-pair margin: how close the closed
 cell comes to an element outside it.  A cell is processed by two kernels,
-GRAM_BLOCK parameter rows at a time.  The sampling kernel applies each
-rank-one rotation in place, to the two columns of its plane, in a
-component-major (n, n, rows) buffer, so every update is one vector
-operation.  The distance kernel takes one Gram product of the block with
-every target; a row can be within GRAM_SLACK of a target's block minimum
-only if 2 (max_i G_ij - G_ij) <= GRAM_SLACK + (max |x|^2 - min |x|^2), and
-those rows are recomputed exactly, so each distance equals the direct
-minimum over all rows.  The agreement report streams every cell through
-both kernels without holding its point stack, one cell per worker thread,
-one worker per available CPU; the exact-layer data of every cell (reduced
-lifts, rotation planes, cell keys, target matrices) and every
-combinatorial verdict are computed on the calling thread.
+GRAM_BLOCK parameter rows at a time, and its parameters are streamed too:
+each block's uniforms are drawn from the cell's substream straight into a
+reused buffer.  The sampling kernel applies each rank-one rotation in
+place, to the two columns of its plane, in a component-major (n, n, rows)
+buffer, so every update is one vector operation.  The distance kernel
+takes one Gram product of the block with every target; a row can be
+within GRAM_SLACK of a target's block minimum only if
+2 (max_i G_ij - G_ij) <= GRAM_SLACK + (max |x|^2 - min |x|^2), and those
+(target, row) pairs are recomputed exactly, a bounded run at a time, so
+each distance equals the direct minimum over all rows.  Every buffer of
+both kernels belongs to one workspace per caller (`_Workspace`), sized
+once from n, the longest reduced lift, the number of targets and
+GRAM_BLOCK: a cell's memory does not depend on its `count`, and no block
+allocates an array of its own size.  The agreement report streams every
+cell through both kernels, one cell at a time on each worker thread, one
+worker (and one workspace) per available CPU; the exact-layer data of
+every cell (reduced lifts, rotation planes, cell keys, target matrices)
+and every combinatorial verdict are computed on the calling thread.
 
 A flow advances all of its starts (the group points, then the random
 ones) as one (starts, n, n) stack: each step is one product with the flow
@@ -51,10 +57,10 @@ and independent of the order and the thread in which cells run.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import product as iter_product
+from math import prod
 
 import numpy as np
 
@@ -170,7 +176,7 @@ def psi_split(alpha_block, t: float) -> np.ndarray:
         raise TypeError("alpha_block must be a generator element")
     n = alpha_block.preset.n
     plan = _CellPlan(n, (_rotation_block_of(alpha_block),), np.arange(n), np.ones(n), ())
-    return _cell_block(plan, np.array([[t]], dtype=float))[:, :, 0]
+    return _cell_block(plan, np.array([[t]], dtype=float), _Workspace(n, 1, 0))[:, :, 0]
 
 
 def psi_rank_one(z: float, v, t: float) -> np.ndarray:
@@ -263,54 +269,111 @@ def _cell_plan(u: UElement, count: int) -> _CellPlan:
     return _CellPlan(n, planes, columns, c_float[columns, np.arange(n)], u_cell_key(u))
 
 
-def _cell_parameters(plan: _CellPlan, count: int, seed: int) -> np.ndarray:
-    """The interior point, the {0, 1/2, 1}^d grid, then `count` uniform draws
-    from the cell's (seed, key) substream."""
+class _Workspace:
+    """The buffers of one kernel caller, allocated once and reused by every
+    block: sized from n, the longest reduced lift d, the number of targets
+    and GRAM_BLOCK, never from a cell's `count`.  Each block takes views of
+    their leading entries (`_view`), so a view of `rows` rows has the same
+    contiguous layout as a fresh array of that shape."""
+
+    def __init__(self, n: int, d: int, targets: int):
+        rows, entries = GRAM_BLOCK, n * n
+        self.parameters = np.empty(rows * d)
+        self.trig = np.empty((3, d * rows))  # angles, cosines, sines, one row per letter
+        self.moved = np.empty((2, n * rows))  # x_p s and x_q s of one rotation
+        self.rotated = np.empty(entries * rows)  # the rotation product
+        self.points = np.empty(entries * rows)  # its columns permuted by the C part
+        self.gram = np.empty(targets * rows)
+        self.norms = np.empty(rows)
+        self.reach = np.empty((targets, 1))
+        self.mask = np.empty(targets * rows, dtype=bool)
+        # the exact recheck, a run of pairs at a time: as many squared
+        # differences as the Gram product has entries, and at least the
+        # pairs of one target
+        self.pairs = max(targets * rows // entries, rows)
+        self.pair_targets = np.empty(self.pairs, dtype=np.intp)
+        self.pair_rows = np.empty(self.pairs, dtype=np.intp)
+        self.by_row = np.empty(rows * entries)  # the block, one point per row
+        self.picked_targets = np.empty((self.pairs, entries))
+        self.diffs = np.empty((self.pairs, entries))
+        self.sums = np.empty(self.pairs)
+
+
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of a workspace buffer as a C-contiguous array."""
+    return buffer[: prod(shape)].reshape(shape)
+
+
+def _cell_parameters(plan: _CellPlan, count: int, seed: int, work: _Workspace):
+    """The interior point, the {0, 1/2, 1}^d grid (in the order of
+    itertools.product), then `count` uniform draws from the cell's (seed,
+    key) substream, yielded GRAM_BLOCK rows at a time as views of one
+    reused buffer.  The draws of a block go straight into its tail; drawing
+    the (count, d) uniforms in pieces consumes the stream exactly as one
+    whole draw does.  A point cell (d = 0) has the one empty row."""
     d = len(plan.planes)
-    grid = np.array(list(iter_product((0.0, 0.5, 1.0), repeat=d)), dtype=float)
-    interior = np.full((1, d), 0.5)
+    fixed = 1 + 3**d if d else 1  # the interior point and the grid
+    total = fixed + count if d else 1
     rng = np.random.default_rng([seed, *plan.key])
-    uniforms = rng.random((count, d))
-    return np.vstack([interior, grid, uniforms]) if d else np.zeros((1, 0))
+    for start in range(0, total, GRAM_BLOCK):
+        stop = min(start + GRAM_BLOCK, total)
+        ts = _view(work.parameters, stop - start, d)
+        if start == 0:
+            ts[0] = 0.5
+        lo, hi = max(start, 1), min(stop, fixed)
+        if lo < hi:
+            grid = np.arange(lo - 1, hi - 1)  # grid row g holds the base-3 digits of g, halved
+            for col in range(d):
+                ts[lo - start : hi - start, col] = grid // 3 ** (d - 1 - col) % 3 * 0.5
+        if stop > fixed:
+            rng.random(out=ts[max(fixed - start, 0) :])
+        yield ts
 
 
-def _cell_block(plan: _CellPlan, ts: np.ndarray) -> np.ndarray:
+def _cell_block(plan: _CellPlan, ts: np.ndarray, work: _Workspace) -> np.ndarray:
     """Psi_u(t) = psi_1(t_1) ... psi_d(t_d) c at each row of `ts`, component
-    major: entry (i, j) of the point of row r is out[i, j, r].
+    major: entry (i, j) of the point of row r is out[i, j, r].  The result
+    is a view of `work.points`, valid until the next block.
 
     Each psi is a rotation in one plane (p, q), so it is applied in place to
     columns p and q only, each update one vector operation over the rows."""
-    n = plan.n
-    x = np.zeros((n, n, len(ts)))
-    for i in range(n):
-        x[i, i] = 1.0
-    scratch = np.empty((n, len(ts)))
-    for col, (p, q, orientation) in enumerate(plan.planes):
-        angles = np.pi * ts[:, col] * orientation
-        c, s = np.cos(angles), np.sin(angles)
+    n, rows, d = plan.n, len(ts), len(plan.planes)
+    x = _view(work.rotated, n, n, rows)
+    x.fill(0.0)
+    x.reshape(n * n, rows)[:: n + 1] = 1.0
+    # every letter's angles pi t orientation at once: t (pi orientation) is the same float
+    turns = np.pi * np.array([orientation for *_, orientation in plan.planes], dtype=float)
+    angles, cos, sin = (_view(buffer, d, rows) for buffer in work.trig)
+    np.multiply(ts.T, turns[:, None], out=angles)
+    np.cos(angles, out=cos)
+    np.sin(angles, out=sin)
+    moved_p, moved_q = (_view(buffer, n, rows) for buffer in work.moved)
+    for (p, q, _), c, s in zip(plan.planes, cos, sin):
         xp, xq = x[:, p], x[:, q]
-        np.multiply(xp, s, out=scratch)
+        np.multiply(xp, s, out=moved_p)
+        np.multiply(xq, s, out=moved_q)
         xp *= c
-        xp += xq * s  # x_p c + x_q s
+        xp += moved_q  # x_p c + x_q s
         xq *= c
-        xq -= scratch  # x_q c - x_p s
-    return x[:, plan.c_columns] * plan.c_signs[:, None]
-
-
-def _cell_blocks(plan: _CellPlan, ts: np.ndarray):
-    """The cell's points, GRAM_BLOCK rows of `ts` at a time."""
-    for start in range(0, len(ts), GRAM_BLOCK):
-        yield _cell_block(plan, ts[start : start + GRAM_BLOCK])
+        xq -= moved_p  # x_q c - x_p s
+    # the indices are in range, and mode="clip" writes `out` without a buffer
+    points = np.take(x, plan.c_columns, axis=1, out=_view(work.points, n, n, rows), mode="clip")
+    points *= plan.c_signs[:, None]
+    return points
 
 
 def sample_schubert(u: UElement, count: int, seed: int) -> CellSample:
     """Sample the closed cell of u: the distinguished {0, 1/2, 1}^d grid
     followed by `count` uniform parameter draws, pushed through
-    Psi_u(t) = psi_1(t_1) ... psi_d(t_d) c."""
+    Psi_u(t) = psi_1(t_1) ... psi_d(t_d) c.  The blocks of the streaming
+    kernels are copied out, since the sample holds every row."""
     plan = _cell_plan(u, count)
-    ts = _cell_parameters(plan, count, seed)
-    points = np.concatenate([x.transpose(2, 0, 1) for x in _cell_blocks(plan, ts)])
-    return CellSample(u=u, points=points, parameters=ts)
+    work = _Workspace(plan.n, len(plan.planes), 0)
+    parameters, points = [], []
+    for ts in _cell_parameters(plan, count, seed, work):
+        parameters.append(ts.copy())
+        points.append(_cell_block(plan, ts, work).transpose(2, 0, 1).copy())
+    return CellSample(u=u, points=np.concatenate(points), parameters=np.concatenate(parameters))
 
 
 def u_cell_key(u: UElement) -> tuple[int, ...]:
@@ -331,16 +394,16 @@ GRAM_SLACK = 1e-6  # squared-distance slack of the exact recheck
 GRAM_SLICE = 64  # sample rows per matrix product of the Gram pass
 
 
-def _gram(targets: np.ndarray, flat: np.ndarray) -> np.ndarray:
+def _gram(targets: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """targets @ flat, taken as a stack of products of GRAM_SLICE columns
-    each (and one for the remainder).  Products that small run on the
-    calling thread inside BLAS; a whole-block product is split over BLAS's
-    own threads, which the report's workers then oversubscribe (the sl4
-    report at 2000 draws took 1.2 s that way against 0.76 s, two workers on
-    a 2-vCPU VM)."""
+    each (and one for the remainder), written to `out` when given.  Products
+    that small run on the calling thread inside BLAS; a whole-block product
+    is split over BLAS's own threads, which the report's workers then
+    oversubscribe (the sl4 report at 2000 draws took 1.2 s that way against
+    0.76 s, two workers on a 2-vCPU VM)."""
     slices = flat.shape[1] // GRAM_SLICE
     bulk = slices * GRAM_SLICE
-    gram = np.empty((len(targets), flat.shape[1]))
+    gram = np.empty((len(targets), flat.shape[1])) if out is None else out
     np.matmul(
         targets,
         flat[:, :bulk].reshape(len(flat), slices, GRAM_SLICE).transpose(1, 0, 2),
@@ -350,32 +413,41 @@ def _gram(targets: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray) -> None:
+def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray, work: _Workspace) -> None:
     """Lower best[j] to the smallest squared distance from targets[j] to a
-    point of the component-major block `x` (see `_cell_block`).
+    point of the component-major block `x` (see `_cell_block`), with every
+    intermediate in the buffers of `work`.
 
     One Gram product G = T x gives every inner product.  Since
     |x_i - t_j|^2 = |x_i|^2 + |t_j|^2 - 2 G_ij, a row i within GRAM_SLACK of
     target j's block minimum satisfies
     2 (max_i G_ij - G_ij) <= GRAM_SLACK + (max |x|^2 - min |x|^2),
-    and exactly those rows are recomputed directly.  They are gathered into
-    a (rows, n, n) stack first, so each squared distance is summed in the
-    same order as over the points of a CellSample."""
-    n = x.shape[0]
-    flat = x.reshape(n * n, -1)
-    gram = _gram(targets.reshape(len(targets), n * n), flat)
-    norms = np.einsum("ir,ir->r", flat, flat)
-    reach = gram.max(axis=1, keepdims=True) - 0.5 * (GRAM_SLACK + (norms.max() - norms.min()))
-    hits = np.flatnonzero(gram >= reach)
-    cols, rows = hits // flat.shape[1], hits % flat.shape[1]
-    diffs = flat.T.take(rows, axis=0).reshape(-1, n, n)
-    diffs -= targets.take(cols, axis=0)
-    diffs *= diffs
-    # the hits run target by target, one segment per target with any hit
-    counts = np.bincount(cols, minlength=len(targets))
-    hit = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[hit]
-    best[hit] = np.minimum(best[hit], np.minimum.reduceat(diffs.sum(axis=(1, 2)), starts))
+    and exactly those (target, row) pairs are recomputed directly, at most
+    `work.pairs` of them at a time, however many rows tie.  Each pair's n^2
+    squared differences are one contiguous row, summed in the same order as
+    over a point of a CellSample, and each target keeps its minimum across
+    runs and blocks.  The pairs' indices are the one array a block
+    allocates, at most |targets| * GRAM_BLOCK entries."""
+    n, rows = x.shape[0], x.shape[2]
+    flat = x.reshape(n * n, rows)
+    flat_targets = targets.reshape(len(targets), n * n)
+    gram = _gram(flat_targets, flat, out=_view(work.gram, len(targets), rows))
+    norms = np.einsum("ir,ir->r", flat, flat, out=work.norms[:rows])
+    reach = np.max(gram, axis=1, keepdims=True, out=work.reach)
+    reach -= 0.5 * (GRAM_SLACK + (norms.max() - norms.min()))
+    mask = np.greater_equal(gram, reach, out=_view(work.mask, len(targets), rows))
+    hits = np.flatnonzero(mask)  # target-major (target, row) indices, at most targets * rows
+    by_row = _view(work.by_row, rows, n * n)
+    np.copyto(by_row, flat.T)
+    for start in range(0, len(hits), work.pairs):
+        run = hits[start : start + work.pairs]
+        k = len(run)
+        cols, picked_rows = np.divmod(run, rows, out=(work.pair_targets[:k], work.pair_rows[:k]))
+        diffs = np.take(by_row, picked_rows, axis=0, out=work.diffs[:k], mode="clip")
+        diffs -= np.take(flat_targets, cols, axis=0, out=work.picked_targets[:k], mode="clip")
+        diffs *= diffs
+        # a target's pairs may span two runs: each run lowers its minimum
+        np.minimum.at(best, cols, np.add.reduce(diffs, axis=1, out=work.sums[:k]))
 
 
 def _target_stack(elements, shape) -> np.ndarray:
@@ -398,10 +470,14 @@ def min_distance(u_lo, sample: CellSample) -> float | np.ndarray:
         raise ValueError("empty cell sample")
     single = isinstance(u_lo, UElement)
     targets = _target_stack([u_lo] if single else u_lo, points.shape[1:])
+    n = points.shape[1]
+    work = _Workspace(n, 0, len(targets))
     best = np.full(len(targets), np.inf)
     for start in range(0, len(points), GRAM_BLOCK):
-        block = points[start : start + GRAM_BLOCK].transpose(1, 2, 0)
-        _nearest(np.ascontiguousarray(block), targets, best)
+        block = points[start : start + GRAM_BLOCK]
+        x = _view(work.points, n, n, len(block))
+        np.copyto(x, block.transpose(1, 2, 0))
+        _nearest(x, targets, best, work)
     distances = np.sqrt(best)
     return float(distances[0]) if single else distances
 
@@ -421,14 +497,20 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _cell_distances(plan: _CellPlan, count: int, seed: int, targets: np.ndarray) -> np.ndarray:
+def _cell_distances(
+    plan: _CellPlan, count: int, seed: int, targets: np.ndarray, work: _Workspace | None = None
+) -> np.ndarray:
     """Distances from every target to one cell's sample, streamed block by
-    block so the cell's point stack is never held.  Touches numpy arrays
-    only, so it can run on any thread."""
+    block through the buffers of `work` (a new workspace when None): the
+    parameters are drawn a block at a time, so neither the cell's points
+    nor its parameters are ever held, and the memory does not depend on
+    `count`.  Touches numpy arrays only, so it can run on any thread."""
+    if work is None:
+        work = _Workspace(plan.n, len(plan.planes), len(targets))
     best = np.full(len(targets), np.inf)
-    for x in _cell_blocks(plan, _cell_parameters(plan, count, seed)):
-        _nearest(x, targets, best)
-    return np.sqrt(best)
+    for ts in _cell_parameters(plan, count, seed, work):
+        _nearest(_cell_block(plan, ts, work), targets, best, work)
+    return np.sqrt(best, out=best)
 
 
 def schubert_agreement_report(
@@ -444,8 +526,9 @@ def schubert_agreement_report(
     Every exact-layer value (reduced lifts, rotation planes, cell keys,
     target matrices, the combinatorial verdicts) is computed on the calling
     thread; the cells are sampled and measured on one worker thread per
-    CPU.  Each cell draws from its own substream, so the report does not
-    depend on the number of workers.
+    CPU, each with one workspace for all of its cells.  Each cell draws
+    from its own substream, so the report does not depend on the number of
+    workers.
 
     Returns a JSON-ready report; `agree` is True when the two verdicts match
     on all pairs, `margin_ok` when every negative pair also clears the
@@ -457,8 +540,17 @@ def schubert_agreement_report(
     pairs = []
     agree = True
     margin_ok = True
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        cells = pool.map(partial(_cell_distances, count=count, seed=seed, targets=targets), plans)
+    longest = max(len(plan.planes) for plan in plans)
+    workspaces = threading.local()
+
+    def new_workspace() -> None:
+        workspaces.work = _Workspace(preset.n, longest, len(targets))
+
+    def measure(plan: _CellPlan) -> np.ndarray:
+        return _cell_distances(plan, count, seed, targets, workspaces.work)
+
+    with ThreadPoolExecutor(max_workers=_worker_count(), initializer=new_workspace) as pool:
+        cells = pool.map(measure, plans)
         for hi, distances in zip(table, cells):
             for lo, dist in zip(table, distances.tolist()):
                 numerical = dist < tol

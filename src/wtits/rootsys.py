@@ -340,14 +340,22 @@ class WeylTable:
 
     def element(self, w: int) -> WeylElement:
         """The Fraction-matrix Weyl element with index w: r_i times the
-        element of r_i w, for the first letter i of its word."""
+        element of r_i w, for the first letter i of its word.  The product
+        is not validated again: the table already knows it permutes the
+        roots, and its length is `length[w]`."""
         elt = self._elements[w]
         if elt is None:
             if not self.word[w]:
                 elt = weyl_identity(self.datum)
             else:
                 i = self.word[w][0]
-                elt = self.reflections[i - 1] * self.element(self.left[i - 1][w])
+                r, rest = self.reflections[i - 1], self.element(self.left[i - 1][w])
+                elt = WeylElement(
+                    self.datum,
+                    frac_mat_mul(r.matrix, rest.matrix),
+                    frac_mat_mul(rest.inverse_matrix, r.inverse_matrix),
+                    self.length[w],
+                )
             self._elements[w] = elt
         return elt
 

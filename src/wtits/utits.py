@@ -351,15 +351,26 @@ def load_preset(name: str) -> GroupPreset:
     return preset
 
 
+def _predicted_sl_n(name: str) -> int | None:
+    """n of the preset name sl<n>, for 2 <= n <= 1000 (None otherwise)."""
+    m = _SL_NAME.match(name.strip().lower())
+    n = int(m.group(1)) if m else 0
+    return n if 2 <= n <= 1000 else None
+
+
 def predicted_sl_size(name: str) -> int | None:
     """|U| = n! * 2^(n-1) of the preset sl<n>, predicted from its name alone
     (None for any other name, and for n > 1000, which `load_preset` refuses
     by the closure bound)."""
-    m = _SL_NAME.match(name.strip().lower())
-    n = int(m.group(1)) if m else 0
-    if not 2 <= n <= 1000:
-        return None
-    return math.factorial(n) << (n - 1)
+    n = _predicted_sl_n(name)
+    return None if n is None else math.factorial(n) << (n - 1)
+
+
+def predicted_sl_positive_roots(name: str) -> int | None:
+    """|Phi+| = n(n-1)/2 of the preset sl<n>, from its name alone (None
+    where `predicted_sl_size` is None)."""
+    n = _predicted_sl_n(name)
+    return None if n is None else n * (n - 1) // 2
 
 
 def load_config(source) -> GroupPreset:

@@ -34,8 +34,12 @@ bitset row per class, holding the classes at or below it; one transitive
 reduction of the rows gives its covers and checks that it is a partial order.
 
 The down-sets hold |U|^2 bits.  A group whose |U|^2 / 8 bytes exceed
-MAX_ORDER_BYTES is refused by name before its covers or any bitset are
-built (`require_order_memory`).
+MAX_ORDER_BYTES is refused by name before its down-sets or quotient rows
+are built (`require_order_memory`).  The Hasse diagram builds no bitset,
+only the covers, which grow linearly: at most two per letter of each
+element's reduced word, so |U| * 2 * |Phi+| entries.  A group predicted
+above MAX_COVER_ENTRIES is refused before its covers are built
+(`require_cover_memory`).
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ from .utits import (
 
 
 MAX_ORDER_BYTES = 1 << 30  # 1 GiB: the largest |U|^2 bits of order bitsets
+# the largest |U| * 2 * |Phi+| predicted cover entries: about 0.7 GiB at the
+# 350 bytes per predicted entry of sl6 `order hasse --format json` (240 MB
+# above its tables for 691,200 entries, 237,312 of them real)
+MAX_COVER_ENTRIES = 1 << 21
 
 
 def require_order_memory(size: int, from_weyl: bool = False) -> None:
@@ -72,6 +80,21 @@ def require_order_memory(size: int, from_weyl: bool = False) -> None:
         raise ValueError(
             f"the extended order on {count} {size} elements needs {least}{predicted} bytes "
             f"of down-set bitsets (|U|^2/8), over the cap of {MAX_ORDER_BYTES}"
+        )
+
+
+def require_cover_memory(size: int, positive_roots: int, from_weyl: bool = False) -> None:
+    """Refuse the covers of `size` elements from their predicted count,
+    before any is built: an element covers at most two elements per letter
+    of its reduced word, and a reduced word has at most |Phi+| letters.
+    With `from_weyl`, `size` is |W| <= |U|, as in `require_order_memory`."""
+    predicted = size * 2 * positive_roots
+    if predicted > MAX_COVER_ENTRIES:
+        count, more = ("|U| >= |W| =", " or more") if from_weyl else ("|U| =", "")
+        raise ValueError(
+            f"the covers of the extended order on {count} {size} elements may take "
+            f"{predicted}{more} entries (2*|Phi+| = {2 * positive_roots} per element), "
+            f"over the cap of {MAX_COVER_ENTRIES}"
         )
 
 
@@ -110,7 +133,7 @@ def _drop_covers(tables: GroupTables, k: int) -> tuple[int, ...]:
 def _covers(tables: GroupTables) -> tuple[tuple[int, ...], ...]:
     """Indices of the elements covered by each element."""
     if tables.covers is None:
-        require_order_memory(len(tables.pi))
+        require_cover_memory(len(tables.pi), len(tables.preset.root_datum.positive_roots))
         tables.covers = tuple(_drop_covers(tables, k) for k in range(len(tables.pi)))
     return tables.covers
 
@@ -132,6 +155,7 @@ def _grid(tables: GroupTables, word: Sequence[int], top: int) -> set[int]:
 def _down_masks(tables: GroupTables) -> tuple[int, ...]:
     """Down-set bitset of every element, by both routes, cross-checked."""
     if tables.down is None:
+        require_order_memory(len(tables.pi))
         covers = _covers(tables)
         n = len(tables.pi)
         via_covers = [0] * n

@@ -347,7 +347,7 @@ def test_parse_error_exit_code(capsys):
 def test_order_commands_refuse_sl7_before_loading(capsys, monkeypatch, argv):
     import wtits.cli as cli
     import wtits.utits as utits
-    from wtits.xorder import MAX_ORDER_BYTES
+    from wtits.xorder import MAX_COVER_ENTRIES, MAX_ORDER_BYTES
 
     def no_build(*args):
         raise AssertionError("sl7 must not be loaded")
@@ -356,6 +356,11 @@ def test_order_commands_refuse_sl7_before_loading(capsys, monkeypatch, argv):
     monkeypatch.setattr(utits, "_sl_preset", no_build)
     code, _, err = run(capsys, argv)
     assert code == 2
+    if argv[:2] == ["order", "hasse"]:
+        # the Hasse diagram builds no bitset: 322560 * 2 * 21 predicted cover entries
+        assert "|U| = 322560 elements may take 13547520 entries" in err
+        assert f"over the cap of {MAX_COVER_ENTRIES}" in err
+        return
     # |U| = 7! * 2^6 = 322560, and 322560^2 / 8 bytes of bitsets
     assert "|U| = 322560 elements needs 13005619200 bytes" in err
     assert f"over the cap of {MAX_ORDER_BYTES}" in err
@@ -374,15 +379,44 @@ def test_order_commands_refuse_config_from_weyl_size(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(utits, "_closure", no_closure)
     argv = argv + ["--config", str(CUSTOM_O3)]
-    # |W| = 2 gives |W|^2/8 = 0 bytes: refused one byte below, let through at the cap
-    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)
+    hasse = argv[:2] == ["order", "hasse"]
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)  # the Hasse diagram builds no bitset
+    if hasse:
+        # |W| = 2 and |Phi+| = 1 predict 4 cover entries: refused one below, let through at the cap
+        monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 3)
+        cap, message = 3, "|U| >= |W| = 2 elements may take 4 or more entries"
+    else:
+        # |W| = 2 gives |W|^2/8 = 0 bytes: refused one byte below, let through at the cap
+        cap, message = -1, "|U| >= |W| = 2 elements needs at least 0 bytes"
     code, _, err = run(capsys, argv)
     assert code == 2
-    assert "|U| >= |W| = 2 elements needs at least 0 bytes" in err
-    assert "over the cap of -1" in err
-    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 0)
+    assert message in err
+    assert f"over the cap of {cap}" in err
+    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES" if hasse else "MAX_ORDER_BYTES", cap + 1)
     with pytest.raises(AssertionError, match="U must not be closed"):
         run(capsys, argv)
+
+
+def test_order_hasse_refused_from_predicted_covers_alone(capsys, monkeypatch):
+    import wtits.cli as cli
+    from wtits import xorder
+
+    def no_load(*args):
+        raise AssertionError("sl5 must not be loaded")
+
+    monkeypatch.setattr(cli, "load_preset", no_load)
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)  # every bitset refused
+    # |U| = 1920 and |Phi+| = 10 predict 38400 cover entries
+    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 38399)
+    code, out, err = run(capsys, ["order", "hasse", "--preset", "sl5"])
+    assert code == 2 and out == ""
+    assert "|U| = 1920 elements may take 38400 entries (2*|Phi+| = 20 per element)" in err
+    assert "over the cap of 38399" in err
+    code, _, err = run(capsys, ["morse", "--preset", "sl5"])
+    assert code == 2 and "needs 460800 bytes of down-set bitsets" in err
+    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 38400)
+    with pytest.raises(AssertionError, match="sl5 must not be loaded"):
+        run(capsys, ["order", "hasse", "--preset", "sl5"])
 
 
 def test_unknown_preset_exit_code(capsys):

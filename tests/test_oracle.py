@@ -2,8 +2,10 @@
 flows.  Closed-form expectations are derived in-line; sampling checks use
 fixed seeds."""
 
+import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +436,130 @@ class TestReportThreads:
         # the cells themselves did run on the pool
         workers = [thread for name, thread in calls if name == "_cell_distances"]
         assert len(workers) == 24 and all(thread is not main for thread in workers)
+
+
+def reference_parameters(u, count, seed):
+    """A cell's parameter rows as one whole array: the interior point, the
+    itertools grid and one (count, d) draw from the cell's substream."""
+    d = len(canonical_form(u)[0])
+    if not d:
+        return np.zeros((1, 0))
+    grid = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=d)))
+    draws = np.random.default_rng([seed, *u_cell_key(u)]).random((count, d))
+    return np.vstack([np.full((1, d), 0.5), grid, draws])
+
+
+def longest(preset):
+    return max(enumerate_U(preset), key=lambda v: len(canonical_form(v)[0]))
+
+
+class TestStreamedKernels:
+    """The report draws each cell's parameters a block at a time into
+    reused buffers; the stream, the blocks and every distance must be those
+    of the whole sample."""
+
+    def test_report_draws_are_blocks_of_one_whole_draw(self, sl3, monkeypatch):
+        real = np.random.default_rng
+        draws = {}
+
+        class Recording:
+            def __init__(self, seed):
+                self.generator = real(seed)
+                draws[tuple(seed)] = self.rows = []
+
+            def random(self, *args, **kwargs):
+                out = self.generator.random(*args, **kwargs)
+                self.rows.append(out.copy())
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        count = 2 * GRAM_BLOCK + 100  # three blocks of uniforms in the longest cell
+        report = schubert_agreement_report(sl3, count=count, seed=42)
+        assert report["agree"] and report["margin_ok"]
+        table = enumerate_U(sl3)
+        assert len(draws) == len(table)
+        for u in table:
+            d = len(canonical_form(u)[0])
+            rows = draws[(42, *u_cell_key(u))]
+            assert all(len(block) <= GRAM_BLOCK for block in rows)
+            if not d:
+                assert rows == []
+                continue
+            expected = real([42, *u_cell_key(u)]).random((count, d))
+            assert np.array_equal(np.concatenate(rows), expected), display_word(u)
+        assert max(len(rows) for rows in draws.values()) == 3
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 100, GRAM_BLOCK - 28, GRAM_BLOCK + 1],
+        ids=["zero", "inside-first-block", "fills-first-block", "block-plus-one"],
+    )
+    def test_block_edges(self, sl3, count):
+        # the longest sl3 cell has d = 3: the interior point and 27 grid rows
+        table = enumerate_U(sl3)
+        targets = oracle._target_stack(table, (3, 3))
+        for u in (longest(sl3), sl3.identity()):
+            plan = oracle._cell_plan(u, count)
+            work = oracle._Workspace(3, len(plan.planes), len(table))
+            blocks = [ts.copy() for ts in oracle._cell_parameters(plan, count, 42, work)]
+            expected = reference_parameters(u, count, 42)
+            assert [len(ts) for ts in blocks] == [
+                len(expected[start : start + GRAM_BLOCK])
+                for start in range(0, len(expected), GRAM_BLOCK)
+            ]
+            assert np.array_equal(np.concatenate(blocks), expected)
+            sample = sample_schubert(u, count, 42)
+            assert np.array_equal(sample.parameters, expected)
+            streamed = oracle._cell_distances(plan, count, 42, targets)
+            assert [x.hex() for x in streamed.tolist()] == [
+                x.hex() for x in min_distance(table, sample).tolist()
+            ]
+        assert len(blocks) == 1  # the identity cell is its one interior row
+        assert blocks[0].shape == (1, 0)
+
+    def test_longest_sl5_cell_splits_its_grid(self):
+        # d = 10: 59,049 grid rows, so the grid alone spans 29 blocks
+        sl5 = load_preset("sl5")
+        table = list(enumerate_U(sl5))
+        u = longest(sl5)
+        picked = [table[0], u, *table[1 :: len(table) // 4]]
+        targets = oracle._target_stack(picked, (5, 5))
+        plan = oracle._cell_plan(u, 50)
+        assert len(plan.planes) == 10
+        streamed = oracle._cell_distances(plan, 50, 42, targets)
+        sample = sample_schubert(u, 50, 42)
+        assert len(sample.points) == 1 + 3**10 + 50
+        assert [x.hex() for x in streamed.tolist()] == [
+            x.hex() for x in min_distance(picked, sample).tolist()
+        ]
+        assert streamed[1] < 1e-12  # u is in its own cell
+
+    @pytest.mark.parametrize("pairs", [7, 1000, GRAM_BLOCK])
+    def test_recheck_runs_split_targets(self, sl3, pairs):
+        # points 1e-9 from the identity tie for every target on every row, so
+        # all 24 * 2048 pairs are rechecked; with short runs a target's pairs
+        # span many runs, and each run boundary cuts through some target
+        table = enumerate_U(sl3)
+        targets = oracle._target_stack(table, (3, 3))
+        points = np.eye(3) + 1e-9 * np.random.default_rng(9).standard_normal((GRAM_BLOCK, 3, 3))
+        work = oracle._Workspace(3, 0, len(table))
+        assert work.pairs >= pairs
+        work.pairs = pairs
+        best = np.full(len(table), np.inf)
+        oracle._nearest(np.ascontiguousarray(points.transpose(1, 2, 0)), targets, best, work)
+        assert np.sqrt(best).tolist() == [direct_min_distance(lo, points) for lo in table]
+
+    def test_cell_memory_does_not_grow_with_count(self, sl3):
+        table = enumerate_U(sl3)
+        targets = oracle._target_stack(table, (3, 3))
+        plan = oracle._cell_plan(longest(sl3), 10**6)
+        tracemalloc.start()
+        try:
+            oracle._cell_distances(plan, 10**6, 42, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFlow:

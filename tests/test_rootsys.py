@@ -21,6 +21,7 @@ from wtits.rootsys import (
     is_reduced,
     length,
     longest_element,
+    make_weyl_element,
     reduced_word,
     simple_reflection,
     split_roots_by_H,
@@ -295,6 +296,10 @@ def test_weyl_matrices_match_dense_products(group):
         assert w.matrix == dense_product(mats, datum.dim)
         assert w.inverse_matrix == dense_product(mats[::-1], datum.dim)
         assert all(type(x) is Fraction for row in w.matrix + w.inverse_matrix for x in row)
+        # the table builds products unvalidated: they must pass the validating
+        # constructor, whose inversion count is the table's length
+        checked = make_weyl_element(datum, w.matrix, w.inverse_matrix)
+        assert w.cached_length == checked.cached_length == len(mats)
 
 
 @pytest.mark.parametrize("name", ["sl4", "sl5"])

@@ -528,7 +528,6 @@ def test_order_refused_from_predicted_memory(monkeypatch):
     monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 1)
     s1 = preset.generator(1)
     for build in (
-        lambda: hasse(table),
         lambda: down_set(s1),
         lambda: extended_leq(s1, s1),
         lambda: morse_quotient_order(table, u_h),
@@ -536,9 +535,50 @@ def test_order_refused_from_predicted_memory(monkeypatch):
     ):
         with pytest.raises(ValueError, match=r"\|U\| = 4 elements needs 2 bytes .* cap of 1$"):
             build()
-    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 2)  # at the cap: allowed
-    for build in (lambda: hasse(table), lambda: morse_quotient_order(table, u_h)):
+    # the Hasse diagram and the covers build no bitset
+    for build in (lambda: hasse(table), lambda: down_covers(s1)):
         with pytest.raises(AssertionError, match="no order data"):
+            build()
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 2)  # at the cap: allowed
+    for build in (lambda: down_set(s1), lambda: morse_quotient_order(table, u_h)):
+        with pytest.raises(AssertionError, match="no order data"):
+            build()
+
+
+def test_covers_refused_from_predicted_entries(monkeypatch):
+    from wtits import xorder
+    from wtits.xorder import MAX_COVER_ENTRIES, require_cover_memory
+
+    require_cover_memory(23040, 15)  # sl6: 691,200 entries
+    with pytest.raises(ValueError, match="322560 elements may take 13547520 entries"):
+        require_cover_memory(322560, 21)  # sl7, from the prediction alone
+    assert MAX_COVER_ENTRIES == 1 << 21
+
+    # a fresh group of 4 elements with |Phi+| = 1: at most 8 cover entries
+    preset = load_config(
+        {
+            "name": "custom-sl2",
+            "n": 2,
+            "generators": [[[0, -1], [1, 0]]],
+            "simple_roots": [[1, -1]],
+            "a_basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        }
+    )
+    table = enumerate_U(preset)
+    s1 = preset.generator(1)
+
+    def no_build(*args):
+        raise AssertionError("no covers may be built")
+
+    monkeypatch.setattr(xorder, "_drop_covers", no_build)
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 2)  # the down-sets fit
+    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 7)
+    for build in (lambda: hasse(table), lambda: down_covers(s1), lambda: down_set(s1)):
+        with pytest.raises(ValueError, match=r"\|U\| = 4 elements may take 8 entries .* cap of 7$"):
+            build()
+    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 8)  # at the cap: allowed
+    for build in (lambda: hasse(table), lambda: down_covers(s1)):
+        with pytest.raises(AssertionError, match="no covers"):
             build()
 
 

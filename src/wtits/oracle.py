@@ -36,7 +36,13 @@ allocates an array of its own size.  The agreement report streams every
 cell through both kernels, one cell at a time on each worker thread, one
 worker (and one workspace) per available CPU; the exact-layer data of
 every cell (reduced lifts, rotation planes, cell keys, target matrices)
-and every combinatorial verdict are computed on the calling thread.
+and every combinatorial verdict are computed on the calling thread.  The
+workers share the interpreter lock, which a worker holds between numpy
+calls and which every call gives up and takes back, so each step between
+calls can make the other worker wait: a block keeps those steps few (its
+views are made once per block shape, a rotation updates its two columns
+in four calls) and calls nothing that keeps the lock for a whole run
+(`np.minimum.at` does).
 
 A flow advances all of its starts (the group points, then the random
 ones) as one (starts, n, n) stack: each step is one product with the flow
@@ -60,6 +66,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -251,6 +258,13 @@ class _CellPlan:
     c_signs: np.ndarray
     key: tuple[int, ...]
 
+    @cached_property
+    def turns(self) -> np.ndarray:
+        """pi times each letter's orientation, as a column: t (pi orientation)
+        is the same float as pi t orientation."""
+        turns = np.pi * np.array([orientation for *_, orientation in self.planes], dtype=float)
+        return turns[:, None]
+
 
 def _cell_plan(u: UElement, count: int) -> _CellPlan:
     """Everything a cell sample needs from the exact layer, with the size
@@ -272,15 +286,17 @@ def _cell_plan(u: UElement, count: int) -> _CellPlan:
 class _Workspace:
     """The buffers of one kernel caller, allocated once and reused by every
     block: sized from n, the longest reduced lift d, the number of targets
-    and GRAM_BLOCK, never from a cell's `count`.  Each block takes views of
-    their leading entries (`_view`), so a view of `rows` rows has the same
-    contiguous layout as a fresh array of that shape."""
+    and GRAM_BLOCK, never from a cell's `count`.  A block of `rows` rows
+    works in views of their leading entries (`_view`), so each view has the
+    same contiguous layout as a fresh array of that shape; the views of one
+    block shape are made once (`block`)."""
 
     def __init__(self, n: int, d: int, targets: int):
         rows, entries = GRAM_BLOCK, n * n
+        self.n, self.targets = n, targets
         self.parameters = np.empty(rows * d)
         self.trig = np.empty((3, d * rows))  # angles, cosines, sines, one row per letter
-        self.moved = np.empty((2, n * rows))  # x_p s and x_q s of one rotation
+        self.moved = np.empty(2 * n * rows)  # x_p s and x_q s of one rotation
         self.rotated = np.empty(entries * rows)  # the rotation product
         self.points = np.empty(entries * rows)  # its columns permuted by the C part
         self.gram = np.empty(targets * rows)
@@ -297,6 +313,34 @@ class _Workspace:
         self.picked_targets = np.empty((self.pairs, entries))
         self.diffs = np.empty((self.pairs, entries))
         self.sums = np.empty(self.pairs)
+        self.starts = np.empty(self.pairs, dtype=bool)  # where a run's next target begins
+        self._blocks: dict[tuple[int, int], _BlockViews] = {}
+
+    def block(self, rows: int, d: int) -> _BlockViews:
+        """The views of a block of `rows` rows and d letters.  A cell has at
+        most two block shapes (full blocks and its last one), so the few
+        shapes of a report are each made once instead of once per block."""
+        views = self._blocks.get((rows, d))
+        if views is None:
+            views = self._blocks[(rows, d)] = _BlockViews(self, rows, d)
+        return views
+
+
+class _BlockViews:
+    """Every view one block takes of its workspace's buffers."""
+
+    def __init__(self, work: _Workspace, rows: int, d: int):
+        n, targets = work.n, work.targets
+        self.ts = _view(work.parameters, rows, d)
+        self.angles, self.cos, self.sin = (_view(buffer, d, rows) for buffer in work.trig)
+        self.moved = _view(work.moved, n, 2, rows)
+        self.rotated = _view(work.rotated, n, n, rows)
+        self.diagonal = self.rotated.reshape(n * n, rows)[:: n + 1]
+        self.points = _view(work.points, n, n, rows)
+        self.gram = _view(work.gram, targets, rows)
+        self.norms = work.norms[:rows]
+        self.mask = _view(work.mask, targets, rows)
+        self.by_row = _view(work.by_row, rows, n * n)
 
 
 def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -317,7 +361,7 @@ def _cell_parameters(plan: _CellPlan, count: int, seed: int, work: _Workspace):
     rng = np.random.default_rng([seed, *plan.key])
     for start in range(0, total, GRAM_BLOCK):
         stop = min(start + GRAM_BLOCK, total)
-        ts = _view(work.parameters, stop - start, d)
+        ts = work.block(stop - start, d).ts
         if start == 0:
             ts[0] = 0.5
         lo, hi = max(start, 1), min(stop, fixed)
@@ -338,26 +382,22 @@ def _cell_block(plan: _CellPlan, ts: np.ndarray, work: _Workspace) -> np.ndarray
     Each psi is a rotation in one plane (p, q), so it is applied in place to
     columns p and q only, each update one vector operation over the rows."""
     n, rows, d = plan.n, len(ts), len(plan.planes)
-    x = _view(work.rotated, n, n, rows)
+    views = work.block(rows, d)
+    x = views.rotated
     x.fill(0.0)
-    x.reshape(n * n, rows)[:: n + 1] = 1.0
-    # every letter's angles pi t orientation at once: t (pi orientation) is the same float
-    turns = np.pi * np.array([orientation for *_, orientation in plan.planes], dtype=float)
-    angles, cos, sin = (_view(buffer, d, rows) for buffer in work.trig)
-    np.multiply(ts.T, turns[:, None], out=angles)
-    np.cos(angles, out=cos)
-    np.sin(angles, out=sin)
-    moved_p, moved_q = (_view(buffer, n, rows) for buffer in work.moved)
-    for (p, q, _), c, s in zip(plan.planes, cos, sin):
-        xp, xq = x[:, p], x[:, q]
-        np.multiply(xp, s, out=moved_p)
-        np.multiply(xq, s, out=moved_q)
-        xp *= c
-        xp += moved_q  # x_p c + x_q s
-        xq *= c
-        xq -= moved_p  # x_q c - x_p s
+    views.diagonal.fill(1.0)
+    np.multiply(ts.T, plan.turns, out=views.angles)  # every letter's angles at once
+    np.cos(views.angles, out=views.cos)
+    np.sin(views.angles, out=views.sin)
+    moved = views.moved
+    for (p, q, _), c, s in zip(plan.planes, views.cos, views.sin):
+        pair = x[:, p : q + 1 : q - p]  # columns p and q (p < q) as one (n, 2, rows) view
+        np.multiply(pair, s, out=moved)  # x_p s and x_q s
+        pair *= c
+        pair[:, 0] += moved[:, 1]  # x_p c + x_q s
+        pair[:, 1] -= moved[:, 0]  # x_q c - x_p s
     # the indices are in range, and mode="clip" writes `out` without a buffer
-    points = np.take(x, plan.c_columns, axis=1, out=_view(work.points, n, n, rows), mode="clip")
+    points = x.take(plan.c_columns, axis=1, out=views.points, mode="clip")
     points *= plan.c_signs[:, None]
     return points
 
@@ -426,28 +466,38 @@ def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray, work: _Worksp
     `work.pairs` of them at a time, however many rows tie.  Each pair's n^2
     squared differences are one contiguous row, summed in the same order as
     over a point of a CellSample, and each target keeps its minimum across
-    runs and blocks.  The pairs' indices are the one array a block
-    allocates, at most |targets| * GRAM_BLOCK entries."""
+    runs and blocks: a run is target-major, so its targets' minima are one
+    `np.minimum.reduceat` over the run's segments.  The pairs' indices are
+    the one array a block allocates, at most |targets| * GRAM_BLOCK
+    entries, besides a run's segment starts (at most |targets|)."""
     n, rows = x.shape[0], x.shape[2]
+    views = work.block(rows, 0)
     flat = x.reshape(n * n, rows)
     flat_targets = targets.reshape(len(targets), n * n)
-    gram = _gram(flat_targets, flat, out=_view(work.gram, len(targets), rows))
-    norms = np.einsum("ir,ir->r", flat, flat, out=work.norms[:rows])
-    reach = np.max(gram, axis=1, keepdims=True, out=work.reach)
+    gram = _gram(flat_targets, flat, out=views.gram)
+    norms = np.einsum("ir,ir->r", flat, flat, out=views.norms)
+    reach = np.maximum.reduce(gram, axis=1, keepdims=True, out=work.reach)
     reach -= 0.5 * (GRAM_SLACK + (norms.max() - norms.min()))
-    mask = np.greater_equal(gram, reach, out=_view(work.mask, len(targets), rows))
-    hits = np.flatnonzero(mask)  # target-major (target, row) indices, at most targets * rows
-    by_row = _view(work.by_row, rows, n * n)
+    mask = np.greater_equal(gram, reach, out=views.mask)
+    hits = mask.reshape(-1).nonzero()[0]  # target-major (target, row) indices, at most targets * rows
+    by_row = views.by_row
     np.copyto(by_row, flat.T)
     for start in range(0, len(hits), work.pairs):
         run = hits[start : start + work.pairs]
         k = len(run)
         cols, picked_rows = np.divmod(run, rows, out=(work.pair_targets[:k], work.pair_rows[:k]))
-        diffs = np.take(by_row, picked_rows, axis=0, out=work.diffs[:k], mode="clip")
-        diffs -= np.take(flat_targets, cols, axis=0, out=work.picked_targets[:k], mode="clip")
+        diffs = by_row.take(picked_rows, axis=0, out=work.diffs[:k], mode="clip")
+        diffs -= flat_targets.take(cols, axis=0, out=work.picked_targets[:k], mode="clip")
         diffs *= diffs
-        # a target's pairs may span two runs: each run lowers its minimum
-        np.minimum.at(best, cols, np.add.reduce(diffs, axis=1, out=work.sums[:k]))
+        sums = np.add.reduce(diffs, axis=1, out=work.sums[:k])
+        # the run is target-major, one segment per target; a target's pairs
+        # may span two runs, so each run lowers the minimum of its segments
+        starts = work.starts[:k]
+        starts[0] = True
+        np.not_equal(cols[1:], cols[:-1], out=starts[1:])
+        starts = starts.nonzero()[0]
+        hit = cols[starts]
+        best[hit] = np.minimum(best[hit], np.minimum.reduceat(sums, starts))
 
 
 def _target_stack(elements, shape) -> np.ndarray:
@@ -475,7 +525,7 @@ def min_distance(u_lo, sample: CellSample) -> float | np.ndarray:
     best = np.full(len(targets), np.inf)
     for start in range(0, len(points), GRAM_BLOCK):
         block = points[start : start + GRAM_BLOCK]
-        x = _view(work.points, n, n, len(block))
+        x = work.block(len(block), 0).points
         np.copyto(x, block.transpose(1, 2, 0))
         _nearest(x, targets, best, work)
     distances = np.sqrt(best)

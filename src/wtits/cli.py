@@ -23,7 +23,7 @@ import re
 import sys
 
 from .errors import ExprParseError, InvariantViolation, PresetError, ReducedLiftUnavailable
-from .rootsys import reduced_word, weyl_table
+from .rootsys import reduced_word
 from .utits import (
     FiniteGroupTable,
     GroupPreset,
@@ -36,6 +36,7 @@ from .utits import (
     check_quotient_isomorphism,
     load_config,
     load_preset,
+    predicted_size,
     predicted_sl_positive_roots,
     predicted_sl_size,
     subgroup_closure,
@@ -155,14 +156,14 @@ def _load(args) -> GroupPreset:
 
 
 def _load_order(args, hasse: bool = False) -> GroupPreset:
-    """`_load` for the order commands: an sl<n> preset is refused from its
-    predicted |U| = n! * 2^(n-1) and |Phi+| = n(n-1)/2 before anything is
-    loaded, and a custom config from its |W| <= |U| before U is closed, as
-    `xorder` refuses any group from its exact |U| (`_require_order_sizes`)."""
+    """`_load` for the order commands, refusing the group before U is
+    closed, as `xorder` refuses any group from its exact |U|
+    (`_require_order_sizes`): an sl<n> preset from its predicted
+    |U| = n! * 2^(n-1) and |Phi+| = n(n-1)/2 before anything is loaded, and
+    a custom config from its exact |U| = |W| * |C| (`predicted_size`)."""
     if getattr(args, "config", None):
         preset = load_config(args.config)
-        size = len(weyl_table(preset.root_datum))
-        _require_order_sizes(size, len(preset.root_datum.positive_roots), hasse, from_weyl=True)
+        _require_order_sizes(predicted_size(preset), len(preset.root_datum.positive_roots), hasse)
         return preset
     size = predicted_sl_size(args.preset)
     if size is not None:
@@ -170,12 +171,12 @@ def _load_order(args, hasse: bool = False) -> GroupPreset:
     return load_preset(args.preset)
 
 
-def _require_order_sizes(size: int, positive_roots: int, hasse: bool, from_weyl: bool = False) -> None:
+def _require_order_sizes(size: int, positive_roots: int, hasse: bool) -> None:
     """Every order command builds the covers; all but the Hasse diagram also
     build |U|^2 bits of down-sets, whose refusal is checked first."""
     if not hasse:
-        require_order_memory(size, from_weyl=from_weyl)
-    require_cover_memory(size, positive_roots, from_weyl=from_weyl)
+        require_order_memory(size)
+    require_cover_memory(size, positive_roots)
 
 
 def cmd_group(args) -> int:

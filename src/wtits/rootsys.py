@@ -221,12 +221,46 @@ def length(w: WeylElement) -> int:
     return w.cached_length
 
 
+def closure(start, steps, bound: int) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
+    """Breadth-first closure of `start` under the maps `steps`: the one loop
+    that enumerates the Weyl group (on root permutations) and U and its
+    subgroups (on signed-column codes or matrices, `utits._closure`).
+
+    Keys are taken first in, first out, each through the steps in order.
+    Returns the keys in discovery order (`start` first), the table
+    right[g][k] = index of steps[g](keys[k]), recorded as each image is
+    found, and the step word each key was first reached by (a shortest
+    one).  More than `bound` keys raise `ClosureBoundExceeded`.  The key
+    index is local, so it is released on return."""
+    keys = [start]
+    found = {start: 0}
+    words: list[tuple[int, ...]] = [()]
+    right: list[list[int]] = [[] for _ in steps]
+    k = 0
+    while k < len(keys):
+        for g, (step, row) in enumerate(zip(steps, right)):
+            image = step(keys[k])
+            j = found.get(image)
+            if j is None:
+                if len(keys) >= bound:
+                    raise ClosureBoundExceeded(
+                        f"closure exceeded {bound} elements; "
+                        "the configuration likely does not define the intended finite group"
+                    )
+                j = found[image] = len(keys)
+                keys.append(image)
+                words.append(words[k] + (g,))
+            row.append(j)
+        k += 1
+    return keys, right, words
+
+
 class WeylTable:
     """The Weyl group as permutations of the root list, for table lookups.
 
     Each simple reflection's permutation is read once off its validated
     Fraction matrix, kept in `reflections`; the group is then enumerated by
-    closure of those permutations, refusing more than `bound` elements.
+    `closure` of those permutations, refusing more than `bound` elements.
     Elements are indices in discovery order, 0 being the identity:
 
     * `length[w]` counts the positive roots w sends negative,
@@ -249,24 +283,9 @@ class WeylTable:
         where = {root: k for k, root in enumerate(roots)}
         self.reflections = tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
         gens = [tuple(where[r.act_root(root)] for root in roots) for r in self.reflections]
-        perms = [tuple(range(len(roots)))]
-        index = {perms[0]: 0}
-        right: list[list[int]] = [[] for _ in gens]
-        k = 0
-        while k < len(perms):
-            perm = perms[k]
-            for gen, row in zip(gens, right):
-                image = tuple(perm[x] for x in gen)
-                w = index.get(image)
-                if w is None:
-                    if len(perms) >= bound:
-                        raise ClosureBoundExceeded(
-                            f"the Weyl group has more than {bound} elements"
-                        )
-                    w = index[image] = len(perms)
-                    perms.append(image)
-                row.append(w)
-            k += 1
+        steps = [lambda perm, gen=gen: tuple([perm[x] for x in gen]) for gen in gens]
+        perms, right, _ = closure(tuple(range(len(roots))), steps, bound)
+        index = {perm: w for w, perm in enumerate(perms)}
         n_pos = len(positives)
         self.datum = datum
         # a Weyl element is linear, so the images of the simple roots fix

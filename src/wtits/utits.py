@@ -7,8 +7,9 @@ data with exact arithmetic, including pi(s_i) = r_i and pi(c_j) = 1 for the
 projection pi onto the Weyl group, read off by conjugating the Cartan basis.
 
 The first query then compiles the group once into `GroupTables`: the
-closure of the generators numbers the elements of U and records right
-multiplication by every generator as it finds each product.  U lies in
+closure of the generators (`rootsys.closure`, the one breadth-first loop
+that also enumerates the Weyl group) numbers the elements of U and records
+right multiplication by every generator as it finds each product.  U lies in
 K = SO(n), so the integer generators of every built-in preset are signed
 permutations and U is a subgroup of the hyperoctahedral group B_n.  The
 closure then keys each element by its signed-column code
@@ -52,6 +53,7 @@ from .rootsys import (
     DEFAULT_CLOSURE_BOUND,
     RootDatum,
     WeylElement,
+    closure,
     length,
     make_weyl_element,
     simple_reflection,
@@ -171,52 +173,26 @@ def _code_matrices(codes: list, n: int) -> None:
 def _closure(
     identity: IntMatrix, generators: Sequence[IntMatrix], bound: int
 ) -> tuple[list[IntMatrix], list[list[int]], list[tuple[int, ...]]]:
-    """Breadth-first closure of generator matrices inside GL(n, Z).
-
-    Returns the elements in discovery order (identity first), the table
-    right[g][k] = index of elements[k] * generators[g] recorded as each
-    product is found, and the generator word each element was first reached
-    by (a shortest one).  More than `bound` elements raise.
+    """Breadth-first closure of generator matrices inside GL(n, Z), by
+    `rootsys.closure`: the elements in discovery order (identity first),
+    the table right[g][k] = index of elements[k] * generators[g], and the
+    generator word each element was first reached by (a shortest one).
+    More than `bound` elements raise.
 
     When every generator is a signed permutation (all built-in presets:
     U lies in the hyperoctahedral group), elements are keyed by their
     signed-column codes (`_signed_code`) and a product is n lookups
-    (`_code_step`); each code becomes its matrix once, after the loop.
-    Any other generator set runs the same loop on the matrices themselves,
-    with `mat_mul` as the step.  Discovery order does not depend on the
-    keys, so both give the same elements, table and words.
+    (`_code_step`); each code becomes its matrix once, after the closure
+    has released its key index.  Any other generator set is closed on the
+    matrices themselves, with `mat_mul` as the step.  Discovery order does
+    not depend on the keys, so both give the same elements, table and words.
     """
     codes = [_signed_code(m) for m in (identity, *generators)]
-    signed = None not in codes
-    if signed:
-        start = codes[0]
-        steps = [_code_step(gen) for gen in codes[1:]]
-    else:
-        start = identity
+    if None in codes:
         steps = [lambda a, gen=gen: mat_mul(a, gen) for gen in generators]
-    keys = [start]
-    found = {start: 0}
-    words: list[tuple[int, ...]] = [()]
-    right: list[list[int]] = [[] for _ in generators]
-    k = 0
-    while k < len(keys):
-        for g, (step, row) in enumerate(zip(steps, right)):
-            prod = step(keys[k])
-            j = found.get(prod)
-            if j is None:
-                if len(keys) >= bound:
-                    raise ClosureBoundExceeded(
-                        f"closure exceeded {bound} elements; "
-                        "the configuration likely does not define the intended finite group"
-                    )
-                j = found[prod] = len(keys)
-                keys.append(prod)
-                words.append(words[k] + (g,))
-            row.append(j)
-        k += 1
-    del found  # the matrices replace the codes one by one, with no index left
-    if signed:
-        _code_matrices(keys, len(identity))
+        return closure(identity, steps, bound)
+    keys, right, words = closure(codes[0], [_code_step(gen) for gen in codes[1:]], bound)
+    _code_matrices(keys, len(identity))
     return keys, right, words
 
 
@@ -373,6 +349,16 @@ def predicted_sl_positive_roots(name: str) -> int | None:
     return None if n is None else n * (n - 1) // 2
 
 
+def predicted_size(preset: GroupPreset) -> int:
+    """|U| = |W| * |C| of a loaded preset, before U is closed: |W| from the
+    root datum's Weyl table, |C| from the closure of the s_i^2 and c_j.
+    Exact for every preset that compiles, since compiling checks
+    |U| = |W| * |C|."""
+    c_gens = [mat_mul(s, s) for s in preset.generators] + list(preset.c_generators)
+    c_elements, _, _ = _closure(identity_matrix(preset.n), c_gens, DEFAULT_CLOSURE_BOUND)
+    return len(weyl_table(preset.root_datum)) * len(c_elements)
+
+
 def load_config(source) -> GroupPreset:
     """Build a custom group from a JSON config (path, JSON text or dict).
 
@@ -439,10 +425,6 @@ def validate_preset(preset: GroupPreset) -> None:
             raise PresetError(f"matrix dimension {len(mat)} != n = {n}")
         if determinant(mat) != 1:
             raise PresetError(f"generator {mat} must have determinant +1")
-    if preset.name.startswith("sl"):
-        for mat in preset.generators + preset.c_generators:
-            if not is_signed_permutation(mat):
-                raise PresetError(f"sl preset generator {mat} is not a signed permutation")
     if len(preset.a_basis) == 0:
         raise PresetError("a_basis must not be empty")
     for i in range(1, datum.rank + 1):

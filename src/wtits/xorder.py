@@ -30,8 +30,9 @@ join consecutive lengths, and a graded cover set is acyclic and
 transitively reduced.  `hasse` checks that grading on every cover.
 
 A quotient order on right cosets (Morse components, control sets) is one
-bitset row per class, holding the classes at or below it; one transitive
-reduction of the rows gives its covers and checks that it is a partial order.
+bitset row per class, holding the classes at or below it.  One union per
+row, of the strict rows of the classes below it, both checks that the rows
+are a partial order and gives the row's covers (`_verify_partial_order`).
 
 The down-sets hold |U|^2 bits.  A group whose |U|^2 / 8 bytes exceed
 MAX_ORDER_BYTES is refused by name before its down-sets or quotient rows
@@ -69,31 +70,27 @@ MAX_ORDER_BYTES = 1 << 30  # 1 GiB: the largest |U|^2 bits of order bitsets
 MAX_COVER_ENTRIES = 1 << 21
 
 
-def require_order_memory(size: int, from_weyl: bool = False) -> None:
+def require_order_memory(size: int) -> None:
     """Refuse the extended order on `size` elements from its predicted
     memory, before anything is allocated: its down-set bitsets alone hold
-    size^2 bits.  With `from_weyl`, `size` is |W|, a lower bound on |U|
-    known before U is closed, and the message says so."""
+    size^2 bits."""
     predicted = size * size // 8
     if predicted > MAX_ORDER_BYTES:
-        count, least = ("|U| >= |W| =", "at least ") if from_weyl else ("|U| =", "")
         raise ValueError(
-            f"the extended order on {count} {size} elements needs {least}{predicted} bytes "
+            f"the extended order on |U| = {size} elements needs {predicted} bytes "
             f"of down-set bitsets (|U|^2/8), over the cap of {MAX_ORDER_BYTES}"
         )
 
 
-def require_cover_memory(size: int, positive_roots: int, from_weyl: bool = False) -> None:
+def require_cover_memory(size: int, positive_roots: int) -> None:
     """Refuse the covers of `size` elements from their predicted count,
     before any is built: an element covers at most two elements per letter
-    of its reduced word, and a reduced word has at most |Phi+| letters.
-    With `from_weyl`, `size` is |W| <= |U|, as in `require_order_memory`."""
+    of its reduced word, and a reduced word has at most |Phi+| letters."""
     predicted = size * 2 * positive_roots
     if predicted > MAX_COVER_ENTRIES:
-        count, more = ("|U| >= |W| =", " or more") if from_weyl else ("|U| =", "")
         raise ValueError(
-            f"the covers of the extended order on {count} {size} elements may take "
-            f"{predicted}{more} entries (2*|Phi+| = {2 * positive_roots} per element), "
+            f"the covers of the extended order on |U| = {size} elements may take "
+            f"{predicted} entries (2*|Phi+| = {2 * positive_roots} per element), "
             f"over the cap of {MAX_COVER_ENTRIES}"
         )
 
@@ -277,16 +274,6 @@ def hasse(group: FiniteGroupTable) -> Poset:
 # -- quotient orders ----------------------------------------------------------
 
 
-def _reduce(candidates: Sequence[int], down: Sequence[int]) -> list[int]:
-    """The candidate edges not implied by others, as rows: `candidates[j]`
-    holds the lower ends of the edges into j and `down` is the reflexive
-    closure of all edges; (i, j) is implied when i lies strictly below
-    another lower end of j."""
-    return [
-        lows & ~reduce(or_, (down[i] ^ (1 << i) for i in _bits(lows)), 0) for lows in candidates
-    ]
-
-
 @dataclass(frozen=True)
 class QuotientPoset:
     """Partial order on right cosets.
@@ -325,10 +312,12 @@ class QuotientPoset:
 
 def _verify_partial_order(below: Sequence[int], what: str) -> list[int]:
     """Check that rows `below[j]` (the elements at or below j) form a partial
-    order and return its cover rows: every row holds j, no two rows are
-    equal, and row j is {j} joined with the rows of j's covers.  For i in row
-    j, stepping to a cover whose row holds i shrinks the row strictly, so the
-    walk ends at i: row i lies in row j, and distinct rows are antisymmetry."""
+    order and return its cover rows, from one union per row.  Every row
+    must hold j, no two rows may be equal, and the union of the strict rows
+    of the elements strictly below j must lie in row j.  For i strictly
+    below j, row i is i joined with its strict row, so row i lies in row j:
+    that is transitivity, and with distinct rows it gives antisymmetry.
+    Row j covers the elements of its strict row outside that union."""
     first: dict[int, int] = {}  # the first index holding each row
     for j, row in enumerate(below):
         if not row >> j & 1:
@@ -336,24 +325,19 @@ def _verify_partial_order(below: Sequence[int], what: str) -> list[int]:
         i = first.setdefault(row, j)
         if i != j:
             raise InvariantViolation(f"{what} relation fails antisymmetry on ({i}, {j})")
-    cover_rows = _reduce([row ^ (1 << j) for j, row in enumerate(below)], below)
-    for j, row in enumerate(cover_rows):
-        lows = list(_bits(row))
-        for i in lows:
-            outside = below[i] & ~below[j]
-            if outside:
-                k = next(_bits(outside))
-                raise InvariantViolation(
-                    f"{what} relation fails transitivity on ({k}, {i}): "
-                    f"({i}, {j}) holds but ({k}, {j}) does not"
-                )
-        missing = below[j] & ~reduce(or_, (below[i] for i in lows), 1 << j)
-        if missing:
-            k = next(_bits(missing))
+    strict = [row ^ (1 << j) for j, row in enumerate(below)]
+    cover_rows = []
+    for j, lows in enumerate(strict):
+        implied = reduce(or_, (strict[i] for i in _bits(lows)), 0)
+        outside = implied & ~below[j]
+        if outside:
+            k = next(_bits(outside))
+            i = next(i for i in _bits(lows) if strict[i] >> k & 1)
             raise InvariantViolation(
-                f"{what} relation fails transitivity below {j}: "
-                f"({k}, {j}) holds but {k} lies below none of the covers of {j}"
+                f"{what} relation fails transitivity on ({k}, {i}): "
+                f"({i}, {j}) holds but ({k}, {j}) does not"
             )
+        cover_rows.append(lows & ~implied)
     return cover_rows
 
 

@@ -377,17 +377,20 @@ def test_order_commands_refuse_config_from_weyl_size(capsys, monkeypatch, argv):
     def no_closure(*args):
         raise AssertionError("U must not be closed")
 
-    monkeypatch.setattr(utits, "_closure", no_closure)
+    # the refusal closes C, not U: U's closure happens only in compiling its tables
+    monkeypatch.setattr(utits, "GroupTables", no_closure)
     argv = argv + ["--config", str(CUSTOM_O3)]
     hasse = argv[:2] == ["order", "hasse"]
     monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)  # the Hasse diagram builds no bitset
     if hasse:
-        # |W| = 2 and |Phi+| = 1 predict 4 cover entries: refused one below, let through at the cap
-        monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 3)
-        cap, message = 3, "|U| >= |W| = 2 elements may take 4 or more entries"
+        # |U| = |W| * |C| = 2 * 4 and |Phi+| = 1 predict 16 cover entries:
+        # refused one below, let through at the cap
+        monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 15)
+        cap, message = 15, "|U| = 8 elements may take 16 entries"
     else:
-        # |W| = 2 gives |W|^2/8 = 0 bytes: refused one byte below, let through at the cap
-        cap, message = -1, "|U| >= |W| = 2 elements needs at least 0 bytes"
+        # |U| = 8 gives |U|^2/8 = 8 bytes: refused one byte below, let through at the cap
+        monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 7)
+        cap, message = 7, "|U| = 8 elements needs 8 bytes"
     code, _, err = run(capsys, argv)
     assert code == 2
     assert message in err

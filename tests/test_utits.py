@@ -356,6 +356,16 @@ def test_non_signed_permutation_group():
     assert sorted(poset.covers) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
+def test_config_rules_do_not_depend_on_its_name():
+    from wtits.cli import hasse_json
+
+    groups = [load_config(dict(SHEAR_SL2, name=name)) for name in ("shear-sl2", "sl2-shear")]
+    assert [p.name for p in groups] == ["shear-sl2", "sl2-shear"]
+    tables = [enumerate_U(p) for p in groups]
+    assert [len(t) for t in tables] == [4, 4]
+    assert hasse_json(tables[0]) == hasse_json(tables[1])
+
+
 SL3_CONFIG = {
     "name": "custom-sl3",
     "n": 3,

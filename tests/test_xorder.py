@@ -7,6 +7,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture_sl3
 import fixture_so24
@@ -35,7 +37,7 @@ from wtits.cli import parse_element
 from wtits.rootsys import length, longest_element
 from wtits import InvariantViolation, ReducedLiftUnavailable, load_config
 from wtits.utits import compile_group
-from wtits.xorder import _bits, _reduce, _verify_partial_order, down_set_from_word
+from wtits.xorder import _bits, _verify_partial_order, down_set_from_word
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
@@ -440,19 +442,18 @@ def test_bits_match_lowest_bit_walk():
 
 
 def test_reduce_unit():
-    # rows: bit i of row j is the edge (i, j); `down` is the reflexive closure
-    # diamond with a redundant long edge
-    diamond = [0b0000, 0b0001, 0b0001, 0b0111]
-    down = [0b0001, 0b0011, 0b0101, 0b1111]
-    assert _reduce(diamond, down) == [0b0000, 0b0001, 0b0001, 0b0110]
+    # rows: bit i of row j means i <= j; the check returns the cover rows
+    # diamond: 0 below 1 and 2, both below 3; (0, 3) is implied, not a cover
+    diamond = [0b0001, 0b0011, 0b0101, 0b1111]
+    assert _verify_partial_order(diamond, "diamond") == [0b0000, 0b0001, 0b0001, 0b0110]
     # chain
-    assert _reduce([0b000, 0b001, 0b011], [0b001, 0b011, 0b111]) == [0b000, 0b001, 0b010]
+    assert _verify_partial_order([0b001, 0b011, 0b111], "chain") == [0b000, 0b001, 0b010]
 
 
 def test_verify_partial_order_rejects_bad_relations():
     # rows: row j holds the elements at or below j
     chain = [0b001, 0b011, 0b111]
-    assert _verify_partial_order(chain, "chain") == _reduce([0b000, 0b001, 0b011], chain)
+    assert _verify_partial_order(chain, "chain") == [0b000, 0b001, 0b010]
     with pytest.raises(InvariantViolation, match="antisymmetry"):
         _verify_partial_order([0b11, 0b11], "cycle")
     # equal rows that are not transitive: only the distinct-rows test sees it
@@ -461,9 +462,10 @@ def test_verify_partial_order_rejects_bad_relations():
     # distinct rows, a 2-cycle (1, 2) and (2, 1), and not transitive
     with pytest.raises(InvariantViolation):
         _verify_partial_order([0b1111, 0b1110, 0b0110, 0b1000], "two-cycle")
-    # distinct rows, no cover's row reaches outside its upper row, and still
-    # not transitive: (1, 2) and (2, 3) hold but (1, 3) does not
-    with pytest.raises(InvariantViolation, match=r"transitivity below 0: \(1, 0\) holds"):
+    # distinct rows and not transitive: (2, 0) and (0, 1) hold but (2, 1) does not
+    with pytest.raises(
+        InvariantViolation, match=r"transitivity on \(2, 0\): \(0, 1\) holds but \(2, 1\) does not"
+    ):
         _verify_partial_order([0b1111, 0b1011, 0b0111, 0b1101], "cycles")
     with pytest.raises(
         InvariantViolation, match=r"transitivity on \(0, 1\): \(1, 2\) holds but \(0, 2\) does not"
@@ -471,6 +473,68 @@ def test_verify_partial_order_rejects_bad_relations():
         _verify_partial_order([0b001, 0b011, 0b110], "gap")
     with pytest.raises(InvariantViolation, match="reflexivity on 1"):
         _verify_partial_order([0b01, 0b01], "no diagonal")
+
+
+@st.composite
+def small_relations(draw):
+    """Relations on at most 7 elements as rows (bit i of row j: i <= j): any
+    relation, or half the time a partial order (the reflexive, transitive
+    closure of random edges i -> j with i < j, relabelled), possibly with one
+    bit toggled."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [row & ((1 << j) - 1) | 1 << j for j, row in enumerate(rows)]
+        for j in range(n):  # the rows of the elements below j are closed already
+            for i in range(j):
+                if rows[j] >> i & 1:
+                    rows[j] |= rows[i]
+        label = draw(st.permutations(range(n)))
+        relabelled = [0] * n
+        for j, row in enumerate(rows):
+            relabelled[label[j]] = sum(1 << label[i] for i in range(n) if row >> i & 1)
+        rows = relabelled
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[j] ^= 1 << k
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_relations())
+def test_verify_partial_order_matches_brute_force(rows):
+    n = len(rows)
+    elements = range(n)
+
+    def leq(i, j):
+        return bool(rows[j] >> i & 1)
+
+    is_order = (
+        all(leq(i, i) for i in elements)
+        and not any(i != j and leq(i, j) and leq(j, i) for i in elements for j in elements)
+        and all(
+            leq(i, k)
+            for i, j, k in product(elements, repeat=3)
+            if leq(i, j) and leq(j, k)
+        )
+    )
+    if not is_order:
+        with pytest.raises(InvariantViolation):
+            _verify_partial_order(rows, "random")
+        return
+
+    def less(i, j):
+        return i != j and leq(i, j)
+
+    covers = [
+        sum(
+            1 << i
+            for i in elements
+            if less(i, j) and not any(less(i, k) and less(k, j) for k in elements)
+        )
+        for j in elements
+    ]
+    assert _verify_partial_order(rows, "random") == covers
 
 
 def test_down_set_disagreement_names_element(monkeypatch):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -411,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wtits",
         description="Extended Weyl groups, the extended Bruhat order, and numerical oracles",
     )
-    default_seed = int(os.environ.get("WTITS_SEED", "42"))
-
     common = argparse.ArgumentParser(add_help=False)
     group_src = common.add_mutually_exclusive_group()
     group_src.add_argument("--preset", default="sl3", help="sl<n>, sl(<n>) or so24")
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
     p_schubert = oracle_sub.add_parser("schubert", parents=[common])
     p_schubert.add_argument("--samples", type=nonnegative_int, default=100_000)
-    p_schubert.add_argument("--seed", type=int, default=default_seed)
+    p_schubert.add_argument("--seed", type=int, default=42)
     p_schubert.add_argument("--tol", type=float, default=1e-2)
     p_schubert.add_argument("--margin", type=float, default=5e-2)
     p_schubert.add_argument("--json", action="store_true")
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--nilpotent", default="", help='tokens like "e23" or "e23=0.5"')
     p_flow.add_argument("--steps", type=nonnegative_int, default=2000)
     p_flow.add_argument("--grid", type=nonnegative_int, default=48)
-    p_flow.add_argument("--seed", type=int, default=default_seed)
+    p_flow.add_argument("--seed", type=int, default=42)
     p_flow.add_argument("--time-step", type=float, default=1.0, dest="time_step")
     p_flow.add_argument("--json", action="store_true")
     p_flow.add_argument("--output")

@@ -223,8 +223,8 @@ def length(w: WeylElement) -> int:
 
 def closure(start, steps, bound: int) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
     """Breadth-first closure of `start` under the maps `steps`: the one loop
-    that enumerates the Weyl group (on root permutations) and U and its
-    subgroups (on signed-column codes or matrices, `utits._closure`).
+    that enumerates the Weyl group (on root permutations), U (`utits._closure`)
+    and its subgroups (on U's table indices, `GroupTables.close`).
 
     Keys are taken first in, first out, each through the steps in order.
     Returns the keys in discovery order (`start` first), the table

@@ -18,10 +18,10 @@ generator is n lookups, and each code becomes its matrix once, after the
 closure; a custom config with any other generator runs the same closure
 on integer matrix products.  Everything else is read off those integer
 tables by lookups: inverses, pi (propagated along the generator edges
-into the root datum's `WeylTable` of permutations), the abelian normal
-subgroup C, canonical reduced lifts u = s_1 ... s_d c, their display
-words, and right-coset partitions.  Subgroups U_H and U(S) are small
-closures of their generator matrices, by the same closure.
+into the root datum's `WeylTable` of permutations), canonical reduced
+lifts u = s_1 ... s_d c, their display words, and right-coset partitions.
+Every subgroup of U (C, U_H and U(S)) is closed by the same loop on U's
+table, with one step k -> mul(k, g) per generator index g.
 
 Canonical element keys are the integer matrices themselves, so equality and
 hashing are exact; table indices follow the order of those keys.
@@ -174,10 +174,10 @@ def _closure(
     identity: IntMatrix, generators: Sequence[IntMatrix], bound: int
 ) -> tuple[list[IntMatrix], list[list[int]], list[tuple[int, ...]]]:
     """Breadth-first closure of generator matrices inside GL(n, Z), by
-    `rootsys.closure`: the elements in discovery order (identity first),
-    the table right[g][k] = index of elements[k] * generators[g], and the
-    generator word each element was first reached by (a shortest one).
-    More than `bound` elements raise.
+    `rootsys.closure`, for U itself and `predicted_size`: the elements in
+    discovery order (identity first), the table right[g][k] = index of
+    elements[k] * generators[g], and the generator word each element was
+    first reached by (a shortest one).  More than `bound` elements raise.
 
     When every generator is a signed permutation (all built-in presets:
     U lies in the hyperoctahedral group), elements are keyed by their
@@ -194,16 +194,6 @@ def _closure(
     keys, right, words = closure(codes[0], [_code_step(gen) for gen in codes[1:]], bound)
     _code_matrices(keys, len(identity))
     return keys, right, words
-
-
-def close_under_products(
-    preset: GroupPreset,
-    generators: Sequence[UElement],
-    bound: int = DEFAULT_CLOSURE_BOUND,
-) -> FiniteGroupTable:
-    """BFS closure of a generator list inside GL(n, Z)."""
-    mats, _, _ = _closure(identity_matrix(preset.n), [g.matrix for g in generators], bound)
-    return FiniteGroupTable(UElement(m, preset) for m in mats)
 
 
 # -- presets ------------------------------------------------------------------
@@ -292,6 +282,7 @@ def _so24_preset() -> GroupPreset:
 
 
 _SL_NAME = re.compile(r"sl\(?(\d+)\)?$")
+MAX_C_RIGHT_ENTRIES = 1 << 22  # the largest |U| * |C| entries of C's right-multiplication tables
 
 
 @lru_cache(maxsize=None)
@@ -321,6 +312,11 @@ def load_preset(name: str) -> GroupPreset:
             raise ClosureBoundExceeded(
                 f"sl{n} would have |U| = {size} elements, "
                 f"above the closure bound {DEFAULT_CLOSURE_BOUND}"
+            )
+        if predicted << (n - 1) > MAX_C_RIGHT_ENTRIES:  # |C| = 2^(n-1)
+            raise PresetError(
+                f"sl{n} would have |U| = {predicted} and |C| = {1 << (n - 1)}, so its C tables "
+                f"take {predicted << (n - 1)} entries, over the cap of {MAX_C_RIGHT_ENTRIES}"
             )
         preset = _sl_preset(n, tuple(range(1, n)), key, f"SL({n},R)")
     validate_preset(preset)
@@ -469,7 +465,8 @@ class GroupTables:
       functions share one table,
     * `c_part[k]`: the C factor of the canonical decomposition
       u = s_1 ... s_d c, where s_1 ... s_d lifts the word `weyl.word[pi[k]]`,
-    * `c_right[c]`: right multiplication by each element c of C,
+    * `c_right[c]`: right multiplication by each element c of C, composed
+      from the table of the element that found c as C is closed (`close`),
     * `s_tokens[w]`, `c_tokens[c]`: display spellings of canonical words and
       of C elements.
 
@@ -564,32 +561,36 @@ class GroupTables:
         self.down: tuple[int, ...] | None = None
 
     def _close_c(self) -> tuple[dict[int, tuple[str, ...]], dict[int, tuple[int, ...]]]:
-        """C as the closure of the s_i^2 and c_j by lookups: the shortest
+        """C as the closure of the s_i^2 and c_j on U's table: the shortest
         token spelling of each element (lexicographic tie-break) and its
-        right-multiplication table, composed along the way."""
-        rank = self.preset.rank
-        ops = [(f"s{i}^2", (i - 1, i - 1)) for i in range(1, rank + 1)]
-        ops += [(f"c{j}", (rank + j - 1,)) for j in range(1, len(self.preset.c_generators) + 1)]
-        e = self.identity
-        c_tokens: dict[int, tuple[str, ...]] = {e: ()}
-        c_right: dict[int, tuple[int, ...]] = {e: tuple(range(len(self.pi)))}
-        frontier = [e]
-        while frontier:
-            found = []
-            for x in frontier:
-                for token, letters in ops:
-                    y = self.walk(x, letters)
-                    if y not in c_tokens:
-                        c_tokens[y] = c_tokens[x] + (token,)
-                        table = c_right[x]
-                        for g in letters:
-                            row = self.right[g]
-                            table = tuple(row[z] for z in table)
-                        c_right[y] = table
-                        found.append(y)
-            found.sort(key=c_tokens.__getitem__)
-            frontier = found
+        right-multiplication table.  A step equal to an earlier one (in the
+        order s_1^2 .. s_r^2, c_1 .. c_m) is dropped and the rest are sorted
+        by token, so first in, first out, each element keeps its least
+        shortest spelling and equal steps keep the earlier generator's."""
+        rank, e = self.preset.rank, self.identity
+        steps: dict[int, str] = {}
+        for i in range(rank):
+            steps.setdefault(self.walk(e, (i, i)), f"s{i + 1}^2")
+        for j in range(len(self.preset.c_generators)):
+            steps.setdefault(self.right[rank + j][e], f"c{j + 1}")
+        ids = sorted(steps, key=steps.__getitem__)
+        keys, right, words = self.close(ids)
+        c_tokens = {key: tuple(steps[ids[s]] for s in word) for key, word in zip(keys, words)}
+        c_right = {e: tuple(range(len(self.pi)))}
+        tables = [  # right multiplication by each step, one generator row at a time
+            reduce(lambda t, g: tuple(map(self.right[g].__getitem__, t)), self.words[k], c_right[e])
+            for k in ids
+        ]
+        for k, key in enumerate(keys):  # discovery order: the first key to reach one found it
+            for table, row in zip(tables, right):
+                if keys[row[k]] not in c_right:
+                    c_right[keys[row[k]]] = tuple(map(table.__getitem__, c_right[key]))
         return c_tokens, c_right
+
+    def close(self, ids: Iterable[int]) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
+        """`rootsys.closure` of the subgroup generated by the elements `ids`."""
+        steps = [lambda k, g=g: self.mul(k, g) for g in ids]
+        return closure(self.identity, steps, DEFAULT_CLOSURE_BOUND)
 
     def _word_name(self, k: int) -> str:
         """u_k spelled by its generator word `words[k]`, e.g. "s1 s2 c1": the
@@ -725,12 +726,13 @@ def subgroup_U_H(
 
 
 def subgroup_closure(preset: GroupPreset, gens: Sequence[UElement]) -> FiniteGroupTable:
-    """Smallest subgroup of U containing the given elements."""
-    table_U = enumerate_U(preset)
+    """Smallest subgroup of U containing the given elements, on U's table."""
+    tables = compile_group(preset)
     for g in gens:
-        if g not in table_U:
+        if g not in tables.U:
             raise ValueError(f"generator {g.matrix} is not an element of U")
-    return close_under_products(preset, list(gens))
+    keys, _, _ = tables.close(map(tables.position, gens))
+    return FiniteGroupTable(tables.U.elements[k] for k in keys)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 from wtits import (
     ExprParseError,
+    PresetError,
     display_word,
     enumerate_U,
     extended_leq,
@@ -442,14 +443,43 @@ def test_config_loading(tmp_path, capsys):
     assert code == 0 and "|U|=4 |W|=2 |C|=2" in out
 
 
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("WTITS_SEED", "7")
+@pytest.mark.parametrize("value", ["7", "abc"])
+def test_seed_environment_variable_is_ignored(capsys, monkeypatch, value):
     from wtits.cli import build_parser
 
-    args = build_parser().parse_args(
-        ["oracle", "schubert", "--preset", "sl3", "--samples", "10"]
-    )
-    assert args.seed == 7
+    code, before, _ = run(capsys, ["group", "--preset", "sl3"])
+    monkeypatch.setenv("WTITS_SEED", value)
+    assert run(capsys, ["group", "--preset", "sl3"]) == (code, before, "")
+    assert code == 0
+    for argv in (
+        ["oracle", "schubert", "--preset", "sl3", "--samples", "10"],
+        ["oracle", "flow", "--preset", "sl3", "--H", "2,-1,-1"],
+    ):
+        assert build_parser().parse_args(argv).seed == 42
+
+
+@pytest.mark.parametrize(
+    "argv", [["group", "--preset", "sl7"], ["oracle", "schubert", "--preset", "sl(7)"]]
+)
+def test_sl7_refused_from_predicted_c_tables(capsys, monkeypatch, argv):
+    import wtits.utits as utits
+
+    def no_build(*args):
+        raise AssertionError("the preset must not be built")
+
+    monkeypatch.setattr(utits, "_sl_preset", no_build)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    # |U| = 7! * 2^6 and |C| = 2^6
+    assert "sl7 would have |U| = 322560 and |C| = 64" in err
+    assert f"C tables take 20643840 entries, over the cap of {utits.MAX_C_RIGHT_ENTRIES}" in err
+    # sl6 (23040 * 32 = 737280 entries) is refused one below its entries, let through at them
+    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 737279)
+    with pytest.raises(PresetError, match="737280 entries, over the cap of 737279"):
+        utits.load_preset.__wrapped__("sl6")
+    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 737280)
+    with pytest.raises(AssertionError, match="the preset must not be built"):
+        utits.load_preset.__wrapped__("sl6")
 
 
 def test_output_file(tmp_path, capsys):

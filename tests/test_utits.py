@@ -27,7 +27,7 @@ from wtits import (
 )
 from wtits.exact import identity_matrix, mat_mul
 from wtits.rootsys import length, simple_reflection, weyl_group
-from wtits.utits import canonical_form, close_under_products
+from wtits.utits import _closure, canonical_form
 
 S1_SL3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 S2_SL3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
@@ -323,7 +323,7 @@ def test_load_refusals_name_their_check(config, message):
 def test_closure_bound():
     preset = load_preset("sl3")
     with pytest.raises(ClosureBoundExceeded):
-        close_under_products(preset, [preset.generator(1), preset.generator(2)], bound=5)
+        _closure(identity_matrix(3), preset.generators, bound=5)
 
 
 SHEAR_SL2 = {  # SL(2) conjugated by the shear [[1, 1], [0, 1]]: not a signed permutation
@@ -337,9 +337,9 @@ SHEAR_SL2 = {  # SL(2) conjugated by the shear [[1, 1], [0, 1]]: not a signed pe
 
 def test_closure_bound_generic_step():
     preset = load_config(SHEAR_SL2)
-    assert len(close_under_products(preset, [preset.generator(1)], bound=4)) == 4
+    assert len(_closure(identity_matrix(2), preset.generators, bound=4)[0]) == 4
     with pytest.raises(ClosureBoundExceeded):
-        close_under_products(preset, [preset.generator(1)], bound=3)
+        _closure(identity_matrix(2), preset.generators, bound=3)
 
 
 def test_non_signed_permutation_group():

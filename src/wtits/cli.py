@@ -11,6 +11,9 @@ Element expressions are whitespace-separated tokens `1`, `s<i>` or
 generators), multiplied left to right.  All emitted DOT and JSON is
 canonically ordered, so identical inputs and seeds produce identical bytes.
 
+The order commands (`order`, `morse`, `control`) refuse a group, preset or
+config alike, from its exact |U| = |W| * |C| before U is closed.
+
 Exit codes: 0 success, 2 parse/usage error, 3 invariant violation.
 """
 
@@ -36,8 +39,6 @@ from .utits import (
     load_config,
     load_preset,
     predicted_size,
-    predicted_sl_positive_roots,
-    predicted_sl_size,
     subgroup_closure,
     subgroup_U_H,
 )
@@ -155,27 +156,17 @@ def _load(args) -> GroupPreset:
 
 
 def _load_order(args, hasse: bool = False) -> GroupPreset:
-    """`_load` for the order commands, refusing the group before U is
-    closed, as `xorder` refuses any group from its exact |U|
-    (`_require_order_sizes`): an sl<n> preset from its predicted
-    |U| = n! * 2^(n-1) and |Phi+| = n(n-1)/2 before anything is loaded, and
-    a custom config from its exact |U| = |W| * |C| (`predicted_size`)."""
-    if getattr(args, "config", None):
-        preset = load_config(args.config)
-        _require_order_sizes(predicted_size(preset), len(preset.root_datum.positive_roots), hasse)
-        return preset
-    size = predicted_sl_size(args.preset)
-    if size is not None:
-        _require_order_sizes(size, predicted_sl_positive_roots(args.preset), hasse)
-    return load_preset(args.preset)
-
-
-def _require_order_sizes(size: int, positive_roots: int, hasse: bool) -> None:
-    """Every order command builds the covers; all but the Hasse diagram also
-    build |U|^2 bits of down-sets, whose refusal is checked first."""
+    """`_load` for the order commands, refusing the group from its exact
+    |U| = |W| * |C| (`predicted_size`) before U is closed, as `xorder`
+    refuses any group from its |U|, for presets and configs alike.  Every
+    order command builds the covers; all but the Hasse diagram also build
+    |U|^2 bits of down-sets, whose refusal is checked first."""
+    preset = _load(args)
+    size = predicted_size(preset)
     if not hasse:
         require_order_memory(size)
-    require_cover_memory(size, positive_roots)
+    require_cover_memory(size, len(preset.root_datum.positive_roots))
+    return preset
 
 
 def cmd_group(args) -> int:

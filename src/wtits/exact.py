@@ -156,12 +156,6 @@ def frac_vec_mat(v: FracVector, m: FracMatrix) -> FracVector:
     return tuple(acc)
 
 
-def solve_in_span(columns: Sequence[FracVector], target: FracVector) -> FracVector | None:
-    """Coefficients expressing `target` in the span of `columns`, or None:
-    `solve_many` with one target."""
-    return solve_many(columns, (target,))[0]
-
-
 def solve_many(
     columns: Sequence[FracVector], targets: Sequence[FracVector]
 ) -> list[FracVector | None]:

@@ -12,8 +12,9 @@ permutations of the root list, and answers lengths, reduced words,
 reducedness and the Bruhat-Chevalley order by lookups.  Each `RootDatum`
 keeps one such table (`weyl_table`), which the group layer shares, and the
 public functions map a `WeylElement` to its index by its root
-permutation.  Fraction arithmetic remains only to validate a datum and to
-build the `WeylElement`s the library hands out.
+permutation.  Fraction arithmetic remains only to validate a datum, to
+derive its positive roots when none are given (the same `closure`, run on
+root vectors), and to build the `WeylElement`s the library hands out.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .exact import (
     frac_identity,
     frac_mat_mul,
     frac_vec_mat,
-    solve_in_span,
     solve_many,
 )
 
@@ -89,7 +89,7 @@ class RootDatum:
                     f"positive root {root} is not a nonnegative combination of simple roots"
                 )
         for i in range(1, self.rank + 1):
-            refl = _reflection_matrix(self, i)
+            refl = _reflection_matrix(self.simple_roots[i - 1])
             for root in self.roots:
                 if frac_vec_mat(root, refl) not in self.roots:
                     raise ValueError(
@@ -116,38 +116,34 @@ def _neg(root: Covector) -> Covector:
 
 
 def _positive_closure(simples: tuple[Covector, ...]) -> tuple[Covector, ...]:
-    """Orbit of the simple roots under simple reflections, intersected with
-    the positive cone."""
-    datum_stub = RootDatum(len(simples), len(simples[0]), simples, simples, (1,) * len(simples))
-    reflections = [_reflection_matrix(datum_stub, i) for i in range(1, len(simples) + 1)]
-    roots = set(simples)
-    frontier = set(simples)
-    while frontier:
-        new = set()
-        for root in frontier:
-            for refl in reflections:
-                image = frac_vec_mat(root, refl)
-                if image not in roots and _neg(image) not in roots:
-                    coeffs = solve_in_span(simples, image)
-                    if coeffs is not None and all(c >= 0 for c in coeffs):
-                        new.add(image)
-                    elif coeffs is not None and all(c <= 0 for c in coeffs):
-                        new.add(_neg(image))
-        roots |= new
-        frontier = new
-    return tuple(sorted(roots))
+    """The simple roots and every positive root: the orbit of each simple
+    root under the simple reflections (`closure`), kept where its
+    coefficients over the simple roots, from one elimination, are
+    nonnegative."""
+    reflections = [_reflection_matrix(alpha) for alpha in simples]
+    steps = [lambda root, refl=refl: frac_vec_mat(root, refl) for refl in reflections]
+    orbit: set[Covector] = set()
+    for alpha in simples:
+        if alpha not in orbit:
+            orbit.update(closure(alpha, steps, DEFAULT_CLOSURE_BOUND)[0])
+    roots = list(orbit)
+    positives = {
+        root
+        for root, coeffs in zip(roots, solve_many(simples, roots))
+        if coeffs is not None and all(c >= 0 for c in coeffs)
+    }
+    return tuple(sorted(positives.union(simples)))
 
 
-def _reflection_matrix(datum: RootDatum, i: int) -> FracMatrix:
-    """Reflection about the hyperplane of the i-th simple root (1-based),
+def _reflection_matrix(alpha: Covector) -> FracMatrix:
+    """Reflection about the hyperplane of the root alpha,
     H |-> H - alpha(H) * 2 H_alpha / <H_alpha, H_alpha>, with H_alpha the
     coordinate vector of alpha under the standard pairing."""
-    alpha = datum.simple_roots[i - 1]
     norm = sum(x * x for x in alpha)
     if norm == 0:
         raise ValueError("simple root has zero length")
     support = [k for k, x in enumerate(alpha) if x]
-    rows = [list(row) for row in frac_identity(datum.dim)]
+    rows = [list(row) for row in frac_identity(len(alpha))]
     for r in support:
         for c in support:
             rows[r][c] -= 2 * alpha[r] * alpha[c] / norm
@@ -212,7 +208,7 @@ def _check_index(datum: RootDatum, i: int) -> None:
 def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
     """The reflection r_i attached to the i-th simple root (1-based)."""
     _check_index(datum, i)
-    refl = _reflection_matrix(datum, i)
+    refl = _reflection_matrix(datum.simple_roots[i - 1])
     return make_weyl_element(datum, refl, refl)
 
 
@@ -223,8 +219,9 @@ def length(w: WeylElement) -> int:
 
 def closure(start, steps, bound: int) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
     """Breadth-first closure of `start` under the maps `steps`: the one loop
-    that enumerates the Weyl group (on root permutations), U (`utits._closure`)
-    and its subgroups (on U's table indices, `GroupTables.close`).
+    that enumerates the Weyl group (on root permutations), U (`utits._closure`),
+    its subgroups (on U's table indices, `GroupTables.close`) and the orbits
+    of the simple roots (`_positive_closure`).
 
     Keys are taken first in, first out, each through the steps in order.
     Returns the keys in discovery order (`start` first), the table

@@ -23,6 +23,12 @@ lifts u = s_1 ... s_d c, their display words, and right-coset partitions.
 Every subgroup of U (C, U_H and U(S)) is closed by the same loop on U's
 table, with one step k -> mul(k, g) per generator index g.
 
+Every size check but one runs on the loaded group, before U is closed, on
+its exact |U| = |W| * |C| (`predicted_size`): compiling refuses C tables
+over `MAX_C_RIGHT_ENTRIES`, and the order commands apply `xorder`'s caps.
+The one exception is `load_preset`, which refuses by name an sl<n> whose
+n! * 2^(n-1) elements exceed the closure bound.
+
 Canonical element keys are the integer matrices themselves, so equality and
 hashing are exact; table indices follow the order of those keys.
 """
@@ -34,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClosureBoundExceeded, InvariantViolation, PresetError
@@ -281,68 +287,52 @@ def _so24_preset() -> GroupPreset:
     )
 
 
-_SL_NAME = re.compile(r"sl\(?(\d+)\)?$")
+_SL_NAME = re.compile(r"sl(?:(\d+)|\((\d+)\))$")
 MAX_C_RIGHT_ENTRIES = 1 << 22  # the largest |U| * |C| entries of C's right-multiplication tables
+_PRESETS: dict[str, GroupPreset] = {}
 
 
-@lru_cache(maxsize=None)
 def load_preset(name: str) -> GroupPreset:
-    """Load and validate a built-in preset.
+    """Load and validate a built-in preset, once per group.
 
-    Accepted names: "sl3" (generator labeling with s1 acting in coordinates
-    (2,3) and s2 in (1,2), so emitted diagrams match the usual SO(3)
-    conventions), "sl2"/"sl4"/"sl(n)" (generic labeling, s_i at (i, i+1)),
-    and "so24".
+    Accepted names: "so24", and "sl<n>" spelled in any case, padded, or as
+    "sl(<n>)".  The name is read once into its key, "so24" or "sl<n>",
+    which names the preset and keys the cache, so every spelling of a group
+    gives one object.  "sl3" has the special labeling (s1 acting in
+    coordinates (2,3) and s2 in (1,2), so emitted diagrams match the usual
+    SO(3) conventions); every other sl<n> has the generic one, s_i at
+    (i, i+1).  By name alone this refuses unknown names, n < 2, and an
+    sl<n> whose |U| = n! * 2^(n-1) exceeds the closure bound; every other
+    size check runs on the loaded group (`predicted_size`).
     """
     key = name.strip().lower()
-    if key == "so24":
-        preset = _so24_preset()
-    elif key == "sl3":
-        preset = _sl_preset(3, (2, 1), "sl3", "SL(3,R)")
-    else:
+    if key != "so24":
         m = _SL_NAME.match(key)
         if not m:
             raise PresetError(f"unknown preset {name!r}; expected sl<n>, sl(<n>) or so24")
-        n = int(m.group(1))
+        n = int(m.group(1) or m.group(2))
         if n < 2:
             raise PresetError("sl(n) requires n >= 2")
-        predicted = predicted_sl_size(key)  # None for n > 1000: n! is not worth computing
+        # past n = 1000 the bound is certainly exceeded, and n! is not worth computing
+        predicted = math.factorial(n) << (n - 1) if n <= 1000 else None
         if predicted is None or predicted > DEFAULT_CLOSURE_BOUND:
             size = f"{n}!*2^{n - 1}" + ("" if predicted is None else f" = {predicted}")
             raise ClosureBoundExceeded(
                 f"sl{n} would have |U| = {size} elements, "
                 f"above the closure bound {DEFAULT_CLOSURE_BOUND}"
             )
-        if predicted << (n - 1) > MAX_C_RIGHT_ENTRIES:  # |C| = 2^(n-1)
-            raise PresetError(
-                f"sl{n} would have |U| = {predicted} and |C| = {1 << (n - 1)}, so its C tables "
-                f"take {predicted << (n - 1)} entries, over the cap of {MAX_C_RIGHT_ENTRIES}"
-            )
-        preset = _sl_preset(n, tuple(range(1, n)), key, f"SL({n},R)")
-    validate_preset(preset)
+        key = f"sl{n}"
+    preset = _PRESETS.get(key)
+    if preset is None:
+        if key == "so24":
+            preset = _so24_preset()
+        elif key == "sl3":
+            preset = _sl_preset(3, (2, 1), "sl3", "SL(3,R)")
+        else:
+            preset = _sl_preset(n, tuple(range(1, n)), key, f"SL({n},R)")
+        validate_preset(preset)
+        preset = _PRESETS.setdefault(key, preset)
     return preset
-
-
-def _predicted_sl_n(name: str) -> int | None:
-    """n of the preset name sl<n>, for 2 <= n <= 1000 (None otherwise)."""
-    m = _SL_NAME.match(name.strip().lower())
-    n = int(m.group(1)) if m else 0
-    return n if 2 <= n <= 1000 else None
-
-
-def predicted_sl_size(name: str) -> int | None:
-    """|U| = n! * 2^(n-1) of the preset sl<n>, predicted from its name alone
-    (None for any other name, and for n > 1000, which `load_preset` refuses
-    by the closure bound)."""
-    n = _predicted_sl_n(name)
-    return None if n is None else math.factorial(n) << (n - 1)
-
-
-def predicted_sl_positive_roots(name: str) -> int | None:
-    """|Phi+| = n(n-1)/2 of the preset sl<n>, from its name alone (None
-    where `predicted_sl_size` is None)."""
-    n = _predicted_sl_n(name)
-    return None if n is None else n * (n - 1) // 2
 
 
 def predicted_size(preset: GroupPreset) -> int:
@@ -356,24 +346,25 @@ def predicted_size(preset: GroupPreset) -> int:
 
 
 def load_config(source) -> GroupPreset:
-    """Build a custom group from a JSON config (path, JSON text or dict).
+    """Build a custom group from a JSON config (a path, or the parsed dict).
 
     Schema: {"n": int, "generators": [[..int..]], "c_generators": [[..]],
     "simple_roots": [[rational]], "a_basis": [[..int..]],
     "multiplicities": [int]}, with rationals written either as integers or
     as {"num": p, "den": q}.  Positive roots are derived by reflection
-    closure of the simple roots.
+    closure of the simple roots.  A file that cannot be read, or holds no
+    JSON, raises a `PresetError` naming its path.
     """
     if isinstance(source, dict):
         cfg = source
     else:
-        text = None
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, TypeError):
-            text = source
-        cfg = json.loads(text)
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise PresetError(f"cannot read group config {source}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise PresetError(f"group config {source} is not valid JSON: {exc}") from exc
 
     def rational(x):
         if isinstance(x, dict):
@@ -470,8 +461,10 @@ class GroupTables:
     * `s_tokens[w]`, `c_tokens[c]`: display spellings of canonical words and
       of C elements.
 
-    Construction checks, on lookups and exhaustively: pi is well defined on
-    every generator edge, C lies in the kernel of pi and is abelian,
+    Construction first refuses, before U is closed, a group whose exact
+    |U| * |C| (`predicted_size`) exceeds `MAX_C_RIGHT_ENTRIES`, the entries
+    of `c_right`.  It then checks, on lookups and exhaustively: pi is well
+    defined on every generator edge, C lies in the kernel of pi and is abelian,
     |U| = |W| * |C|, C is normal in U, and every canonical C part lies in
     C.  Normality is checked on the generators: g C g^-1 lies in C for each
     of the r + m generators g.  That is the same check as u C u^-1 in C for
@@ -486,6 +479,13 @@ class GroupTables:
         rank = preset.rank
         self.preset = preset
         self.weyl = weyl = weyl_table(preset.root_datum)
+        size = predicted_size(preset)
+        c_size = size // len(weyl)
+        if size * c_size > MAX_C_RIGHT_ENTRIES:
+            raise PresetError(
+                f"{preset.name} would have |U| = {size} and |C| = {c_size}, so its C tables "
+                f"take {size * c_size} entries, over the cap of {MAX_C_RIGHT_ENTRIES}"
+            )
         generators = preset.generators + preset.c_generators
         mats, right, words = _closure(identity_matrix(preset.n), generators, DEFAULT_CLOSURE_BOUND)
         pi: list[int | None] = [None] * len(mats)

@@ -336,6 +336,22 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def refuse_closing_u(monkeypatch, *presets):
+    """Make closing the U of any of `presets` raise.  U's closure is the only
+    one whose generators include s1: C is closed from the s_i^2 and c_j."""
+    import wtits.utits as utits
+
+    real = utits._closure
+    s1s = [preset.generators[0] for preset in presets]
+
+    def closure(identity, generators, bound):
+        if any(s1 in generators for s1 in s1s):
+            raise AssertionError("U must not be closed")
+        return real(identity, generators, bound)
+
+    monkeypatch.setattr(utits, "_closure", closure)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -346,15 +362,9 @@ def test_parse_error_exit_code(capsys):
     ],
 )
 def test_order_commands_refuse_sl7_before_loading(capsys, monkeypatch, argv):
-    import wtits.cli as cli
-    import wtits.utits as utits
     from wtits.xorder import MAX_COVER_ENTRIES, MAX_ORDER_BYTES
 
-    def no_build(*args):
-        raise AssertionError("sl7 must not be loaded")
-
-    monkeypatch.setattr(cli, "load_preset", no_build)
-    monkeypatch.setattr(utits, "_sl_preset", no_build)
+    refuse_closing_u(monkeypatch, load_preset("sl7"))
     code, _, err = run(capsys, argv)
     assert code == 2
     if argv[:2] == ["order", "hasse"]:
@@ -369,58 +379,42 @@ def test_order_commands_refuse_sl7_before_loading(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["order", "hasse"], ["morse", "--theta", "1"], ["control", "--us-gens", "s1"]],
+    [
+        ["order", "hasse", "--config", str(CUSTOM_O3)],
+        ["morse", "--theta", "1", "--config", str(CUSTOM_O3)],
+        ["control", "--us-gens", "s1", "--config", str(CUSTOM_O3)],
+        ["order", "hasse", "--preset", "sl5"],
+        ["morse", "--theta", "1", "--preset", "sl5"],
+        ["control", "--us-gens", "s1", "--preset", "sl5"],
+    ],
 )
 def test_order_commands_refuse_config_from_weyl_size(capsys, monkeypatch, argv):
     import wtits.utits as utits
     from wtits import xorder
 
-    def no_closure(*args):
-        raise AssertionError("U must not be closed")
-
-    # the refusal closes C, not U: U's closure happens only in compiling its tables
-    monkeypatch.setattr(utits, "GroupTables", no_closure)
-    argv = argv + ["--config", str(CUSTOM_O3)]
-    hasse = argv[:2] == ["order", "hasse"]
-    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)  # the Hasse diagram builds no bitset
-    if hasse:
-        # |U| = |W| * |C| = 2 * 4 and |Phi+| = 1 predict 16 cover entries:
-        # refused one below, let through at the cap
-        monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 15)
-        cap, message = 15, "|U| = 8 elements may take 16 entries"
+    if "--config" in argv:
+        preset, size, positive_roots = load_config(CUSTOM_O3), 8, 1  # |U| = 2 * 4
     else:
-        # |U| = 8 gives |U|^2/8 = 8 bytes: refused one byte below, let through at the cap
-        monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", 7)
-        cap, message = 7, "|U| = 8 elements needs 8 bytes"
-    code, _, err = run(capsys, argv)
-    assert code == 2
+        monkeypatch.setattr(utits, "_PRESETS", {})  # an sl5 whose tables no other test built
+        preset, size, positive_roots = load_preset("sl5"), 1920, 10  # |U| = 120 * 16
+    refuse_closing_u(monkeypatch, preset)
+    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)  # the Hasse diagram builds no bitset
+    if argv[:2] == ["order", "hasse"]:
+        entries = size * 2 * positive_roots
+        cap, name = entries - 1, "MAX_COVER_ENTRIES"
+        message = f"|U| = {size} elements may take {entries} entries (2*|Phi+| = {2 * positive_roots}"
+    else:
+        cap, name = size * size // 8 - 1, "MAX_ORDER_BYTES"
+        message = f"|U| = {size} elements needs {size * size // 8} bytes of down-set bitsets"
+    # refused one below the predicted size, let through at it
+    monkeypatch.setattr(xorder, name, cap)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
     assert message in err
     assert f"over the cap of {cap}" in err
-    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES" if hasse else "MAX_ORDER_BYTES", cap + 1)
+    monkeypatch.setattr(xorder, name, cap + 1)
     with pytest.raises(AssertionError, match="U must not be closed"):
         run(capsys, argv)
-
-
-def test_order_hasse_refused_from_predicted_covers_alone(capsys, monkeypatch):
-    import wtits.cli as cli
-    from wtits import xorder
-
-    def no_load(*args):
-        raise AssertionError("sl5 must not be loaded")
-
-    monkeypatch.setattr(cli, "load_preset", no_load)
-    monkeypatch.setattr(xorder, "MAX_ORDER_BYTES", -1)  # every bitset refused
-    # |U| = 1920 and |Phi+| = 10 predict 38400 cover entries
-    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 38399)
-    code, out, err = run(capsys, ["order", "hasse", "--preset", "sl5"])
-    assert code == 2 and out == ""
-    assert "|U| = 1920 elements may take 38400 entries (2*|Phi+| = 20 per element)" in err
-    assert "over the cap of 38399" in err
-    code, _, err = run(capsys, ["morse", "--preset", "sl5"])
-    assert code == 2 and "needs 460800 bytes of down-set bitsets" in err
-    monkeypatch.setattr(xorder, "MAX_COVER_ENTRIES", 38400)
-    with pytest.raises(AssertionError, match="sl5 must not be loaded"):
-        run(capsys, ["order", "hasse", "--preset", "sl5"])
 
 
 def test_unknown_preset_exit_code(capsys):
@@ -464,10 +458,8 @@ def test_seed_environment_variable_is_ignored(capsys, monkeypatch, value):
 def test_sl7_refused_from_predicted_c_tables(capsys, monkeypatch, argv):
     import wtits.utits as utits
 
-    def no_build(*args):
-        raise AssertionError("the preset must not be built")
-
-    monkeypatch.setattr(utits, "_sl_preset", no_build)
+    sl6 = load_preset("sl6")
+    refuse_closing_u(monkeypatch, load_preset("sl7"), sl6)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     # |U| = 7! * 2^6 and |C| = 2^6
@@ -476,10 +468,54 @@ def test_sl7_refused_from_predicted_c_tables(capsys, monkeypatch, argv):
     # sl6 (23040 * 32 = 737280 entries) is refused one below its entries, let through at them
     monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 737279)
     with pytest.raises(PresetError, match="737280 entries, over the cap of 737279"):
-        utits.load_preset.__wrapped__("sl6")
+        utits.GroupTables(sl6)
     monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 737280)
-    with pytest.raises(AssertionError, match="the preset must not be built"):
-        utits.load_preset.__wrapped__("sl6")
+    with pytest.raises(AssertionError, match="U must not be closed"):
+        utits.GroupTables(sl6)
+
+
+def test_config_refused_from_predicted_c_tables(capsys, monkeypatch):
+    import wtits.utits as utits
+
+    # |U| * |C| = 8 * 4 = 32 entries: refused one below, compiled at the cap
+    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 31)
+    code, out, err = run(capsys, ["group", "--config", str(CUSTOM_O3)])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: custom-o3 would have |U| = 8 and |C| = 4, so its C tables take 32 entries, "
+        "over the cap of 31\n"
+    )
+    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 32)
+    code, out, _ = run(capsys, ["group", "--config", str(CUSTOM_O3)])
+    assert code == 0 and "|U|=8 |W|=2 |C|=4" in out
+
+
+@pytest.mark.parametrize("spellings", [("sl3", "sl(3)", " SL3 "), ("sl4", "sl(4)", "SL4")])
+def test_preset_spellings_name_one_group(capsys, spellings):
+    # every spelling is one cached preset, named by its canonical key
+    presets = [load_preset(name) for name in spellings]
+    assert all(preset is presets[0] for preset in presets)
+    outputs = {run(capsys, ["group", "--preset", name, "--json"]) for name in spellings}
+    assert len(outputs) == 1
+    code, out, _ = outputs.pop()
+    assert code == 0 and json.loads(out)["preset"] == spellings[0]
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "cannot read group config {}: No such file or directory"),
+        ('{"n": 3,', "group config {} is not valid JSON: Expecting"),
+    ],
+    ids=["missing", "malformed"],
+)
+def test_config_load_errors_name_the_path(tmp_path, capsys, content, message):
+    path = tmp_path / "group.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, ["group", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.format(path))
 
 
 def test_output_file(tmp_path, capsys):

@@ -18,7 +18,6 @@ from wtits.exact import (
     mat_inverse,
     mat_mul,
     mat_pow,
-    solve_in_span,
     solve_many,
 )
 
@@ -66,17 +65,6 @@ def test_is_signed_permutation():
     assert not is_signed_permutation(((1, 1), (0, 1)))
     assert not is_signed_permutation(((1, 0), (1, 0)))
     assert not is_signed_permutation(((2, 0), (0, 1)))
-
-
-def test_solve_in_span():
-    cols = [(Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1), Fraction(1))]
-    assert solve_in_span(cols, (Fraction(2), Fraction(3), Fraction(5))) == (
-        Fraction(2),
-        Fraction(3),
-    )
-    assert solve_in_span(cols, (Fraction(1), Fraction(1), Fraction(3))) is None
-    assert solve_in_span([], (Fraction(0), Fraction(0))) == ()
-    assert solve_in_span([], (Fraction(1),)) is None
 
 
 def leibniz(a):
@@ -244,7 +232,6 @@ def test_solve_many_matches_per_target_elimination(system):
     assert len(solutions) == len(targets)
     for target, solution in zip(targets, solutions):
         assert solution == eliminate_one(columns, target)
-        assert solve_in_span(columns, target) == solution
         if solution is not None:
             assert all_fractions(solution)
             rebuilt = [sum((a * col[i] for a, col in zip(solution, columns)), Fraction(0)) for i in range(len(target))]

@@ -17,6 +17,7 @@ import weyl_reference as ref
 from weyl_reference import all_reduced_words, evaluate_word, left_descents
 from wtits import load_config, load_preset
 from wtits.rootsys import (
+    RootDatum,
     bruhat_leq,
     is_reduced,
     length,
@@ -60,6 +61,23 @@ def test_lengths_match_cayley_distance(name, w_size, w0_len):
         assert length(w) == dist[w.matrix]
     assert length(longest_element(datum)) == w0_len
     assert len(datum.positive_roots) == w0_len
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sl6", "so24"])
+def test_positive_roots_derived_from_simple_roots(name):
+    datum = load_preset(name).root_datum
+    derived = RootDatum.create(datum.simple_roots, multiplicities=datum.multiplicities)
+    assert set(derived.positive_roots) == set(datum.positive_roots)
+
+
+def test_g2_positive_roots_derived_in_three_coordinates():
+    # short alpha_1 and long alpha_2: alpha_1 + alpha_2, 2 alpha_1 + alpha_2,
+    # 3 alpha_1 + alpha_2 and 3 alpha_1 + 2 alpha_2 complete the six
+    datum = RootDatum.create([(1, -1, 0), (-2, 1, 1)])
+    assert set(datum.positive_roots) == {
+        tuple(map(Fraction, root))
+        for root in [(1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2)]
+    }
 
 
 def test_sl3_weyl_is_coordinate_permutations(sl3):

@@ -2,6 +2,7 @@
 subgroups and cosets.  Expected matrices are frozen from the defining data
 of the groups (independent hand multiplication where derived)."""
 
+import math
 import re
 
 import pytest
@@ -27,7 +28,7 @@ from wtits import (
 )
 from wtits.exact import identity_matrix, mat_mul
 from wtits.rootsys import length, simple_reflection, weyl_group
-from wtits.utits import _closure, canonical_form
+from wtits.utits import _closure, canonical_form, predicted_size
 
 S1_SL3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 S2_SL3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
@@ -463,6 +464,19 @@ def test_oversized_sl_refused_from_prediction(n, predicted, monkeypatch):
     assert str(utits.DEFAULT_CLOSURE_BOUND) in str(err.value)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sl_predicted_size_passes_the_order_caps(n):
+    # every sl<n> that compiles gets past both order caps: sl6 needs
+    # 66,355,200 bytes of down-sets and 691,200 cover entries
+    from wtits.xorder import require_cover_memory, require_order_memory
+
+    preset = load_preset(f"sl{n}")
+    size = predicted_size(preset)
+    assert size == math.factorial(n) << (n - 1)
+    require_order_memory(size)
+    require_cover_memory(size, len(preset.root_datum.positive_roots))
+
+
 def test_weyl_enumeration_bounded(sl3):
     from wtits.rootsys import WeylTable
 
@@ -472,10 +486,9 @@ def test_weyl_enumeration_bounded(sl3):
 
 
 def test_unknown_preset():
-    with pytest.raises(PresetError):
-        load_preset("e8")
-    with pytest.raises(PresetError):
-        load_preset("sl1")
+    for name in ("e8", "sl1", "sl(3", "sl3)"):
+        with pytest.raises(PresetError):
+            load_preset(name)
 
 
 def test_sl4_structure():

@@ -38,7 +38,6 @@ from .utits import (
     check_quotient_isomorphism,
     load_config,
     load_preset,
-    predicted_size,
     subgroup_closure,
     subgroup_U_H,
 )
@@ -162,7 +161,7 @@ def _load_order(args, hasse: bool = False) -> GroupPreset:
     order command builds the covers; all but the Hasse diagram also build
     |U|^2 bits of down-sets, whose refusal is checked first."""
     preset = _load(args)
-    size = predicted_size(preset)
+    size = preset.predicted_size
     if not hasse:
         require_order_memory(size)
     require_cover_memory(size, len(preset.root_datum.positive_roots))

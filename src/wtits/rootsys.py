@@ -119,13 +119,20 @@ def _positive_closure(simples: tuple[Covector, ...]) -> tuple[Covector, ...]:
     """The simple roots and every positive root: the orbit of each simple
     root under the simple reflections (`closure`), kept where its
     coefficients over the simple roots, from one elimination, are
-    nonnegative."""
+    nonnegative.
+
+    The reflections are rational, so a finite group they generate is a Weyl
+    group of rank at most r = len(simples), and none has more than r^2 + 7r
+    reflections (E8: 8^2 + 7 * 8 = 120).  Each reflection has two roots in
+    an orbit at most, so an orbit past 2r(r + 7) roots shows an infinite
+    group, refused at once as `ClosureBoundExceeded`."""
     reflections = [_reflection_matrix(alpha) for alpha in simples]
     steps = [lambda root, refl=refl: frac_vec_mat(root, refl) for refl in reflections]
+    bound = 2 * len(simples) * (len(simples) + 7)
     orbit: set[Covector] = set()
     for alpha in simples:
         if alpha not in orbit:
-            orbit.update(closure(alpha, steps, DEFAULT_CLOSURE_BOUND)[0])
+            orbit.update(closure(alpha, steps, bound)[0])
     roots = list(orbit)
     positives = {
         root

@@ -24,8 +24,9 @@ Every subgroup of U (C, U_H and U(S)) is closed by the same loop on U's
 table, with one step k -> mul(k, g) per generator index g.
 
 Every size check but one runs on the loaded group, before U is closed, on
-its exact |U| = |W| * |C| (`predicted_size`): compiling refuses C tables
-over `MAX_C_RIGHT_ENTRIES`, and the order commands apply `xorder`'s caps.
+its exact |U| = |W| * |C| (`GroupPreset.predicted_size`, computed once):
+compiling refuses C tables over `MAX_C_RIGHT_ENTRIES`, and the order
+commands apply `xorder`'s caps.
 The one exception is `load_preset`, which refuses by name an sl<n> whose
 n! * 2^(n-1) elements exceed the closure bound.
 
@@ -40,7 +41,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClosureBoundExceeded, InvariantViolation, PresetError
@@ -72,7 +73,8 @@ class GroupPreset:
 
     Instances compare by identity; `load_preset` caches them so each named
     preset is a singleton.  `_tables` holds the compiled group once
-    `compile_group` has built it; nothing else about a preset changes.
+    `compile_group` has built it, and `predicted_size` is computed once on
+    first use; nothing else about a preset changes.
     """
 
     name: str
@@ -87,6 +89,16 @@ class GroupPreset:
     @property
     def rank(self) -> int:
         return self.root_datum.rank
+
+    @cached_property
+    def predicted_size(self) -> int:
+        """|U| = |W| * |C|, before U is closed and once per preset: |W| from
+        the root datum's Weyl table, |C| from the closure of the s_i^2 and
+        c_j.  Exact for every preset that compiles, since compiling checks
+        |U| = |W| * |C|."""
+        c_gens = [mat_mul(s, s) for s in self.generators] + list(self.c_generators)
+        c_elements, _, _ = _closure(identity_matrix(self.n), c_gens, DEFAULT_CLOSURE_BOUND)
+        return len(weyl_table(self.root_datum)) * len(c_elements)
 
     def identity(self) -> "UElement":
         return UElement(identity_matrix(self.n), self)
@@ -335,16 +347,6 @@ def load_preset(name: str) -> GroupPreset:
     return preset
 
 
-def predicted_size(preset: GroupPreset) -> int:
-    """|U| = |W| * |C| of a loaded preset, before U is closed: |W| from the
-    root datum's Weyl table, |C| from the closure of the s_i^2 and c_j.
-    Exact for every preset that compiles, since compiling checks
-    |U| = |W| * |C|."""
-    c_gens = [mat_mul(s, s) for s in preset.generators] + list(preset.c_generators)
-    c_elements, _, _ = _closure(identity_matrix(preset.n), c_gens, DEFAULT_CLOSURE_BOUND)
-    return len(weyl_table(preset.root_datum)) * len(c_elements)
-
-
 def load_config(source) -> GroupPreset:
     """Build a custom group from a JSON config (a path, or the parsed dict).
 
@@ -479,7 +481,7 @@ class GroupTables:
         rank = preset.rank
         self.preset = preset
         self.weyl = weyl = weyl_table(preset.root_datum)
-        size = predicted_size(preset)
+        size = preset.predicted_size
         c_size = size // len(weyl)
         if size * c_size > MAX_C_RIGHT_ENTRIES:
             raise PresetError(

@@ -437,6 +437,22 @@ def test_config_loading(tmp_path, capsys):
     assert code == 0 and "|U|=4 |W|=2 |C|=2" in out
 
 
+def test_config_of_infinite_reflection_group_refused(tmp_path, capsys):
+    # simple roots at an angle of arccos(1/sqrt(5)) generate an infinite group;
+    # the orbit of a simple root is cut at the 36 roots of any finite rank-2 one
+    cfg = {
+        "n": 2,
+        "generators": [[[0, -1], [1, 0]], [[0, -1], [1, 0]]],
+        "simple_roots": [[1, 0], [1, 2]],
+        "a_basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    }
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, ["group", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid root data: closure exceeded 36 elements")
+
+
 @pytest.mark.parametrize("value", ["7", "abc"])
 def test_seed_environment_variable_is_ignored(capsys, monkeypatch, value):
     from wtits.cli import build_parser
@@ -490,7 +506,30 @@ def test_config_refused_from_predicted_c_tables(capsys, monkeypatch):
     assert code == 0 and "|U|=8 |W|=2 |C|=4" in out
 
 
-@pytest.mark.parametrize("spellings", [("sl3", "sl(3)", " SL3 "), ("sl4", "sl(4)", "SL4")])
+def test_order_command_sizes_the_group_once(capsys, monkeypatch):
+    import wtits.utits as utits
+    from wtits.exact import mat_mul
+
+    # the order caps and the C-table cap read one predicted size: C is closed
+    # on matrices once, then U once
+    preset = load_config(CUSTOM_O3)
+    closed = []
+    closure = utits._closure
+
+    def counted(identity, generators, bound):
+        closed.append(list(generators))
+        return closure(identity, generators, bound)
+
+    monkeypatch.setattr(utits, "_closure", counted)
+    code, _, _ = run(capsys, ["order", "hasse", "--config", str(CUSTOM_O3)])
+    assert code == 0
+    assert closed == [
+        [mat_mul(s, s) for s in preset.generators] + list(preset.c_generators),
+        list(preset.generators + preset.c_generators),
+    ]
+
+
+@pytest.mark.parametrize("spellings",[("sl3", "sl(3)", " SL3 "), ("sl4", "sl(4)", "SL4")])
 def test_preset_spellings_name_one_group(capsys, spellings):
     # every spelling is one cached preset, named by its canonical key
     presets = [load_preset(name) for name in spellings]

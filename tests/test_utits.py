@@ -28,7 +28,7 @@ from wtits import (
 )
 from wtits.exact import identity_matrix, mat_mul
 from wtits.rootsys import length, simple_reflection, weyl_group
-from wtits.utits import _closure, canonical_form, predicted_size
+from wtits.utits import _closure, canonical_form
 
 S1_SL3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 S2_SL3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
@@ -312,8 +312,17 @@ C_NOT_COMMUTING = {  # c1, c2 fix the Cartan coordinates; their lower 2x2 blocks
             dict(SL2_CONFIG, simple_roots=[[1, -1], [-1, 1]], multiplicities=[1, 1]),
             r"positive root .* is not a nonnegative combination of simple roots",
         ),
+        # at an angle of arccos(1/sqrt(5)) the reflections generate an infinite
+        # group: the orbit of a simple root stops at 2 * 2 * (2 + 7) roots
+        (
+            dict(SL2_CONFIG, simple_roots=[[1, 0], [1, 2]], multiplicities=[1, 1]),
+            "closure exceeded 36 elements",
+        ),
     ],
-    ids=["determinant", "order", "normalizer", "pi-s", "pi-s-basis", "pi-c", "c-commute", "positive"],
+    ids=[
+        "determinant", "order", "normalizer", "pi-s", "pi-s-basis", "pi-c", "c-commute",
+        "positive", "infinite",
+    ],
 )
 def test_load_refusals_name_their_check(config, message):
     # every load-time check a config can reach, pinned by its message
@@ -471,7 +480,7 @@ def test_sl_predicted_size_passes_the_order_caps(n):
     from wtits.xorder import require_cover_memory, require_order_memory
 
     preset = load_preset(f"sl{n}")
-    size = predicted_size(preset)
+    size = preset.predicted_size
     assert size == math.factorial(n) << (n - 1)
     require_order_memory(size)
     require_cover_memory(size, len(preset.root_datum.positive_roots))

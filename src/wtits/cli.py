@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -89,14 +90,21 @@ def _matrix_rows(u: UElement) -> list[list[int]]:
     return [list(row) for row in u.matrix]
 
 
+def _words(group: FiniteGroupTable, elements) -> list[str]:
+    """The display words of `elements`, read by U index."""
+    tables = compile_group(group.preset)
+    return [tables.word(tables.position(u)) for u in elements]
+
+
 def hasse_json(group: FiniteGroupTable) -> dict:
     """Canonical JSON form of the extended order: ids are the `hasse`
     indices, in (projection length, word) order; covers are [upper, lower]
     id pairs."""
     poset = hasse(group)
+    words = _words(group, poset.elements)
     return {
         "elements": [
-            {"id": k, "word": display_word(u), "matrix": _matrix_rows(u)}
+            {"id": k, "word": words[k], "matrix": _matrix_rows(u)}
             for k, u in enumerate(poset.elements)
         ],
         "covers": sorted([hi, lo] for lo, hi in poset.covers),
@@ -107,11 +115,14 @@ def hasse_dot(group: FiniteGroupTable, name: str = "extended_bruhat") -> str:
     """Graphviz digraph; one node per element labeled by its canonical word,
     one edge per covering pair, direction upper -> lower."""
     poset = hasse(group)
-    words = [display_word(u) for u in poset.elements]
+    words = _words(group, poset.elements)
     return _digraph(name, words, sorted((words[hi], words[lo]) for lo, hi in poset.covers))
 
 
 def quotient_json(quotient) -> dict:
+    """Canonical JSON form of a quotient order, every word read by U index."""
+    tables = compile_group(quotient.cosets[0].representative.preset)
+    word = tables.word
     labels = [_coset_label(c) for c in quotient.cosets]
     covers = sorted((labels[hi], labels[lo]) for lo, hi in quotient.covers())
     return {
@@ -119,8 +130,8 @@ def quotient_json(quotient) -> dict:
         "cosets": [
             {
                 "label": labels[k],
-                "representative": display_word(c.representative),
-                "members": sorted(display_word(m) for m in c.members),
+                "representative": word(c.ids[0]),
+                "members": sorted(map(word, c.ids)),
             }
             for k, c in enumerate(quotient.cosets)
         ],
@@ -215,9 +226,23 @@ def cmd_order(args) -> int:
     return 0
 
 
+def _entries(flag: str, text: str, kind: type, what: str) -> list:
+    """The comma-separated entries of a flag's value, each read by `kind`;
+    an entry that does not read is named with its flag."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(kind(entry))
+        except ValueError:
+            raise ValueError(
+                f"{flag}: bad entry {entry.strip()!r} in {text!r}; expected {what}"
+            ) from None
+    return out
+
+
 def _parse_theta(preset: GroupPreset, text: str) -> set[int]:
     text = text.strip()
-    theta = {int(tok) for tok in text.split(",")} if text else set()
+    theta = set(_entries("--theta", text, int, "comma-separated integers")) if text else set()
     if any(not 1 <= i <= preset.rank for i in theta):
         raise ValueError(f"Theta {sorted(theta)} not within 1..{preset.rank}")
     return theta
@@ -341,7 +366,7 @@ def cmd_oracle(args) -> int:
             raise InvariantViolation("numerical oracle disagrees with the combinatorial order")
         return 0
     # flow
-    h_vec = [float(x) for x in args.H.split(",")]
+    h_vec = _entries("--H", args.H, float, "comma-separated numbers")
     n = len(h_vec)
     nil = np.zeros((n, n))
     if args.nilpotent and args.nilpotent != "0":
@@ -353,7 +378,10 @@ def cmd_oracle(args) -> int:
             i, j = int(m.group(1)), int(m.group(2))
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ExprParseError(f"nilpotent entry e{i}{j} outside 1..{n}", at)
-            nil[i - 1, j - 1] = float(m.group(3) or 1.0)
+            try:
+                nil[i - 1, j - 1] = float(m.group(3) or 1.0)
+            except ValueError:
+                raise ExprParseError(f"bad nilpotent token {chunk!r}", at) from None
     spec = FlowSpec(H=np.array(h_vec), nilpotent=nil, time_step=args.time_step)
     report = recover_morse(
         preset, spec, grid=args.grid, iters=args.steps, seed=args.seed
@@ -392,6 +420,13 @@ def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
     return value
 
 
@@ -439,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_schubert = oracle_sub.add_parser("schubert", parents=[common])
     p_schubert.add_argument("--samples", type=nonnegative_int, default=100_000)
     p_schubert.add_argument("--seed", type=int, default=42)
-    p_schubert.add_argument("--tol", type=float, default=1e-2)
-    p_schubert.add_argument("--margin", type=float, default=5e-2)
+    p_schubert.add_argument("--tol", type=positive_float, default=1e-2)
+    p_schubert.add_argument("--margin", type=positive_float, default=5e-2)
     p_schubert.add_argument("--json", action="store_true")
     p_schubert.add_argument("--output")
     p_schubert.set_defaults(func=cmd_oracle)
@@ -450,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--steps", type=nonnegative_int, default=2000)
     p_flow.add_argument("--grid", type=nonnegative_int, default=48)
     p_flow.add_argument("--seed", type=int, default=42)
-    p_flow.add_argument("--time-step", type=float, default=1.0, dest="time_step")
+    p_flow.add_argument("--time-step", type=positive_float, default=1.0, dest="time_step")
     p_flow.add_argument("--json", action="store_true")
     p_flow.add_argument("--output")
     p_flow.set_defaults(func=cmd_oracle)

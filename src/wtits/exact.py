@@ -130,7 +130,8 @@ def frac_identity(n: int) -> FracMatrix:
 
 
 def frac_mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    """a b, summing only the products of two nonzero entries."""
+    """a b, summing only the products of two nonzero entries; the first
+    product of an entry is stored, not added to zero."""
     width = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -139,7 +140,7 @@ def frac_mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
             if x:
                 for j, y in enumerate(b_row):
                     if y:
-                        acc[j] += x * y
+                        acc[j] = x * y if acc[j] is _ZERO else acc[j] + x * y
         out.append(tuple(acc))
     return tuple(out)
 

@@ -67,7 +67,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -563,6 +563,14 @@ def _cell_distances(
     return np.sqrt(best, out=best)
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Refuse a tolerance, margin or step that is not a finite positive
+    number: every comparison with NaN is false, so a NaN tolerance fails
+    every pair and a NaN or negative margin passes every pair."""
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def schubert_agreement_report(
     preset: GroupPreset,
     count: int = 100_000,
@@ -584,6 +592,8 @@ def schubert_agreement_report(
     on all pairs, `margin_ok` when every negative pair also clears the
     rejection margin.
     """
+    _require_positive("tol", tol)
+    _require_positive("reject_margin", reject_margin)
     table = enumerate_U(preset)
     plans = [_cell_plan(hi, count) for hi in table]
     targets = _target_stack(table, (preset.n, preset.n))
@@ -666,12 +676,13 @@ class FlowSpec:
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float).reshape(-1)
         n = self.H.shape[0]
+        if not np.all(np.isfinite(self.H)):
+            raise ValueError("H must be finite")
         if abs(self.H.sum()) > 1e-9:
             raise ValueError("H must have zero trace")
         if np.any(np.diff(self.H) > 1e-12):
             raise ValueError("H must be nonincreasing (closed positive chamber)")
-        if self.time_step <= 0:
-            raise ValueError("time_step must be positive")
+        _require_positive("time_step", self.time_step)
         self.elliptic = (
             np.eye(n) if self.elliptic is None else np.asarray(self.elliptic, dtype=float)
         )

@@ -31,7 +31,8 @@ The one exception is `load_preset`, which refuses by name an sl<n> whose
 n! * 2^(n-1) elements exceed the closure bound.
 
 Canonical element keys are the integer matrices themselves, so equality and
-hashing are exact; table indices follow the order of those keys.
+hashing are exact (each element hashes its matrix once, on creation); table
+indices follow the order of those keys.
 """
 
 from __future__ import annotations
@@ -111,10 +112,19 @@ class GroupPreset:
 
 @dataclass(frozen=True)
 class UElement:
-    """Element of U, keyed by its exact matrix."""
+    """Element of U, keyed by its exact matrix: equal when the matrices are.
+    The hash is the matrix's, `hash((matrix,))`, computed once on creation,
+    so sets, dicts and `GroupTables.position` never hash the matrix again."""
 
     matrix: IntMatrix
     preset: GroupPreset = field(compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.matrix,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __mul__(self, other: "UElement") -> "UElement":
         if self.preset is not other.preset:
@@ -133,7 +143,8 @@ class UElement:
 
 class FiniteGroupTable:
     """An enumerated finite matrix group (or subgroup): elements sorted by
-    canonical key, with constant-time membership."""
+    canonical key, with constant-time membership.  `index` maps each element
+    (equal by matrix, hashed once) to its position."""
 
     def __init__(self, elements: Iterable[UElement]):
         elts = sorted(set(elements), key=lambda u: u.matrix)
@@ -141,7 +152,7 @@ class FiniteGroupTable:
             raise ValueError("a group table cannot be empty")
         self.preset = elts[0].preset
         self.elements: tuple[UElement, ...] = tuple(elts)
-        self.index: dict[IntMatrix, int] = {u.matrix: k for k, u in enumerate(elts)}
+        self.index: dict[UElement, int] = {u: k for k, u in enumerate(elts)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -150,10 +161,10 @@ class FiniteGroupTable:
         return iter(self.elements)
 
     def __contains__(self, u: UElement) -> bool:
-        return u.matrix in self.index
+        return u in self.index
 
     def is_subset_of(self, other: "FiniteGroupTable") -> bool:
-        return all(m in other.index for m in self.index)
+        return all(u in other.index for u in self.index)
 
 
 def _signed_code(mat: IntMatrix) -> tuple[int, ...] | None:
@@ -461,7 +472,7 @@ class GroupTables:
     * `c_right[c]`: right multiplication by each element c of C, composed
       from the table of the element that found c as C is closed (`close`),
     * `s_tokens[w]`, `c_tokens[c]`: display spellings of canonical words and
-      of C elements.
+      of C elements; `word(k)` joins u_k's once, on first use.
 
     Construction first refuses, before U is closed, a group whose exact
     |U| * |C| (`predicted_size`) exceeds `MAX_C_RIGHT_ENTRIES`, the entries
@@ -559,8 +570,9 @@ class GroupTables:
         self.c_right = c_right
         self.c_tokens = c_tokens
         self.s_tokens = tuple(tuple(f"s{i}" for i in word) for word in weyl.word)
+        self._words: list[str | None] = [None] * len(mats)
         self.covers: tuple[tuple[int, ...], ...] | None = None
-        self.down: tuple[int, ...] | None = None
+        self.down = None  # an `xorder.DownSets` once built
 
     def _close_c(self) -> tuple[dict[int, tuple[str, ...]], dict[int, tuple[int, ...]]]:
         """C as the closure of the s_i^2 and c_j on U's table: the shortest
@@ -613,7 +625,7 @@ class GroupTables:
 
     def position(self, u: UElement) -> int:
         try:
-            return self.index[u.matrix]
+            return self.index[u]
         except KeyError:
             raise ValueError(f"{u.matrix} is not an element of U") from None
 
@@ -624,6 +636,13 @@ class GroupTables:
     def tokens(self, k: int) -> tuple[str, ...]:
         """The display tokens of u_k (see `display_tokens`)."""
         return self.s_tokens[self.pi[k]] + self.c_tokens[self.c_part[k]]
+
+    def word(self, k: int) -> str:
+        """The display word of u_k (see `display_word`), spelled on first use."""
+        word = self._words[k]
+        if word is None:
+            word = self._words[k] = " ".join(self.tokens(k)) or "1"
+        return word
 
     def display_key(self, k: int) -> tuple[int, tuple[str, ...]]:
         """(projection length, display tokens) of u_k: the order in which
@@ -755,9 +774,10 @@ class Coset:
 
 def _coset(tables: GroupTables, subgroup_ids: Sequence[int], k: int) -> Coset:
     """The right coset H u_k, for H given by the indices of its members."""
-    ids = tuple(sorted(tables.mul(h, k) for h in subgroup_ids))  # index order is key order
+    word, walk = tables.words[k], tables.walk
+    ids = tuple(sorted([walk(h, word) for h in subgroup_ids]))  # index order is key order
     elements = tables.U.elements
-    return Coset(representative=elements[ids[0]], members=tuple(elements[m] for m in ids), ids=ids)
+    return Coset(elements[ids[0]], tuple(map(elements.__getitem__, ids)), ids)
 
 
 def cosets(group: FiniteGroupTable, subgroup: FiniteGroupTable) -> list[Coset]:
@@ -823,13 +843,12 @@ def display_tokens(u: UElement) -> tuple[str, ...]:
 
 def display_word(u: UElement) -> str:
     """Human-readable name; parses back to u through the expression grammar."""
-    tokens = display_tokens(u)
-    return " ".join(tokens) if tokens else "1"
+    tables = compile_group(u.preset)
+    return tables.word(tables.position(u))
 
 
 def coset_label(coset: Coset) -> str:
     """Display name of a coset: its member with the shortest canonical word
     (ties by token order), which reproduces the conventional class labels."""
     tables = compile_group(coset.representative.preset)
-    best = min(coset.ids, key=lambda k: (len(tables.tokens(k)), tables.tokens(k)))
-    return display_word(tables.U.elements[best])
+    return tables.word(min(coset.ids, key=lambda k: (len(t := tables.tokens(k)), t)))

@@ -23,6 +23,13 @@ instead of returning silently wrong data.  This redundancy is permanent,
 not test scaffolding.  The same grid with exponents up to 3 gives the
 candidates of the partial converse test for control sets.
 
+The down-sets use the C-slot layout: u sits at bit pi(u) * |C| + (the
+position of its C part in C), one |C|-bit block per Weyl element.  The
+grid of u = lift(pi(u)) c is the grid of the lift times c, and C is
+abelian, so right multiplication by c moves each slot to one other slot
+in every block: each Weyl element's grid is built once, and each of its
+|C| translates is |C| shift-and-mask operations on one int (`_down_masks`).
+
 The Hasse diagram is the cover table itself, its elements in (projection
 length, display word) order.  It needs no closure: the order projects
 onto the Bruhat order, which is graded by length, so every cover must
@@ -30,9 +37,15 @@ join consecutive lengths, and a graded cover set is acyclic and
 transitively reduced.  `hasse` checks that grading on every cover.
 
 A quotient order on right cosets (Morse components, control sets) is one
-bitset row per class, holding the classes at or below it.  One union per
-row, of the strict rows of the classes below it, both checks that the rows
-are a partial order and gives the row's covers (`_verify_partial_order`).
+bitset row per class, holding the classes at or below it.  Each quotient
+closes the covers again in its class layout: member s of class i sits at
+bit i * |H| + s, so a class is an |H|-bit block.  A Morse row AND-folds
+the union of its class's down-sets over each block (a full block is a
+class wholly below); a control row ANDs, over its class's members, each
+member's down-set OR-folded over each block.  The block-start bits are
+then compressed into class bits (`_quotient`).  One union per row, of the
+strict rows of the classes below it, both checks that the rows are a
+partial order and gives the row's covers (`_verify_partial_order`).
 
 The down-sets hold |U|^2 bits.  A group whose |U|^2 / 8 bytes exceed
 MAX_ORDER_BYTES is refused by name before its down-sets or quotient rows
@@ -47,8 +60,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from operator import and_, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvariantViolation, ReducedLiftUnavailable
 from .utits import (
@@ -95,6 +109,17 @@ def require_cover_memory(size: int, positive_roots: int) -> None:
         )
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of `mask` (which must lie below
+    len(items)), ascending: its binary digits, read from the low end, select
+    them through `itertools.compress`, all in C.  Faster than `_bits` unless
+    the mask is sparse."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending: the positions of the "1"s in the
     binary digits of `mask` read from the low end, one `str.find` each.
@@ -109,11 +134,11 @@ def _bits(mask: int) -> Iterator[int]:
 # -- covers and the order ------------------------------------------------------
 
 
-def _drop_covers(tables: GroupTables, k: int) -> tuple[int, ...]:
-    """Indices of the elements covered by u_k (see `down_covers`)."""
-    word = tables.weyl.word[tables.pi[k]]
+def _drop_covers(tables: GroupTables, w: int) -> set[int]:
+    """Indices of the elements covered by the lift s_1 ... s_d of the Weyl
+    element w (see `down_covers`), whose C part is 1."""
+    word = tables.weyl.word[w]
     letters = [i - 1 for i in word]
-    c_right = tables.c_right[tables.c_part[k]]
     prefix = [tables.identity]
     for g in letters:
         prefix.append(tables.right[g][prefix[-1]])
@@ -123,15 +148,21 @@ def _drop_covers(tables: GroupTables, k: int) -> tuple[int, ...]:
             continue
         step = tables.right[g]
         for start in (prefix[pos], step[step[prefix[pos]]]):
-            out.add(c_right[tables.walk(start, letters[pos + 1 :])])
-    return tuple(sorted(out))
+            out.add(tables.walk(start, letters[pos + 1 :]))
+    return out
 
 
 def _covers(tables: GroupTables) -> tuple[tuple[int, ...], ...]:
-    """Indices of the elements covered by each element."""
+    """Indices of the elements covered by each element, ascending.  The drops
+    of u = lift(pi(u)) c are the drops of the lift times c, so each Weyl
+    element's lift is dropped once."""
     if tables.covers is None:
         require_cover_memory(len(tables.pi), len(tables.preset.root_datum.positive_roots))
-        tables.covers = tuple(_drop_covers(tables, k) for k in range(len(tables.pi)))
+        lifted = [_drop_covers(tables, w) for w in range(len(tables.weyl))]
+        tables.covers = tuple(
+            tuple(sorted(map(tables.c_right[c].__getitem__, lifted[w])))
+            for w, c in zip(tables.pi, tables.c_part)
+        )
     return tables.covers
 
 
@@ -145,37 +176,87 @@ def _grid(tables: GroupTables, word: Sequence[int], top: int) -> set[int]:
         power = grid
         for _ in range(top):
             power = {step[x] for x in power}
-            grid = grid | power
+            grid |= power
     return grid
 
 
-def _down_masks(tables: GroupTables) -> tuple[int, ...]:
-    """Down-set bitset of every element, by both routes, cross-checked."""
+def _mask(positions: Iterable[int], width: int) -> int:
+    """The bitset of `positions` (all below `width`): one digit string,
+    converted once, where setting bit by bit costs the whole int per bit."""
+    digits = bytearray(b"0" * width)  # most significant first
+    top = width - 1
+    for p in positions:
+        digits[top - p] = 49  # "1"
+    return int(digits, 2)
+
+
+def _down_closure(tables: GroupTables, place: Sequence[int]) -> list[int]:
+    """The down-set of every element as a bitset with u_j at bit place[j]:
+    the union of its covers' down-sets, by increasing length."""
+    down = [0] * len(place)
+    covers = _covers(tables)
+    lengths = [tables.weyl.length[w] for w in tables.pi]
+    for k in sorted(range(len(place)), key=lengths.__getitem__):
+        down[k] = reduce(or_, map(down.__getitem__, covers[k]), 1 << place[k])
+    return down
+
+
+class DownSets(NamedTuple):
+    """The down-set of every element of U in the C-slot layout: u_k sits at
+    bit place[k] = pi(k) * |C| + (position of c_part(k) in C), and masks[k]
+    holds the elements at or below u_k; members[p] is the element at bit p."""
+
+    place: tuple[int, ...]
+    members: tuple[UElement, ...]
+    masks: tuple[int, ...]
+
+
+def _down_masks(tables: GroupTables) -> DownSets:
+    """Down-set of every element, by both routes, cross-checked.
+
+    The covers' closure is laid out in C-slot blocks, one block of |C| bits
+    per Weyl element.  Write u = lift(pi(u)) c with c = c_part(u): the grid
+    of u is the grid of the lift translated by c on the right.  C is
+    abelian, so that translation moves every element of one slot to one
+    other slot in every block: the lift's grid is built once per Weyl
+    element and each translate is |C| shift-and-mask operations.  Every
+    element's grid translate must equal its closure row."""
     if tables.down is None:
         require_order_memory(len(tables.pi))
-        covers = _covers(tables)
-        n = len(tables.pi)
-        via_covers = [0] * n
-        for k in sorted(range(n), key=tables.length):
-            mask = 1 << k
-            for v in covers[k]:
-                mask |= via_covers[v]
-            via_covers[k] = mask
-        grids: dict[int, set[int]] = {}  # per Weyl element; the C part varies
-        for k, w in enumerate(tables.pi):
-            if w not in grids:
-                grids[w] = _grid(tables, tables.weyl.word[w], 2)
-            c_right = tables.c_right[tables.c_part[k]]
-            via_grid = 0
-            for x in grids[w]:
-                via_grid |= 1 << c_right[x]
-            if via_grid != via_covers[k]:
-                raise InvariantViolation(
-                    f"down-set routes disagree for {display_word(tables.U.elements[k])}: "
-                    f"covers give {via_covers[k].bit_count()} elements, "
-                    f"the subword grid gives {via_grid.bit_count()}"
-                )
-        tables.down = tuple(via_covers)
+        c_ids = sorted(tables.c_tokens)  # C in index order: slot s holds c_ids[s]
+        slot = {c: s for s, c in enumerate(c_ids)}
+        width, blocks = len(c_ids), len(tables.weyl)
+        place = [w * width + slot[c] for w, c in zip(tables.pi, tables.c_part)]
+        down = _down_closure(tables, place)
+        column = int(("0" * (width - 1) + "1") * blocks, 2)  # slot 0 of every block
+        moves = []  # per c: (shift, the slots that move by it) of the translation by c
+        for c in c_ids:
+            by_shift: dict[int, int] = {}
+            for s, a in enumerate(c_ids):
+                d = slot[tables.c_right[c][a]] - s
+                by_shift[d] = by_shift.get(d, 0) | column << s
+            moves.append((tables.c_right[c], tuple(by_shift.items())))
+        lifts = [0] * blocks
+        for k, c in enumerate(tables.c_part):
+            if c == tables.identity:
+                lifts[tables.pi[k]] = k
+        for w, lift in enumerate(lifts):
+            grid = _mask(map(place.__getitem__, _grid(tables, tables.weyl.word[w], 2)), len(place))
+            for c_right, shifts in moves:
+                via_grid = 0
+                for d, lanes in shifts:
+                    via_grid |= (grid & lanes) << d if d >= 0 else (grid & lanes) >> -d
+                k = c_right[lift]
+                if via_grid != down[k]:
+                    raise InvariantViolation(
+                        f"down-set routes disagree for {tables.word(k)}: "
+                        f"covers give {down[k].bit_count()} elements, "
+                        f"the subword grid gives {via_grid.bit_count()}"
+                    )
+        members: list = [None] * len(place)
+        for k, p in enumerate(place):
+            members[p] = tables.U.elements[k]
+        tables.down = DownSets(tuple(place), tuple(members), tuple(down))
     return tables.down
 
 
@@ -210,8 +291,8 @@ def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
 def down_set(u: UElement) -> frozenset[UElement]:
     """{u' : u' <= u}, computed by both routes and cross-checked."""
     tables = compile_group(u.preset)
-    elements = tables.U.elements
-    return frozenset(elements[i] for i in _bits(_down_masks(tables)[tables.position(u)]))
+    down = _down_masks(tables)
+    return frozenset(_select(down.members, down.masks[tables.position(u)]))
 
 
 def extended_leq(u_lo: UElement, u_hi: UElement) -> bool:
@@ -219,7 +300,8 @@ def extended_leq(u_lo: UElement, u_hi: UElement) -> bool:
     if u_lo.preset is not u_hi.preset:
         raise ValueError("elements come from different presets")
     tables = compile_group(u_hi.preset)
-    return bool(_down_masks(tables)[tables.position(u_hi)] >> tables.position(u_lo) & 1)
+    down = _down_masks(tables)
+    return bool(down.masks[tables.position(u_hi)] >> down.place[tables.position(u_lo)] & 1)
 
 
 # -- Hasse diagrams -----------------------------------------------------------
@@ -328,7 +410,7 @@ def _verify_partial_order(below: Sequence[int], what: str) -> list[int]:
     strict = [row ^ (1 << j) for j, row in enumerate(below)]
     cover_rows = []
     for j, lows in enumerate(strict):
-        implied = reduce(or_, (strict[i] for i in _bits(lows)), 0)
+        implied = reduce(or_, _select(strict, lows), 0)
         outside = implied & ~below[j]
         if outside:
             k = next(_bits(outside))
@@ -341,26 +423,58 @@ def _verify_partial_order(below: Sequence[int], what: str) -> list[int]:
     return cover_rows
 
 
+def _fold(mask: int, width: int, op) -> int:
+    """Bit i of the result is `op` (and_ or or_) over bits i .. i + width - 1
+    of mask, by doubling the window: about log2(width) big-int operations."""
+    span = 1
+    while 2 * span <= width:
+        mask = op(mask, mask >> span)
+        span *= 2
+    if span < width:
+        mask = op(mask, mask >> (width - span))
+    return mask
+
+
+def _compress(mask: int, width: int, span: int) -> int:
+    """Bits 0, width, 2 * width, ... below `span` of mask, made consecutive:
+    every width-th binary digit, read from the low end."""
+    return int(bin(mask)[:1:-1][:span:width][::-1], 2)
+
+
 def _quotient(group: FiniteGroupTable, subgroup: FiniteGroupTable, kind: str) -> QuotientPoset:
     """The cosets of `subgroup` with one row per class, built by the `kind`
-    rule from the members' down-sets and verified to be a partial order."""
+    rule and verified to be a partial order.
+
+    The rows come from the quotient's own closure of the covers in the class
+    layout: member s of class i sits at bit i * |H| + s, so class i is the
+    |H|-bit block at i * |H| (elements of U outside `group` come after every
+    block).  Class i lies below class j under the Morse rule when block i of
+    the union of j's members' down-sets is full, and under the control rule
+    when block i of every member's down-set is not empty: a block fold of
+    one big int per row, compressed to one bit per class."""
     tables = compile_group(group.preset)
     require_order_memory(len(tables.pi))
     classes = cosets(group, subgroup)
-    down = _down_masks(tables)
-    masks = [reduce(or_, (1 << k for k in c.ids)) for c in classes]
+    _down_masks(tables)  # the order's two routes agree before any row is built
+    width = len(subgroup)
+    span = len(classes) * width
+    place = [-1] * len(tables.pi)
+    for i, c in enumerate(classes):
+        for s, k in enumerate(c.ids, start=i * width):
+            place[k] = s
+    outside = [k for k, p in enumerate(place) if p < 0]
+    for p, k in enumerate(outside, start=span):
+        place[k] = p
+    down = _down_closure(tables, place)
     below = []
     for c in classes:
-        downs = [down[k] for k in c.ids]
         if kind == "morse":
-            outside = ~reduce(or_, downs)
-            row = (i for i, lo in enumerate(masks) if not lo & outside)
+            folded = _fold(reduce(or_, map(down.__getitem__, c.ids)), width, and_)
         else:
-            row = (i for i, lo in enumerate(masks) if all(d & lo for d in downs))
-        below.append(reduce(or_, (1 << i for i in row), 0))
+            folded = reduce(and_, (_fold(down[k], width, or_) for k in c.ids))
+        below.append(_compress(folded, width, span))
     cover_rows = _verify_partial_order(below, kind)
-    owner = {k: i for i, c in enumerate(classes) for k in c.ids}
-    class_of = tuple(owner.get(k, -1) for k in range(len(tables.pi)))  # -1: outside `group`
+    class_of = tuple(p // width if p < span else -1 for p in place)  # -1: outside `group`
     return QuotientPoset(kind, tuple(classes), tuple(below), tuple(cover_rows), class_of)
 
 

@@ -264,6 +264,48 @@ def test_cmd_oracle_refuses_negative_sizes(capsys, argv):
     assert f"argument {argv[-2]}: must be nonnegative, got {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schubert", "--tol", "nan"],
+        ["schubert", "--tol", "0"],
+        ["schubert", "--margin", "-1"],
+        ["schubert", "--margin", "inf"],
+        ["flow", "--H", "2,-1,-1", "--time-step", "nan"],
+        ["flow", "--H", "2,-1,-1", "--time-step", "-0.5"],
+    ],
+    ids=["tol-nan", "tol-zero", "margin-negative", "margin-inf", "step-nan", "step-negative"],
+)
+def test_cmd_oracle_refuses_nonpositive_floats(capsys, argv):
+    # refused while parsing, before any preset is loaded or report run
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *argv, "--preset", "sl3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be a finite positive number, got {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["morse", "--theta", ",1"], "--theta: bad entry '' in ',1'"),
+        (["morse", "--theta", "1,x"], "--theta: bad entry 'x' in '1,x'"),
+        (["oracle", "flow", "--H", "1,x,-1"], "--H: bad entry 'x' in '1,x,-1'"),
+        (
+            ["oracle", "flow", "--H", "2,-1,-1", "--nilpotent", "e23=1.2.3"],
+            "bad nilpotent token 'e23=1.2.3'",
+        ),
+        (["oracle", "flow", "--H", "nan,0,0"], "H must be finite"),
+    ],
+    ids=["theta-empty", "theta-letter", "H-letter", "nilpotent-number", "H-nan"],
+)
+def test_flag_parse_errors_name_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, [*argv, "--preset", "sl3"])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_cmd_morse_extra_gens(capsys):
     # empty Theta with s1 supplied explicitly reproduces the Theta={1} quotient
     code, out, _ = run(

@@ -598,6 +598,17 @@ class TestFlow:
         nil[0, 1] = 1.0  # does not commute with exp(H) for H = (2,-1,-1)
         with pytest.raises(ValueError, match="commute"):
             FlowSpec(H=np.array([2.0, -1.0, -1.0]), nilpotent=nil)
+        with pytest.raises(ValueError, match="H must be finite"):
+            FlowSpec(H=np.array([np.nan, 0.0, 0.0]))
+        for step in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="time_step must be a finite positive number"):
+                FlowSpec(H=np.array([2.0, -1.0, -1.0]), time_step=step)
+
+    @pytest.mark.parametrize("name", ["tol", "reject_margin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_schubert_report_refuses_nonpositive_bounds(self, sl3, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+            schubert_agreement_report(sl3, count=0, **{name: value})
 
     def test_recover_morse_reference(self, sl3):
         report = recover_morse(sl3, self.reference_flow(), grid=16, iters=1200, seed=42)

@@ -45,6 +45,7 @@ from .utits import (
 from .xorder import (
     control_forward_pairs,
     control_quotient_order,
+    extended_leq,
     hasse,
     morse_quotient_order,
     pair_status,
@@ -213,8 +214,6 @@ def cmd_order(args) -> int:
     if args.order_cmd == "leq":
         lo = parse_element(preset, args.lhs)
         hi = parse_element(preset, args.rhs)
-        from .xorder import extended_leq
-
         print("true" if extended_leq(lo, hi) else "false")
         return 0
     # hasse

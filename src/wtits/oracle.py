@@ -86,6 +86,7 @@ from .xorder import extended_leq
 
 ORTHO_TOL = 1e-10
 MAX_STACK_FLOATS = 1 << 25  # 256 MiB of float64: the largest cell sample or flow stack
+CONVERGE_TOL = 1e-4  # the farthest a flow limit may lie from its Morse component
 
 
 def _require_nonnegative(name: str, value: int) -> None:
@@ -769,14 +770,13 @@ def recover_morse(
     grid: int = 48,
     iters: int = 2000,
     seed: int = 42,
-    converge_tol: float = 1e-4,
 ) -> MorseReport:
     """Recover the minimal Morse components of the flow on SO(n).
 
     Fixed points of the step map are detected exactly among the group
     matrices; components are the circles/tori K_H^0 u indexed by U_H \\ U,
     and every trajectory limit is matched to its nearest component.  Limits
-    farther than `converge_tol` from every component are flagged and
+    farther than `CONVERGE_TOL` from every component are flagged and
     excluded rather than force-classified.
     """
     if any(m != 1 for m in preset.root_datum.multiplicities):
@@ -824,7 +824,7 @@ def recover_morse(
     )
     nearest = dists.argmin(axis=-1)
     distances = dists.min(axis=-1)
-    converged = distances <= converge_tol
+    converged = distances <= CONVERGE_TOL
     assignment = [int(k) if ok else None for k, ok in zip(nearest, converged)]
     non_convergent = np.flatnonzero(~converged)
     labels = tuple(coset_label(coset) for coset in classes)

@@ -116,24 +116,19 @@ def _neg(root: Covector) -> Covector:
 
 
 def _positive_closure(simples: tuple[Covector, ...]) -> tuple[Covector, ...]:
-    """The simple roots and every positive root: the orbit of each simple
-    root under the simple reflections (`closure`), kept where its
-    coefficients over the simple roots, from one elimination, are
-    nonnegative.
+    """The simple roots and every positive root: the orbit of the simple
+    roots under the simple reflections (one `closure` from all of them),
+    kept where its coefficients over the simple roots, from one
+    elimination, are nonnegative.
 
     The reflections are rational, so a finite group they generate is a Weyl
     group of rank at most r = len(simples), and none has more than r^2 + 7r
     reflections (E8: 8^2 + 7 * 8 = 120).  Each reflection has two roots in
-    an orbit at most, so an orbit past 2r(r + 7) roots shows an infinite
+    the orbit at most, so an orbit past 2r(r + 7) roots shows an infinite
     group, refused at once as `ClosureBoundExceeded`."""
     reflections = [_reflection_matrix(alpha) for alpha in simples]
     steps = [lambda root, refl=refl: frac_vec_mat(root, refl) for refl in reflections]
-    bound = 2 * len(simples) * (len(simples) + 7)
-    orbit: set[Covector] = set()
-    for alpha in simples:
-        if alpha not in orbit:
-            orbit.update(closure(alpha, steps, bound)[0])
-    roots = list(orbit)
+    roots = closure(simples, steps, 2 * len(simples) * (len(simples) + 7))[0]
     positives = {
         root
         for root, coeffs in zip(roots, solve_many(simples, roots))
@@ -224,21 +219,23 @@ def length(w: WeylElement) -> int:
     return w.cached_length
 
 
-def closure(start, steps, bound: int) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
-    """Breadth-first closure of `start` under the maps `steps`: the one loop
-    that enumerates the Weyl group (on root permutations), U (`utits._closure`),
-    its subgroups (on U's table indices, `GroupTables.close`) and the orbits
-    of the simple roots (`_positive_closure`).
+def closure(starts, steps, bound: int) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
+    """Breadth-first closure of the keys `starts` under the maps `steps`:
+    the one loop that enumerates the Weyl group (on root permutations), U
+    and the orbit of its unit rows (`utits._closure`), its subgroups (on U's
+    table indices, `GroupTables.close`) and the orbit of the simple roots
+    (`_positive_closure`).
 
     Keys are taken first in, first out, each through the steps in order.
-    Returns the keys in discovery order (`start` first), the table
-    right[g][k] = index of steps[g](keys[k]), recorded as each image is
-    found, and the step word each key was first reached by (a shortest
-    one).  More than `bound` keys raise `ClosureBoundExceeded`.  The key
-    index is local, so it is released on return."""
-    keys = [start]
-    found = {start: 0}
-    words: list[tuple[int, ...]] = [()]
+    Returns the keys in discovery order (the distinct starts first, in
+    order), the table right[g][k] = index of steps[g](keys[k]), recorded as
+    each image is found, and the step word each key was first reached by
+    from a start (a shortest one).  More than `bound` keys raise
+    `ClosureBoundExceeded`.  The key index is local, so it is released on
+    return."""
+    keys = list(dict.fromkeys(starts))
+    found = {key: k for k, key in enumerate(keys)}
+    words: list[tuple[int, ...]] = [()] * len(keys)
     right: list[list[int]] = [[] for _ in steps]
     k = 0
     while k < len(keys):
@@ -288,7 +285,7 @@ class WeylTable:
         self.reflections = tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
         gens = [tuple(where[r.act_root(root)] for root in roots) for r in self.reflections]
         steps = [lambda perm, gen=gen: tuple([perm[x] for x in gen]) for gen in gens]
-        perms, right, _ = closure(tuple(range(len(roots))), steps, bound)
+        perms, right, _ = closure([tuple(range(len(roots)))], steps, bound)
         index = {perm: w for w, perm in enumerate(perms)}
         n_pos = len(positives)
         self.datum = datum

@@ -9,17 +9,16 @@ projection pi onto the Weyl group, read off by conjugating the Cartan basis.
 The first query then compiles the group once into `GroupTables`: the
 closure of the generators (`rootsys.closure`, the one breadth-first loop
 that also enumerates the Weyl group) numbers the elements of U and records
-right multiplication by every generator as it finds each product.  U lies in
-K = SO(n), so the integer generators of every built-in preset are signed
-permutations and U is a subgroup of the hyperoctahedral group B_n.  The
-closure then keys each element by its signed-column code
-(code[j] = +-(i+1) when column j has its +-1 in row i), a product with a
-generator is n lookups, and each code becomes its matrix once, after the
-closure; a custom config with any other generator runs the same closure
-on integer matrix products.  Everything else is read off those integer
-tables by lookups: inverses, pi (propagated along the generator edges
-into the root datum's `WeylTable` of permutations), canonical reduced
-lifts u = s_1 ... s_d c, their display words, and right-coset partitions.
+right multiplication by every generator as it finds each product.  Row i
+of u * g is (row i of u) * g, so the closure first closes the orbit of the
+n unit rows under the generators, and then keys each element by the orbit
+indices of its rows: a product with a generator is n lookups, for every
+group, whatever its generators, and each key becomes its matrix once,
+after the closure, from the shared orbit rows.  Everything else is read
+off those integer tables by lookups: inverses, pi (propagated along the
+generator edges into the root datum's `WeylTable` of permutations),
+canonical reduced lifts u = s_1 ... s_d c, their display words, and
+right-coset partitions.
 Every subgroup of U (C, U_H and U(S)) is closed by the same loop on U's
 table, with one step k -> mul(k, g) per generator index g.
 
@@ -43,7 +42,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ClosureBoundExceeded, InvariantViolation, PresetError
 from .exact import (
@@ -51,7 +50,6 @@ from .exact import (
     as_int_matrix,
     determinant,
     identity_matrix,
-    is_signed_permutation,
     mat_inverse,
     mat_mul,
     mat_pow,
@@ -167,38 +165,6 @@ class FiniteGroupTable:
         return all(u in other.index for u in self.index)
 
 
-def _signed_code(mat: IntMatrix) -> tuple[int, ...] | None:
-    """The signed-column code of a signed permutation matrix: code[j] = +-(i+1)
-    when column j has its +-1 in row i.  None for any other matrix."""
-    if not is_signed_permutation(mat):
-        return None
-    return tuple(next((i + 1) * x for i, x in enumerate(col) if x) for col in zip(*mat))
-
-
-def _code_step(gen: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Right multiplication, on codes, by the generator whose code is `gen`.
-    If its column j is eps_j times unit column sigma_j, column j of a * gen
-    is eps_j times column sigma_j of a, so code a maps to
-    (eps_j * a[sigma_j])_j: n lookups instead of an n x n matrix product."""
-    pairs = tuple((abs(c) - 1, 1 if c > 0 else -1) for c in gen)
-    return lambda a: tuple([a[s] * e for s, e in pairs])
-
-
-def _code_matrices(codes: list, n: int) -> None:
-    """Replace every code in `codes` by its matrix, in place.  The matrices
-    share their n^2 possible unit rows."""
-    plus = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    minus = [tuple(-x for x in row) for row in plus]
-    rows: list = [None] * n
-    for k, code in enumerate(codes):
-        for j, c in enumerate(code):
-            if c > 0:
-                rows[c - 1] = plus[j]
-            else:
-                rows[-c - 1] = minus[j]
-        codes[k] = tuple(rows)
-
-
 def _closure(
     identity: IntMatrix, generators: Sequence[IntMatrix], bound: int
 ) -> tuple[list[IntMatrix], list[list[int]], list[tuple[int, ...]]]:
@@ -208,21 +174,27 @@ def _closure(
     elements[k] * generators[g], and the generator word each element was
     first reached by (a shortest one).  More than `bound` elements raise.
 
-    When every generator is a signed permutation (all built-in presets:
-    U lies in the hyperoctahedral group), elements are keyed by their
-    signed-column codes (`_signed_code`) and a product is n lookups
-    (`_code_step`); each code becomes its matrix once, after the closure
-    has released its key index.  Any other generator set is closed on the
-    matrices themselves, with `mat_mul` as the step.  Discovery order does
-    not depend on the keys, so both give the same elements, table and words.
+    Row i of a * g is (row i of a) * g, so the rows are closed first: the
+    orbit of the n unit rows under v -> v * g gives each generator as a
+    permutation of the orbit.  The rows of an element are the images of
+    the unit rows, so the orbit is finite exactly when the group is, and it
+    has at most n * |U| rows: it is cut at n * bound.  U is then closed on
+    codes, the tuples of orbit indices of an element's rows, where a product
+    with a generator is n lookups in its permutation, and each code becomes
+    its matrix once, from the shared orbit rows.  Discovery order depends
+    only on which keys are equal, so the elements, table and words are
+    those of a closure on matrix products.
     """
-    codes = [_signed_code(m) for m in (identity, *generators)]
-    if None in codes:
-        steps = [lambda a, gen=gen: mat_mul(a, gen) for gen in generators]
-        return closure(identity, steps, bound)
-    keys, right, words = closure(codes[0], [_code_step(gen) for gen in codes[1:]], bound)
-    _code_matrices(keys, len(identity))
-    return keys, right, words
+    n = len(identity)
+    columns = [tuple(zip(*gen)) for gen in generators]
+    row_steps = [
+        lambda v, cols=cols: tuple([sum(x * y for x, y in zip(v, col)) for col in cols])
+        for cols in columns
+    ]
+    rows, perms, _ = closure(identity, row_steps, n * bound)
+    steps = [lambda code, perm=perm: tuple([perm[i] for i in code]) for perm in perms]
+    codes, right, words = closure([tuple(range(n))], steps, bound)
+    return [tuple(map(rows.__getitem__, code)) for code in codes], right, words
 
 
 # -- presets ------------------------------------------------------------------
@@ -427,6 +399,15 @@ def validate_preset(preset: GroupPreset) -> None:
             raise PresetError(f"generator {mat} must have determinant +1")
     if len(preset.a_basis) == 0:
         raise PresetError("a_basis must not be empty")
+    for j, h in enumerate(preset.a_basis, start=1):
+        if len(h) != n or any(len(row) != n for row in h):
+            shape = f"{len(h)}x{len(h[0]) if h else 0}"
+            raise PresetError(f"a_basis matrix {j} is {shape}, not n x n = {n}x{n}")
+    if len(preset.a_basis) != datum.dim:
+        raise PresetError(
+            f"a_basis has {len(preset.a_basis)} matrices, but the simple roots "
+            f"have {datum.dim} coordinates"
+        )
     for i in range(1, datum.rank + 1):
         s = preset.generator(i)
         if not (s * s * s * s).is_identity():
@@ -604,7 +585,7 @@ class GroupTables:
     def close(self, ids: Iterable[int]) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
         """`rootsys.closure` of the subgroup generated by the elements `ids`."""
         steps = [lambda k, g=g: self.mul(k, g) for g in ids]
-        return closure(self.identity, steps, DEFAULT_CLOSURE_BOUND)
+        return closure([self.identity], steps, DEFAULT_CLOSURE_BOUND)
 
     def _word_name(self, k: int) -> str:
         """u_k spelled by its generator word `words[k]`, e.g. "s1 s2 c1": the
@@ -634,7 +615,9 @@ class GroupTables:
         return self.weyl.length[self.pi[k]]
 
     def tokens(self, k: int) -> tuple[str, ...]:
-        """The display tokens of u_k (see `display_tokens`)."""
+        """The display tokens of u_k: the deterministic reduced word of
+        pi(u_k) followed by the shortest squared-generator factorization of
+        its C part (lexicographic tie-break), e.g. ("s2", "s1", "s1^2", "s2^2")."""
         return self.s_tokens[self.pi[k]] + self.c_tokens[self.c_part[k]]
 
     def word(self, k: int) -> str:
@@ -831,14 +814,6 @@ def check_quotient_isomorphism(U_S: FiniteGroupTable, C_table: FiniteGroupTable)
 
 
 # -- canonical display words --------------------------------------------------
-
-
-def display_tokens(u: UElement) -> tuple[str, ...]:
-    """Canonical token spelling: the deterministic reduced word of pi(u)
-    followed by the shortest squared-generator factorization of the C part
-    (lexicographic tie-break), e.g. ("s2", "s1", "s1^2", "s2^2")."""
-    tables = compile_group(u.preset)
-    return tables.tokens(tables.position(u))
 
 
 def display_word(u: UElement) -> str:

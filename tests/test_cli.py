@@ -481,7 +481,7 @@ def test_config_loading(tmp_path, capsys):
 
 def test_config_of_infinite_reflection_group_refused(tmp_path, capsys):
     # simple roots at an angle of arccos(1/sqrt(5)) generate an infinite group;
-    # the orbit of a simple root is cut at the 36 roots of any finite rank-2 one
+    # the orbit of the simple roots is cut at the 36 roots of any finite rank-2 one
     cfg = {
         "n": 2,
         "generators": [[[0, -1], [1, 0]], [[0, -1], [1, 0]]],
@@ -493,6 +493,28 @@ def test_config_of_infinite_reflection_group_refused(tmp_path, capsys):
     code, out, err = run(capsys, ["group", "--config", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: invalid root data: closure exceeded 36 elements")
+
+
+@pytest.mark.parametrize(
+    "a_basis,message",
+    [
+        ([[[1, 0, 0], [0, 0, 0], [0, 0, 0]]] * 2, "a_basis matrix 1 is 3x3, not n x n = 2x2"),
+        ([[[1, 0], [0, 0]]] * 3, "a_basis has 3 matrices, but the simple roots have 2 coordinates"),
+    ],
+)
+def test_config_with_misshapen_cartan_basis_refused(tmp_path, capsys, a_basis, message):
+    # a wrong shape or count of Cartan basis matrices is a usage error, not a crash
+    cfg = {
+        "n": 2,
+        "generators": [[[0, -1], [1, 0]]],
+        "simple_roots": [[1, -1]],
+        "a_basis": a_basis,
+    }
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, ["group", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["7", "abc"])

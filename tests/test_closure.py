@@ -1,9 +1,10 @@
 """The closures of U, C and U's subgroups against independent references.
 
-U: the breadth-first search over integer matrix products that the
-signed-column codes replace.  Both must give the same elements in the same
-discovery order, the same right-multiplication table and the same generator
-words, so element indices, key order and every output stay the same.
+U: the breadth-first search over integer matrix products that the closure
+on orbit-of-rows codes replaces.  Both must give the same elements in the
+same discovery order, the same right-multiplication table and the same
+generator words, so element indices, key order and every output stay the
+same, whether or not the generators are signed permutations.
 
 C: a level-by-level loop over U's table that sorts each level by its token
 spellings and composes generator rows along each spelling.  The closure on
@@ -21,21 +22,16 @@ from test_utits import SHEAR_SL2, SL3_CONFIG
 from wtits import (
     display_word,
     enumerate_C,
+    enumerate_U,
     load_config,
     load_preset,
     subgroup_U_H,
     subgroup_closure,
 )
-from wtits import utits
-from wtits.exact import identity_matrix, mat_mul
-from wtits.utits import (
-    FiniteGroupTable,
-    UElement,
-    _closure,
-    _code_matrices,
-    _signed_code,
-    compile_group,
-)
+from wtits import exact, utits
+from wtits.cli import hasse_json
+from wtits.exact import identity_matrix, is_signed_permutation, mat_inverse, mat_mul
+from wtits.utits import FiniteGroupTable, UElement, _closure, compile_group
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
@@ -43,6 +39,23 @@ CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.j
 # steps of C's closure are one element, and the spelling keeps s1^2
 C1_IS_S1_SQUARED = dict(
     SL3_CONFIG, name="c1-is-s1-squared", c_generators=[[[1, 0, 0], [0, -1, 0], [0, 0, -1]]]
+)
+
+# the sl3 config with every generator and Cartan basis matrix conjugated,
+# g -> P^-1 g P, by P = ((1, 1, 0), (0, 1, 1), (0, 0, 1)): the same group,
+# none of whose generators is a signed permutation
+SHEAR_P = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+
+
+def _sheared(mat):
+    return mat_mul(mat_mul(mat_inverse(SHEAR_P), mat), SHEAR_P)
+
+
+SHEARED_SL3 = dict(
+    SL3_CONFIG,
+    name="sheared-sl3",
+    generators=[_sheared(g) for g in SL3_CONFIG["generators"]],
+    a_basis=[_sheared(h) for h in SL3_CONFIG["a_basis"]],
 )
 
 
@@ -104,6 +117,8 @@ def _load(name):
         return load_config(SHEAR_SL2)
     if name == "c1":
         return load_config(C1_IS_S1_SQUARED)
+    if name == "sheared-sl3":
+        return load_config(SHEARED_SL3)
     return load_preset(name)
 
 
@@ -114,13 +129,17 @@ def _counting_mat_mul(monkeypatch):
         calls.append(1)
         return mat_mul(a, b)
 
+    monkeypatch.setattr(exact, "mat_mul", counted)
     monkeypatch.setattr(utits, "mat_mul", counted)
     return calls
 
 
 @pytest.mark.parametrize(
     "name,signed",
-    [("sl3", True), ("so24", True), ("custom", True), ("sl4", True), ("sl5", True), ("shear", False)],
+    [
+        ("sl3", True), ("so24", True), ("custom", True), ("c1", True), ("sl4", True),
+        ("sl5", True), ("shear", False), ("sheared-sl3", False),
+    ],
 )
 def test_closure_matches_matrix_product_reference(name, signed, monkeypatch):
     preset = _load(name)
@@ -129,9 +148,18 @@ def test_closure_matches_matrix_product_reference(name, signed, monkeypatch):
     expected = reference_closure(identity, generators)
     calls = _counting_mat_mul(monkeypatch)
     assert _closure(identity, generators, utits.DEFAULT_CLOSURE_BOUND) == expected
-    # signed permutations step on codes; anything else multiplies matrices
-    assert (not calls) == signed
-    assert all(_signed_code(g) is not None for g in generators) == signed
+    # every group closes on row codes, whether or not its generators are signed permutations
+    assert not calls
+    assert all(map(is_signed_permutation, generators)) == signed
+
+
+def test_sheared_sl3_has_the_order_of_sl3():
+    sheared, plain = load_config(SHEARED_SL3), load_config(SL3_CONFIG)
+    table = enumerate_U(sheared)
+    assert len(table) == 24 and len(enumerate_C(sheared)) == 4
+    got, want = hasse_json(table), hasse_json(enumerate_U(plain))
+    assert [e["word"] for e in got["elements"]] == [e["word"] for e in want["elements"]]
+    assert got["covers"] == want["covers"]
 
 
 def _table_of(preset, generators):
@@ -172,14 +200,3 @@ def test_subgroup_tables_match_reference(sl4):
         expected = _table_of(gens[0].preset, gens)
         assert [u.matrix for u in table] == [u.matrix for u in expected]
         assert table.index == expected.index
-
-
-def test_signed_code_round_trip(sl3):
-    s1 = sl3.generator(1).matrix  # ((1, 0, 0), (0, 0, -1), (0, 1, 0))
-    assert _signed_code(s1) == (1, 3, -2)
-    assert _signed_code(identity_matrix(3)) == (1, 2, 3)
-    assert _signed_code(((1, 1), (0, 1))) is None
-    assert _signed_code(((2, 0), (0, 1))) is None
-    codes = [(1, 3, -2), (-1, -2, 3), (2, -1, 3)]
-    _code_matrices(codes, 3)
-    assert codes == [s1, ((-1, 0, 0), (0, -1, 0), (0, 0, 1)), ((0, -1, 0), (1, 0, 0), (0, 0, 1))]

@@ -1,8 +1,11 @@
 """Byte-identity of the order outputs against the benchmark's golden files,
-and the compiled tables against the exact Fraction route, on every element
-of sl3, so24, sl4 and the custom group with an extra C generator."""
+the `oracle flow --json` verdicts against the golden flow report, and the
+compiled tables against the exact Fraction route, on every element of sl3,
+so24, sl4 and the custom group with an extra C generator."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,24 @@ def test_tables_match_fraction_route(group):
         assert project_to_W(u).matrix == exact.matrix
         assert tables.length(k) == length(exact)
         assert canonical_form(u)[0] == tuple(ref.reduced_word(exact))
+
+
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's `workloads` module, loaded from its file, for the
+    field list its flow check reads."""
+    path = ROOT / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_flow_json_matches_golden(capsys, monkeypatch):
+    workloads = _benchmark_workloads(monkeypatch)
+    argv = ["oracle", "flow", "--preset", "sl3", "--seed", "42", "--json", *workloads.FLOW_ARGS]
+    assert main(argv) == 0
+    report = workloads.flow_report(capsys.readouterr().out.encode())
+    assert report["seed"] == 42
+    expected = json.loads((GOLDEN / "sl3" / "oracle_flow.json").read_text(encoding="utf-8"))
+    assert workloads.flow_verdicts(report) == expected

@@ -313,15 +313,23 @@ C_NOT_COMMUTING = {  # c1, c2 fix the Cartan coordinates; their lower 2x2 blocks
             r"positive root .* is not a nonnegative combination of simple roots",
         ),
         # at an angle of arccos(1/sqrt(5)) the reflections generate an infinite
-        # group: the orbit of a simple root stops at 2 * 2 * (2 + 7) roots
+        # group: the orbit of the simple roots stops at 2 * 2 * (2 + 7) roots
         (
             dict(SL2_CONFIG, simple_roots=[[1, 0], [1, 2]], multiplicities=[1, 1]),
             "closure exceeded 36 elements",
         ),
+        (
+            dict(SL2_CONFIG, a_basis=[[[1, 0], [0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]),
+            r"a_basis matrix 2 is 3x3, not n x n = 2x2",
+        ),
+        (
+            dict(SL2_CONFIG, a_basis=SL2_CONFIG["a_basis"] + [[[1, 0], [0, 1]]]),
+            "a_basis has 3 matrices, but the simple roots have 2 coordinates",
+        ),
     ],
     ids=[
         "determinant", "order", "normalizer", "pi-s", "pi-s-basis", "pi-c", "c-commute",
-        "positive", "infinite",
+        "positive", "infinite", "basis-shape", "basis-count",
     ],
 )
 def test_load_refusals_name_their_check(config, message):

@@ -367,6 +367,8 @@ def cmd_oracle(args) -> int:
     # flow
     h_vec = _entries("--H", args.H, float, "comma-separated numbers")
     n = len(h_vec)
+    if n != preset.n:
+        raise ValueError(f"--H has {n} entries, but preset {preset.name} has n = {preset.n}")
     nil = np.zeros((n, n))
     if args.nilpotent and args.nilpotent != "0":
         for chunk in args.nilpotent.split(","):

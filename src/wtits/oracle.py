@@ -19,7 +19,7 @@ are the group elements of the closed cell, so every positive incidence
 verdict comes from those rows (distance at rounding level).  The uniform
 draws after them only bound the negative-pair margin: how close the closed
 cell comes to an element outside it.  A cell is processed by two kernels,
-GRAM_BLOCK parameter rows at a time, and its parameters are streamed too:
+a block of parameter rows at a time, and its parameters are streamed too:
 each block's uniforms are drawn from the cell's substream straight into a
 reused buffer.  The sampling kernel applies each rank-one rotation in
 place, to the two columns of its plane, in a component-major (n, n, rows)
@@ -27,11 +27,14 @@ buffer, so every update is one vector operation.  The distance kernel
 takes one Gram product of the block with every target; a row can be
 within GRAM_SLACK of a target's block minimum only if
 2 (max_i G_ij - G_ij) <= GRAM_SLACK + (max |x|^2 - min |x|^2), and those
-(target, row) pairs are recomputed exactly, a bounded run at a time, so
-each distance equals the direct minimum over all rows.  Every buffer of
-both kernels belongs to one workspace per caller (`_Workspace`), sized
-once from n, the longest reduced lift, the number of targets and
-GRAM_BLOCK: a cell's memory does not depend on its `count`, and no block
+(target, row) pairs are recomputed exactly, so each distance equals the
+direct minimum over all rows.  A target that passes on every row of the
+block, as one at the same distance from the whole cell does, is
+recomputed densely over the block's rows; the other pairs are gathered, a
+bounded run at a time.  Every buffer of both kernels belongs to one
+workspace per caller (`_Workspace`), which holds WORKSPACE_BYTES at most:
+its block rows follow from n, the longest reduced lift and the number of
+targets, so a cell's memory does not depend on its `count`, and no block
 allocates an array of its own size.  The agreement report streams every
 cell through both kernels, one cell at a time on each worker thread, one
 worker (and one workspace) per available CPU; the exact-layer data of
@@ -41,8 +44,8 @@ workers share the interpreter lock, which a worker holds between numpy
 calls and which every call gives up and takes back, so each step between
 calls can make the other worker wait: a block keeps those steps few (its
 views are made once per block shape, a rotation updates its two columns
-in four calls) and calls nothing that keeps the lock for a whole run
-(`np.minimum.at` does).
+in four calls, and longer blocks make fewer calls per row) and calls
+nothing that keeps the lock for a whole run (`np.minimum.at` does).
 
 A flow advances all of its starts (the group points, then the random
 ones) as one (starts, n, n) stack: each step is one product with the flow
@@ -67,7 +70,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite, prod
+from math import isfinite, log, prod
 
 import numpy as np
 
@@ -130,18 +133,23 @@ def iwasawa_K(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("expected a square matrix")
+    return _iwasawa_K(g)
+
+
+def _iwasawa_K(g: np.ndarray) -> np.ndarray:
+    """`iwasawa_K` of a float stack of square matrices."""
     det = np.linalg.det(g)
     if not (np.isfinite(det) & (det > 0)).all():
         raise ValueError("Iwasawa projection needs det g > 0")
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    if (signs == 0).any():
+    if not signs.all():
         raise ValueError("matrix is numerically singular")
-    k = q * signs[..., None, :]  # flip columns so the upper factor has positive diagonal
-    residual = _frobenius(k @ (signs[..., :, None] * r) - g)
+    # every sign is +-1, so q r is k (signs r) bit for bit
+    residual = _frobenius(q @ r - g)
     if (residual >= ORTHO_TOL * np.maximum(1.0, _frobenius(g))).any():
         raise ArithmeticError("QR reconstruction residual too large")
-    return k
+    return q * signs[..., None, :]  # flip columns so the upper factor has positive diagonal
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -286,35 +294,49 @@ def _cell_plan(u: UElement, count: int) -> _CellPlan:
 
 class _Workspace:
     """The buffers of one kernel caller, allocated once and reused by every
-    block: sized from n, the longest reduced lift d, the number of targets
-    and GRAM_BLOCK, never from a cell's `count`.  A block of `rows` rows
-    works in views of their leading entries (`_view`), so each view has the
-    same contiguous layout as a fresh array of that shape; the views of one
-    block shape are made once (`block`)."""
+    block.  Each buffer holds a fixed number of entries per block row, set
+    by n, the longest reduced lift d and the number of targets, so the
+    rows of a block (`rows`) are the most that keep the buffers within
+    WORKSPACE_BYTES: a cell's `count` never enters.  A block of `rows` rows
+    works in views of their leading entries (`_view`, `_views`), so each
+    view has the same contiguous layout as a fresh array of that shape; the
+    views of one block shape are made once (`block`).
+
+    Most of a block's intermediates live one after another in the same
+    buffer, `scratch`: the sampling kernel's parameters, angles and
+    rotated columns, which are spent once the rotation product is taken;
+    then the Gram product, spent once its mask is taken; then the exact
+    recheck's differences.  Likewise the rotation product's buffer holds
+    the recheck's copy of the points once the C part is applied."""
 
     def __init__(self, n: int, d: int, targets: int):
-        rows, entries = GRAM_BLOCK, n * n
-        self.n, self.targets = n, targets
-        self.parameters = np.empty(rows * d)
-        self.trig = np.empty((3, d * rows))  # angles, cosines, sines, one row per letter
-        self.moved = np.empty(2 * n * rows)  # x_p s and x_q s of one rotation
+        entries = n * n
+        # in floats a row: the sampling kernel's steps, the Gram product,
+        # and two points (a picked target and a difference)
+        scratch = max(3 * d + 2 * n, targets, 2 * entries)
+        row_bytes = (
+            8 * (2 * entries + scratch + 2)  # rotated, points, scratch, norms, sums
+            + 2 * np.dtype(np.intp).itemsize  # pair_targets, pair_rows
+            + targets + 1  # mask, starts
+        )
+        rows = max(1, (WORKSPACE_BYTES - 9 * targets) // row_bytes)  # reach and tied are per target
+        if rows > GRAM_SLICE:
+            rows -= rows % GRAM_SLICE
+        self.n, self.targets, self.rows = n, targets, rows
         self.rotated = np.empty(entries * rows)  # the rotation product
         self.points = np.empty(entries * rows)  # its columns permuted by the C part
-        self.gram = np.empty(targets * rows)
+        self.scratch = np.empty(scratch * rows)
         self.norms = np.empty(rows)
         self.reach = np.empty((targets, 1))
         self.mask = np.empty(targets * rows, dtype=bool)
-        # the exact recheck, a run of pairs at a time: as many squared
-        # differences as the Gram product has entries, and at least the
-        # pairs of one target
-        self.pairs = max(targets * rows // entries, rows)
-        self.pair_targets = np.empty(self.pairs, dtype=np.intp)
-        self.pair_rows = np.empty(self.pairs, dtype=np.intp)
-        self.by_row = np.empty(rows * entries)  # the block, one point per row
-        self.picked_targets = np.empty((self.pairs, entries))
-        self.diffs = np.empty((self.pairs, entries))
-        self.sums = np.empty(self.pairs)
-        self.starts = np.empty(self.pairs, dtype=bool)  # where a run's next target begins
+        self.tied = np.empty(targets, dtype=bool)  # targets within the slack on every row
+        # the exact recheck of the other hits, a run of at most `pairs` at a time
+        self.pairs = rows
+        self.pair_targets = np.empty(rows, dtype=np.intp)
+        self.pair_rows = np.empty(rows, dtype=np.intp)
+        self.picked_targets, self.diffs = _views(self.scratch, (rows, entries), (rows, entries))
+        self.sums = np.empty(rows)
+        self.starts = np.empty(rows, dtype=bool)  # where a run's next target begins
         self._blocks: dict[tuple[int, int], _BlockViews] = {}
 
     def block(self, rows: int, d: int) -> _BlockViews:
@@ -331,17 +353,24 @@ class _BlockViews:
     """Every view one block takes of its workspace's buffers."""
 
     def __init__(self, work: _Workspace, rows: int, d: int):
-        n, targets = work.n, work.targets
-        self.ts = _view(work.parameters, rows, d)
-        self.angles, self.cos, self.sin = (_view(buffer, d, rows) for buffer in work.trig)
-        self.moved = _view(work.moved, n, 2, rows)
+        n, targets, entries = work.n, work.targets, work.n * work.n
+        # the sampling kernel: the sines overwrite their angles, and x_p s
+        # and x_q s of one rotation are `moved`
+        self.ts, self.cos, self.angles, self.moved = _views(
+            work.scratch, (rows, d), (d, rows), (d, rows), (n, 2, rows)
+        )
+        self.sin = self.angles
         self.rotated = _view(work.rotated, n, n, rows)
-        self.diagonal = self.rotated.reshape(n * n, rows)[:: n + 1]
+        self.diagonal = self.rotated.reshape(entries, rows)[:: n + 1]
         self.points = _view(work.points, n, n, rows)
-        self.gram = _view(work.gram, targets, rows)
+        # the distance kernel
+        self.gram = _view(work.scratch, targets, rows)
         self.norms = work.norms[:rows]
         self.mask = _view(work.mask, targets, rows)
-        self.by_row = _view(work.by_row, rows, n * n)
+        self.by_row = _view(work.rotated, rows, entries)  # the points, one per row
+        # the dense recheck of tied targets, as many at a time as fit
+        tied = min(targets, len(work.scratch) // (rows * (entries + 1)))
+        self.dense, self.dense_sums = _views(work.scratch, (tied, rows, entries), (tied, rows))
 
 
 def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -349,10 +378,21 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[: prod(shape)].reshape(shape)
 
 
+def _views(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive leading entries of a workspace buffer, one C-contiguous
+    array of each shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + prod(shape)
+        views.append(buffer[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 def _cell_parameters(plan: _CellPlan, count: int, seed: int, work: _Workspace):
     """The interior point, the {0, 1/2, 1}^d grid (in the order of
     itertools.product), then `count` uniform draws from the cell's (seed,
-    key) substream, yielded GRAM_BLOCK rows at a time as views of one
+    key) substream, yielded `work.rows` rows at a time as views of one
     reused buffer.  The draws of a block go straight into its tail; drawing
     the (count, d) uniforms in pieces consumes the stream exactly as one
     whole draw does.  A point cell (d = 0) has the one empty row."""
@@ -360,8 +400,8 @@ def _cell_parameters(plan: _CellPlan, count: int, seed: int, work: _Workspace):
     fixed = 1 + 3**d if d else 1  # the interior point and the grid
     total = fixed + count if d else 1
     rng = np.random.default_rng([seed, *plan.key])
-    for start in range(0, total, GRAM_BLOCK):
-        stop = min(start + GRAM_BLOCK, total)
+    for start in range(0, total, work.rows):
+        stop = min(start + work.rows, total)
         ts = work.block(stop - start, d).ts
         if start == 0:
             ts[0] = 0.5
@@ -382,14 +422,14 @@ def _cell_block(plan: _CellPlan, ts: np.ndarray, work: _Workspace) -> np.ndarray
 
     Each psi is a rotation in one plane (p, q), so it is applied in place to
     columns p and q only, each update one vector operation over the rows."""
-    n, rows, d = plan.n, len(ts), len(plan.planes)
+    rows, d = len(ts), len(plan.planes)
     views = work.block(rows, d)
     x = views.rotated
     x.fill(0.0)
     views.diagonal.fill(1.0)
     np.multiply(ts.T, plan.turns, out=views.angles)  # every letter's angles at once
     np.cos(views.angles, out=views.cos)
-    np.sin(views.angles, out=views.sin)
+    np.sin(views.angles, out=views.sin)  # in place
     moved = views.moved
     for (p, q, _), c, s in zip(plan.planes, views.cos, views.sin):
         pair = x[:, p : q + 1 : q - p]  # columns p and q (p < q) as one (n, 2, rows) view
@@ -430,7 +470,7 @@ def u_cell_key(u: UElement) -> tuple[int, ...]:
     )
 
 
-GRAM_BLOCK = 2048  # sample rows per block of the sampling and distance kernels
+WORKSPACE_BYTES = 1 << 21  # the buffers of one kernel caller; they set its block rows
 GRAM_SLACK = 1e-6  # squared-distance slack of the exact recheck
 GRAM_SLICE = 64  # sample rows per matrix product of the Gram pass
 
@@ -445,12 +485,14 @@ def _gram(targets: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None) 
     slices = flat.shape[1] // GRAM_SLICE
     bulk = slices * GRAM_SLICE
     gram = np.empty((len(targets), flat.shape[1])) if out is None else out
-    np.matmul(
-        targets,
-        flat[:, :bulk].reshape(len(flat), slices, GRAM_SLICE).transpose(1, 0, 2),
-        out=gram[:, :bulk].reshape(len(gram), slices, GRAM_SLICE).transpose(1, 0, 2),
-    )
-    np.matmul(targets, flat[:, bulk:], out=gram[:, bulk:])
+    if slices:
+        np.matmul(
+            targets,
+            flat[:, :bulk].reshape(len(flat), slices, GRAM_SLICE).transpose(1, 0, 2),
+            out=gram[:, :bulk].reshape(len(gram), slices, GRAM_SLICE).transpose(1, 0, 2),
+        )
+    if bulk < flat.shape[1]:
+        np.matmul(targets, flat[:, bulk:], out=gram[:, bulk:])
     return gram
 
 
@@ -463,26 +505,40 @@ def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray, work: _Worksp
     |x_i - t_j|^2 = |x_i|^2 + |t_j|^2 - 2 G_ij, a row i within GRAM_SLACK of
     target j's block minimum satisfies
     2 (max_i G_ij - G_ij) <= GRAM_SLACK + (max |x|^2 - min |x|^2),
-    and exactly those (target, row) pairs are recomputed directly, at most
-    `work.pairs` of them at a time, however many rows tie.  Each pair's n^2
-    squared differences are one contiguous row, summed in the same order as
-    over a point of a CellSample, and each target keeps its minimum across
-    runs and blocks: a run is target-major, so its targets' minima are one
-    `np.minimum.reduceat` over the run's segments.  The pairs' indices are
-    the one array a block allocates, at most |targets| * GRAM_BLOCK
-    entries, besides a run's segment starts (at most |targets|)."""
-    n, rows = x.shape[0], x.shape[2]
+    and exactly those (target, row) pairs are recomputed directly.  A
+    target that passes on every row (its distance is the same all over the
+    cell) is recomputed densely, over the whole block at once, as many such
+    targets at a time as the scratch buffer holds.  The other pairs are
+    gathered, at most `work.pairs` of them at a time, however many rows
+    tie.  Either way each pair's n^2 squared differences are one
+    contiguous row, summed in the same order as over a point of a
+    CellSample, and each target keeps its minimum across runs and blocks: a
+    run is target-major, so its targets' minima are one
+    `np.minimum.reduceat` over the run's segments.  The arrays a block
+    allocates hold indices of its hits and tied targets, and the tied
+    targets' entries: none of them grows with the rows of a tie."""
+    entries, rows = x.shape[0] * x.shape[1], x.shape[2]
+    flat = x.reshape(entries, rows)
+    flat_targets = targets.reshape(len(targets), entries)
     views = work.block(rows, 0)
-    flat = x.reshape(n * n, rows)
-    flat_targets = targets.reshape(len(targets), n * n)
     gram = _gram(flat_targets, flat, out=views.gram)
     norms = np.einsum("ir,ir->r", flat, flat, out=views.norms)
     reach = np.maximum.reduce(gram, axis=1, keepdims=True, out=work.reach)
     reach -= 0.5 * (GRAM_SLACK + (norms.max() - norms.min()))
     mask = np.greater_equal(gram, reach, out=views.mask)
-    hits = mask.reshape(-1).nonzero()[0]  # target-major (target, row) indices, at most targets * rows
     by_row = views.by_row
     np.copyto(by_row, flat.T)
+    # the Gram product is spent: its buffer now holds the differences
+    tied = np.logical_and.reduce(mask, axis=1, out=work.tied).nonzero()[0]
+    if len(tied):
+        mask[tied] = False
+        for start in range(0, len(tied), len(views.dense)):
+            chunk = tied[start : start + len(views.dense)]
+            diffs = np.subtract(by_row, flat_targets[chunk, None], out=views.dense[: len(chunk)])
+            diffs *= diffs
+            sums = np.add.reduce(diffs, axis=2, out=views.dense_sums[: len(chunk)])
+            best[chunk] = np.minimum(best[chunk], np.minimum.reduce(sums, axis=1))
+    hits = mask.reshape(-1).nonzero()[0]  # target-major (target, row) indices
     for start in range(0, len(hits), work.pairs):
         run = hits[start : start + work.pairs]
         k = len(run)
@@ -510,7 +566,7 @@ def min_distance(u_lo, sample: CellSample) -> float | np.ndarray:
 
     `u_lo` is one element, or a sequence of elements for which the array
     of their distances is returned from one pass over the sample.  Each
-    block of GRAM_BLOCK rows goes through one Gram product and an exact
+    block of a workspace's rows goes through one Gram product and an exact
     recheck of the rows it cannot rule out (`_nearest`).  The Gram form is
     off by at most about 4 n^3 eps for orthogonal points and targets
     (|x|^2 = n; 2.4e-14 for n = 3), far below the slack, so the row of the
@@ -521,11 +577,10 @@ def min_distance(u_lo, sample: CellSample) -> float | np.ndarray:
         raise ValueError("empty cell sample")
     single = isinstance(u_lo, UElement)
     targets = _target_stack([u_lo] if single else u_lo, points.shape[1:])
-    n = points.shape[1]
-    work = _Workspace(n, 0, len(targets))
+    work = _Workspace(points.shape[1], 0, len(targets))
     best = np.full(len(targets), np.inf)
-    for start in range(0, len(points), GRAM_BLOCK):
-        block = points[start : start + GRAM_BLOCK]
+    for start in range(0, len(points), work.rows):
+        block = points[start : start + work.rows]
         x = work.block(len(block), 0).points
         np.copyto(x, block.transpose(1, 2, 0))
         _nearest(x, targets, best, work)
@@ -694,6 +749,15 @@ class FlowSpec:
             raise ValueError("elliptic part must be orthogonal")
         if np.any(np.tril(self.nilpotent) != 0):
             raise ValueError("nilpotent part must be strictly upper triangular")
+        # exp(step H) has Frobenius norm at most sqrt(n) exp(step max H):
+        # refuse, before any exp, a step whose squares could overflow
+        peak = float(self.time_step) * float(self.H.max())  # Python floats: no overflow warning
+        if not 2 * peak + log(n) < log(np.finfo(float).max):
+            raise ValueError(
+                f"--time-step {self.time_step:g} times H = {self.H.tolist()} gives a flow "
+                f"matrix with entries up to exp({peak:g}), too large for its Frobenius norm "
+                f"to be a finite float; lower --time-step or H"
+            )
         h = np.diag(np.exp(self.time_step * self.H))
         u = _exp_nilpotent(self.time_step * self.nilpotent)
         for a, b, names in (
@@ -709,7 +773,7 @@ class FlowSpec:
 def flow_step(spec: FlowSpec, x) -> np.ndarray:
     """One step of the induced flow on K = G/AN: x -> K-part of g x, for one
     point or a stack (..., n, n) of points."""
-    return iwasawa_K(spec.flow_matrix @ np.asarray(x, dtype=float))
+    return _iwasawa_K(spec.flow_matrix @ np.asarray(x, dtype=float))
 
 
 def _h_blocks(H: np.ndarray) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, outputs, determinism, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,18 @@ def test_cmd_oracle_flow_small(capsys):
     assert code == 0 and "degenerate" in out
 
 
+@pytest.mark.parametrize("step", ["300", "1e3"])
+def test_cmd_oracle_flow_refuses_an_overflowing_time_step(capsys, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code, out, err = run(
+            capsys, ["oracle", "flow", "--preset", "sl3", "--H", "2,-1,-1", "--time-step", step]
+        )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --time-step {float(step):g} times H = [2.0, -1.0, -1.0]")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -297,8 +310,9 @@ def test_cmd_oracle_refuses_nonpositive_floats(capsys, argv):
             "bad nilpotent token 'e23=1.2.3'",
         ),
         (["oracle", "flow", "--H", "nan,0,0"], "H must be finite"),
+        (["oracle", "flow", "--H", "2,-1"], "--H has 2 entries, but preset sl3 has n = 3"),
     ],
-    ids=["theta-empty", "theta-letter", "H-letter", "nilpotent-number", "H-nan"],
+    ids=["theta-empty", "theta-letter", "H-letter", "nilpotent-number", "H-nan", "H-short"],
 )
 def test_flag_parse_errors_name_the_flag(capsys, argv, message):
     code, out, err = run(capsys, [*argv, "--preset", "sl3"])

@@ -6,6 +6,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from wtits import (
     sample_schubert,
 )
 from wtits.oracle import (
-    GRAM_BLOCK,
     MAX_STACK_FLOATS,
+    WORKSPACE_BYTES,
     component_distance,
     _h_blocks,
     _rotation_block_of,
@@ -44,6 +45,13 @@ from wtits.utits import GroupPreset, canonical_form, cosets, project_to_W, subgr
 
 def as_float(u):
     return np.array(u.matrix, dtype=float)
+
+
+# block rows of the sl3 workspaces: the report's (longest lift d = 3, 24
+# targets), and those of `min_distance` over 24 targets and over one
+REPORT_ROWS = oracle._Workspace(3, 3, 24).rows
+TABLE_ROWS = oracle._Workspace(3, 0, 24).rows
+SINGLE_ROWS = oracle._Workspace(3, 0, 1).rows
 
 
 def assert_class_counts_match_matrices(preset, report):
@@ -331,7 +339,7 @@ class TestBatchedMinDistance:
     """The sequence form of `min_distance` (Gram pass plus exact recheck)
     must equal a per-target loop of the one-element form bit for bit."""
 
-    @pytest.mark.parametrize("count", [0, GRAM_BLOCK + 1000])
+    @pytest.mark.parametrize("count", [0, max(TABLE_ROWS, SINGLE_ROWS) + 1000])
     def test_every_sl3_cell(self, sl3, count):
         table = enumerate_U(sl3)
         rows = []
@@ -343,7 +351,8 @@ class TestBatchedMinDistance:
             direct = np.array([direct_min_distance(lo, sample.points) for lo in table])
             assert np.array_equal(batched, single), display_word(hi)
             assert np.array_equal(single, direct), display_word(hi)
-        assert (max(rows) > GRAM_BLOCK) == (count > 0)  # a block boundary is crossed
+        # both forms cross a block boundary
+        assert (max(rows) > max(TABLE_ROWS, SINGLE_ROWS)) == (count > 0)
 
     def test_rows_tied_within_the_slack(self, sl3):
         # per target two rows 1e-9 and 2e-9 away in random directions: their
@@ -364,7 +373,7 @@ class TestBatchedMinDistance:
         assert single.tolist() == [direct_min_distance(lo, points) for lo in table]
         assert np.allclose(single, 1e-9, rtol=1e-6)
 
-    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1000, GRAM_BLOCK])
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1000, 2048, REPORT_ROWS, REPORT_ROWS + 1])
     @pytest.mark.parametrize("targets", [0, 1, 24])
     def test_gram_slices_make_one_product(self, rows, targets):
         rng = np.random.default_rng(rows + targets)
@@ -389,7 +398,7 @@ class TestReportThreads:
     """The report streams each cell through the kernels on worker threads."""
 
     def test_report_equals_min_distance_on_the_full_sample(self, sl3, monkeypatch):
-        count = GRAM_BLOCK + 1000  # every cell of positive length crosses a block boundary
+        count = REPORT_ROWS + 1000  # every cell of positive length crosses a block boundary
         reports = [schubert_agreement_report(sl3, count=count, seed=42)]
         monkeypatch.setattr(oracle, "_worker_count", lambda: 1)
         reports.append(schubert_agreement_report(sl3, count=count, seed=42))
@@ -438,6 +447,15 @@ class TestReportThreads:
         assert len(workers) == 24 and all(thread is not main for thread in workers)
 
 
+def workspace_bytes(work):
+    """The bytes of every buffer of a workspace (a view adds none)."""
+    return sum(
+        value.nbytes
+        for value in vars(work).values()
+        if isinstance(value, np.ndarray) and value.base is None
+    )
+
+
 def reference_parameters(u, count, seed):
     """A cell's parameter rows as one whole array: the interior point, the
     itertools grid and one (count, d) draw from the cell's substream."""
@@ -473,7 +491,7 @@ class TestStreamedKernels:
                 return out
 
         monkeypatch.setattr(np.random, "default_rng", Recording)
-        count = 2 * GRAM_BLOCK + 100  # three blocks of uniforms in the longest cell
+        count = 2 * REPORT_ROWS + 100  # three blocks of uniforms in the longest cell
         report = schubert_agreement_report(sl3, count=count, seed=42)
         assert report["agree"] and report["margin_ok"]
         table = enumerate_U(sl3)
@@ -481,7 +499,7 @@ class TestStreamedKernels:
         for u in table:
             d = len(canonical_form(u)[0])
             rows = draws[(42, *u_cell_key(u))]
-            assert all(len(block) <= GRAM_BLOCK for block in rows)
+            assert all(len(block) <= REPORT_ROWS for block in rows)
             if not d:
                 assert rows == []
                 continue
@@ -491,7 +509,7 @@ class TestStreamedKernels:
 
     @pytest.mark.parametrize(
         "count",
-        [0, 100, GRAM_BLOCK - 28, GRAM_BLOCK + 1],
+        [0, 100, REPORT_ROWS - 28, REPORT_ROWS + 1],
         ids=["zero", "inside-first-block", "fills-first-block", "block-plus-one"],
     )
     def test_block_edges(self, sl3, count):
@@ -504,8 +522,8 @@ class TestStreamedKernels:
             blocks = [ts.copy() for ts in oracle._cell_parameters(plan, count, 42, work)]
             expected = reference_parameters(u, count, 42)
             assert [len(ts) for ts in blocks] == [
-                len(expected[start : start + GRAM_BLOCK])
-                for start in range(0, len(expected), GRAM_BLOCK)
+                len(expected[start : start + work.rows])
+                for start in range(0, len(expected), work.rows)
             ]
             assert np.array_equal(np.concatenate(blocks), expected)
             sample = sample_schubert(u, count, 42)
@@ -534,20 +552,77 @@ class TestStreamedKernels:
         ]
         assert streamed[1] < 1e-12  # u is in its own cell
 
-    @pytest.mark.parametrize("pairs", [7, 1000, GRAM_BLOCK])
-    def test_recheck_runs_split_targets(self, sl3, pairs):
-        # points 1e-9 from the identity tie for every target on every row, so
-        # all 24 * 2048 pairs are rechecked; with short runs a target's pairs
-        # span many runs, and each run boundary cuts through some target
+    @pytest.mark.parametrize("rows", [1, 5, TABLE_ROWS])
+    def test_every_target_tied_is_rechecked_densely(self, sl3, rows):
+        # points 1e-9 from the identity tie for every target on every row,
+        # so every target is rechecked densely, a few targets at a time
         table = enumerate_U(sl3)
         targets = oracle._target_stack(table, (3, 3))
-        points = np.eye(3) + 1e-9 * np.random.default_rng(9).standard_normal((GRAM_BLOCK, 3, 3))
+        points = np.eye(3) + 1e-9 * np.random.default_rng(9).standard_normal((rows, 3, 3))
+        work = oracle._Workspace(3, 0, len(table))
+        if rows == TABLE_ROWS:
+            assert len(work.block(rows, 0).dense) < len(table)  # the targets take several chunks
+        best = np.full(len(table), np.inf)
+        oracle._nearest(np.ascontiguousarray(points.transpose(1, 2, 0)), targets, best, work)
+        assert work.tied.all()
+        assert np.sqrt(best).tolist() == [direct_min_distance(lo, points) for lo in table]
+
+    @pytest.mark.parametrize("pairs", [7, 1000, 2048])
+    def test_recheck_runs_split_targets(self, sl3, pairs):
+        # every third row lies 1e-9 from s1 s2, the others 1e-9 from the
+        # identity: the 10 targets exactly as far from both tie on every
+        # row and are rechecked densely; the other 14 tie only on the rows
+        # near one of the two, and their pairs are gathered in runs of
+        # `pairs`, so a target's pairs span many runs and each run
+        # boundary cuts through some target
+        table = enumerate_U(sl3)
+        targets = oracle._target_stack(table, (3, 3))
+        centers = np.array([np.eye(3), as_float(sl3.generator(1) * sl3.generator(2))])
+        near = np.arange(TABLE_ROWS) % 3 == 1
+        points = centers[near.astype(int)]
+        points += 1e-9 * np.random.default_rng(9).standard_normal((TABLE_ROWS, 3, 3))
         work = oracle._Workspace(3, 0, len(table))
         assert work.pairs >= pairs
         work.pairs = pairs
         best = np.full(len(table), np.inf)
         oracle._nearest(np.ascontiguousarray(points.transpose(1, 2, 0)), targets, best, work)
+        equidistant = [((t - centers[0]) ** 2).sum() == ((t - centers[1]) ** 2).sum() for t in targets]
+        assert work.tied.tolist() == equidistant and sum(equidistant) == 10
         assert np.sqrt(best).tolist() == [direct_min_distance(lo, points) for lo in table]
+
+    @pytest.mark.parametrize(
+        "n,d,targets",
+        [(3, 3, 24), (4, 6, 192), (5, 10, 1920), (3, 0, 24), (3, 0, 1), (3, 3, 0), (5, 10, 0)],
+        ids=["sl3", "sl4", "sl5", "sl3-min-distance", "one-target", "sl3-sample", "sl5-sample"],
+    )
+    def test_workspace_fills_its_byte_budget(self, n, d, targets):
+        # the report's workspaces (longest lift, every target), then those
+        # of `min_distance` and `sample_schubert`: within the budget, and
+        # GRAM_SLICE rows more would not fit
+        work = oracle._Workspace(n, d, targets)
+        nbytes = workspace_bytes(work)
+        row_bytes = (nbytes - 9 * targets) / work.rows
+        assert nbytes <= WORKSPACE_BYTES < nbytes + oracle.GRAM_SLICE * row_bytes
+        assert work.rows % oracle.GRAM_SLICE == 0
+
+    def test_report_workspaces_do_not_depend_on_count(self, sl3, monkeypatch):
+        made = []
+
+        class Recording(oracle._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((args, self.rows, workspace_bytes(self)))
+
+        monkeypatch.setattr(oracle, "_Workspace", Recording)
+        seen = []
+        for count in (0, 2 * REPORT_ROWS + 100):
+            made.clear()
+            schubert_agreement_report(sl3, count=count, seed=42)
+            seen.append(set(made))
+        assert seen[0] == seen[1]
+        ((args, rows, nbytes),) = seen[0]  # one shape for every worker
+        assert args == (3, 3, 24) and rows == REPORT_ROWS and nbytes <= WORKSPACE_BYTES
+        assert REPORT_ROWS >= 4000  # few numpy calls per row on sl3
 
     def test_cell_memory_does_not_grow_with_count(self, sl3):
         table = enumerate_U(sl3)
@@ -603,6 +678,25 @@ class TestFlow:
         for step in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match="time_step must be a finite positive number"):
                 FlowSpec(H=np.array([2.0, -1.0, -1.0]), time_step=step)
+
+    @pytest.mark.parametrize("step", [178.0, 300.0, 1e3, 1e308])
+    def test_flowspec_refuses_an_overflowing_time_step(self, step):
+        # the flow matrix's largest entry is exp(2 step): the squares of its
+        # Frobenius norm overflow from step 177.2 on, and the entry itself
+        # from 354.9; refused before any exp, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"--time-step \S+ times H = \[2.0, -1.0, -1.0\]"):
+                FlowSpec(H=np.array([2.0, -1.0, -1.0]), time_step=step)
+
+    def test_largest_time_step_below_the_overflow_runs(self, sl3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = FlowSpec(H=np.array([2.0, -1.0, -1.0]), time_step=177.0)
+            x = flow_step(spec, as_float(sl3.generator(1)))
+        assert np.isfinite(spec.flow_matrix).all()
+        assert np.isfinite(oracle._frobenius(spec.flow_matrix))
+        assert np.allclose(x.T @ x, np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("name", ["tol", "reject_margin"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])

@@ -8,9 +8,9 @@ control sets; and cross-validates the combinatorics against a numerical
 Schubert-cell/translation-flow oracle on SO(n).
 
 Everything but the oracle is exact integer/Fraction arithmetic.  The
-oracle names re-exported here (`sample_schubert`, `recover_morse`, ...)
-resolve on first access, so numpy is imported only by code that uses the
-oracle, such as the `oracle` CLI commands.
+oracle names re-exported here (`schubert_agreement_report`,
+`recover_morse`, ...) resolve on first access, so numpy is imported only
+by code that uses the oracle, such as the `oracle` CLI commands.
 """
 
 from .errors import (
@@ -23,27 +23,20 @@ from .errors import (
 from .rootsys import (
     RootDatum,
     WeylElement,
-    bruhat_leq,
-    is_reduced,
     length,
-    longest_element,
     reduced_word,
     simple_reflection,
-    split_roots_by_H,
-    weyl_group,
 )
 from .utits import (
     Coset,
     FiniteGroupTable,
     GroupPreset,
     UElement,
-    c_part,
     check_quotient_isomorphism,
     cosets,
     display_word,
     enumerate_C,
     enumerate_U,
-    lift_word,
     load_config,
     load_preset,
     project_to_W,
@@ -53,10 +46,7 @@ from .utits import (
 from .xorder import (
     Poset,
     QuotientPoset,
-    control_forward_edges,
     control_quotient_order,
-    converse_candidates,
-    down_covers,
     down_set,
     extended_leq,
     hasse,
@@ -67,18 +57,11 @@ from .xorder import (
 # resolved by the module __getattr__ below (PEP 562), so that importing
 # wtits does not import the oracle or numpy
 _ORACLE_NAMES = (
-    "CellSample",
     "FlowSpec",
     "MorseReport",
-    "contraction_check",
     "flow_step",
-    "incidence_test",
     "iwasawa_K",
-    "psi_rank_one",
-    "psi_split",
     "recover_morse",
-    "require_flag_point",
-    "sample_schubert",
     "schubert_agreement_report",
 )
 
@@ -92,25 +75,18 @@ __all__ = [
     "ReducedLiftUnavailable",
     "RootDatum",
     "WeylElement",
-    "bruhat_leq",
-    "is_reduced",
     "length",
-    "longest_element",
     "reduced_word",
     "simple_reflection",
-    "split_roots_by_H",
-    "weyl_group",
     "Coset",
     "FiniteGroupTable",
     "GroupPreset",
     "UElement",
-    "c_part",
     "check_quotient_isomorphism",
     "cosets",
     "display_word",
     "enumerate_C",
     "enumerate_U",
-    "lift_word",
     "load_config",
     "load_preset",
     "project_to_W",
@@ -118,10 +94,7 @@ __all__ = [
     "subgroup_closure",
     "Poset",
     "QuotientPoset",
-    "control_forward_edges",
     "control_quotient_order",
-    "converse_candidates",
-    "down_covers",
     "down_set",
     "extended_leq",
     "hasse",

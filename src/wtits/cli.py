@@ -372,7 +372,7 @@ def cmd_oracle(args) -> int:
     nil = np.zeros((n, n))
     if args.nilpotent and args.nilpotent != "0":
         for chunk in args.nilpotent.split(","):
-            m = re.match(r"e(\d)(\d)(?:=(-?[\d.]+))?$", chunk.strip())
+            m = re.match(r"e(\d)(\d)(?:=(.+))?$", chunk.strip())
             at = args.nilpotent.find(chunk)
             if not m:
                 raise ExprParseError(f"bad nilpotent token {chunk!r}", at)
@@ -380,9 +380,12 @@ def cmd_oracle(args) -> int:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ExprParseError(f"nilpotent entry e{i}{j} outside 1..{n}", at)
             try:
-                nil[i - 1, j - 1] = float(m.group(3) or 1.0)
+                value = float(m.group(3) or 1.0)
             except ValueError:
                 raise ExprParseError(f"bad nilpotent token {chunk!r}", at) from None
+            if not math.isfinite(value):
+                raise ExprParseError(f"--nilpotent entry {chunk.strip()!r} is not finite", at)
+            nil[i - 1, j - 1] = value
     spec = FlowSpec(H=np.array(h_vec), nilpotent=nil, time_step=args.time_step)
     report = recover_morse(
         preset, spec, grid=args.grid, iters=args.steps, seed=args.seed

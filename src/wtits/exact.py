@@ -63,18 +63,6 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-def is_signed_permutation(a: IntMatrix) -> bool:
-    """Exactly one entry of modulus 1 per row and per column, rest zero."""
-    n = len(a)
-    col_hits = [0] * n
-    for row in a:
-        hits = [j for j, x in enumerate(row) if x != 0]
-        if len(hits) != 1 or abs(row[hits[0]]) != 1:
-            return False
-        col_hits[hits[0]] += 1
-    return all(c == 1 for c in col_hits)
-
-
 def determinant(a: IntMatrix) -> int:
     """Determinant via fraction-free (Bareiss) elimination on integers:
     each step's division by the previous pivot is exact, and a remainder

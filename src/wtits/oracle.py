@@ -6,13 +6,11 @@ a point of it is just a special orthogonal matrix.  This module provides:
 
   * the Iwasawa projection (QR with positive upper factor), for one matrix
     or a stack of them,
-  * the rank-one cell maps psi (block rotations, and the sphere version
-    used by non-split groups),
-  * the characteristic maps Psi_u that parametrize Schubert cells,
-  * a sampling-based incidence test between cells,
+  * the characteristic maps Psi_u that parametrize Schubert cells, each a
+    product of the rank-one block rotations psi along u's reduced lift,
+  * a sampling-based incidence test between cells, and
   * translation flows x -> K-part(g x) and recovery of their minimal
-    Morse components, and
-  * the contraction estimate for conjugated unipotents.
+    Morse components.
 
 A cell sample starts with the exact {0, 1/2, 1}^d grid rows, whose images
 are the group elements of the closed cell, so every positive incidence
@@ -70,7 +68,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite, log, prod
+from math import hypot, isfinite, log, prod
 
 import numpy as np
 
@@ -109,19 +107,6 @@ def _as_float(mat) -> np.ndarray:
     if isinstance(mat, UElement):
         mat = mat.matrix
     return np.array(mat, dtype=float)
-
-
-def require_flag_point(k: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
-    """Validate a point of the flag manifold SO(n)."""
-    k = np.asarray(k, dtype=float)
-    n = k.shape[0]
-    if k.shape != (n, n):
-        raise ValueError("flag point must be a square matrix")
-    if np.linalg.norm(k.T @ k - np.eye(n)) >= tol:
-        raise ValueError("flag point is not orthogonal")
-    if np.linalg.det(k) < 0:
-        raise ValueError("flag point must have determinant +1")
-    return k
 
 
 def iwasawa_K(g) -> np.ndarray:
@@ -183,61 +168,10 @@ def _rotation_block_of(gen: UElement) -> tuple[int, int, int]:
     return p, q, orientation
 
 
-def psi_split(alpha_block, t: float) -> np.ndarray:
-    """Rank-one cell map for a split (multiplicity one) simple root: the
-    rotation by angle pi*t in the generator's 2x2 block, so psi(0) = 1,
-    psi(1/2) = s and psi(1) = s^2.  It is the one-letter case of the cell
-    sampling kernel `_cell_block`."""
-    if not isinstance(alpha_block, UElement):
-        raise TypeError("alpha_block must be a generator element")
-    n = alpha_block.preset.n
-    plan = _CellPlan(n, (_rotation_block_of(alpha_block),), np.arange(n), np.ones(n), ())
-    return _cell_block(plan, np.array([[t]], dtype=float), _Workspace(n, 1, 0))[:, :, 0]
-
-
-def psi_rank_one(z: float, v, t: float) -> np.ndarray:
-    """Sphere cell map for a rank-one group over the reals:
-    exp(t A(z,v)) w = (I - J) w + cos(t) J w + sin(t) A w, where w is the
-    nontrivial Weyl representative diag(-1,-1,1,...,1).
-
-    The orthogonal-group case forces z = 0 (z would live in the imaginary
-    part of C or H for the unitary cases, which are out of scope here).
-    """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] < 1 or not np.any(v != 0):
-        raise ValueError("v must be a nonzero vector")
-    if z != 0.0:
-        raise ValueError("the real (orthogonal) rank-one map needs z = 0")
-    norm_sq = z * z + float(v @ v)
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise ValueError("(z, v) must sit on the unit sphere")
-    a, j = rank_one_generators(z, v)
-    n = v.shape[0] + 1
-    w = np.eye(n)
-    w[0, 0] = w[1, 1] = -1.0
-    exp_ta = np.eye(n) - j + np.cos(t) * j + np.sin(t) * a
-    return exp_ta @ w
-
-
-def rank_one_generators(z: float, v) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices A(z, v) and J_v of the sphere cell map."""
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    m = v.shape[0]
-    vv = (v @ v.T) / float(v[:, 0] @ v[:, 0])
-    a = np.zeros((m + 1, m + 1))
-    a[0, 0] = z
-    a[1:, 0] = v[:, 0]
-    a[0, 1:] = -v[:, 0]
-    a[1:, 1:] = -vv * z
-    j = np.zeros((m + 1, m + 1))
-    j[0, 0] = 1.0
-    j[1:, 1:] = vv
-    return a, j
-
-
 # -- Schubert cell sampling ----------------------------------------------------
 
 
+# the type sample_schubert returns, kept with it for benchmarks/tracer.py
 @dataclass
 class CellSample:
     """Points Psi_u(t) of one closed Schubert cell, with their parameters.
@@ -443,6 +377,7 @@ def _cell_block(plan: _CellPlan, ts: np.ndarray, work: _Workspace) -> np.ndarray
     return points
 
 
+# no command calls it; kept because benchmarks/tracer.py wraps it
 def sample_schubert(u: UElement, count: int, seed: int) -> CellSample:
     """Sample the closed cell of u: the distinguished {0, 1/2, 1}^d grid
     followed by `count` uniform parameter draws, pushed through
@@ -561,6 +496,7 @@ def _target_stack(elements, shape) -> np.ndarray:
     return np.array([_as_float(u) for u in elements]).reshape(-1, *shape)
 
 
+# no command calls it; kept because benchmarks/tracer.py wraps it
 def min_distance(u_lo, sample: CellSample) -> float | np.ndarray:
     """Smallest Frobenius distance from u_lo's matrix to a sample point.
 
@@ -586,14 +522,6 @@ def min_distance(u_lo, sample: CellSample) -> float | np.ndarray:
         _nearest(x, targets, best, work)
     distances = np.sqrt(best)
     return float(distances[0]) if single else distances
-
-
-def incidence_test(u_lo: UElement, sample: CellSample, tol: float) -> bool:
-    """Numerical surrogate for cell incidence: some sampled point of the
-    closed cell lies within `tol` of u_lo's matrix.  Only ever used through
-    agreement reports against the combinatorial order, never as its
-    definition."""
-    return min_distance(u_lo, sample) < tol
 
 
 def _worker_count() -> int:
@@ -745,18 +673,36 @@ class FlowSpec:
         self.nilpotent = (
             np.zeros((n, n)) if self.nilpotent is None else np.asarray(self.nilpotent, dtype=float)
         )
+        if not np.isfinite(self.elliptic).all():
+            raise ValueError("elliptic part must be finite")
+        if not np.isfinite(self.nilpotent).all():
+            raise ValueError("nilpotent part (--nilpotent) must be finite")
         if np.linalg.norm(self.elliptic.T @ self.elliptic - np.eye(n)) > ORTHO_TOL:
             raise ValueError("elliptic part must be orthogonal")
         if np.any(np.tril(self.nilpotent) != 0):
             raise ValueError("nilpotent part must be strictly upper triangular")
-        # exp(step H) has Frobenius norm at most sqrt(n) exp(step max H):
+        # exp(step H) has Frobenius norm at most sqrt(n) exp(step max H), and
+        # exp(step N) multiplies it by at most sum_{k<n} (step |N|_F)^k / k!:
         # refuse, before any exp, a step whose squares could overflow
-        peak = float(self.time_step) * float(self.H.max())  # Python floats: no overflow warning
+        step = float(self.time_step)  # Python floats: no overflow warning
+        peak = step * float(self.H.max())
         if not 2 * peak + log(n) < log(np.finfo(float).max):
             raise ValueError(
                 f"--time-step {self.time_step:g} times H = {self.H.tolist()} gives a flow "
                 f"matrix with entries up to exp({peak:g}), too large for its Frobenius norm "
                 f"to be a finite float; lower --time-step or H"
+            )
+        norm = hypot(*self.nilpotent.ravel().tolist())
+        factor = term = 1.0
+        for k in range(1, n):
+            term *= step * norm / k
+            factor += term
+        if not 2 * (peak + log(factor)) + log(n) < log(np.finfo(float).max):
+            raise ValueError(
+                f"--time-step {self.time_step:g} times --nilpotent of Frobenius norm {norm:g} "
+                f"gives exp(step N) a Frobenius norm up to {factor:g}, too large with "
+                f"H = {self.H.tolist()} for the flow matrix's Frobenius norm to be a finite "
+                f"float; lower --time-step or --nilpotent"
             )
         h = np.diag(np.exp(self.time_step * self.H))
         u = _exp_nilpotent(self.time_step * self.nilpotent)
@@ -906,31 +852,3 @@ def recover_morse(
         non_convergent=tuple(non_convergent.tolist()),
         seed=seed,
     )
-
-
-def contraction_check(H_vec, n_mat, k_max: int = 20, step: float = 1.0) -> list[float]:
-    """Residuals ||h^{-k} exp(N) h^{k} - I||_F for k = 0..k_max, where
-    h = exp(step * diag(H)).  Requires every nonzero entry of N to sit on a
-    root strictly positive on H, which is exactly what makes the conjugates
-    contract to the identity."""
-    H = np.asarray(H_vec, dtype=float).reshape(-1)
-    n_mat = np.asarray(n_mat, dtype=float)
-    n = H.shape[0]
-    if n_mat.shape != (n, n):
-        raise ValueError("nilpotent matrix dimension mismatch")
-    if np.any(np.tril(n_mat) != 0):
-        raise ValueError("n_mat must be strictly upper triangular")
-    rows, cols = np.nonzero(n_mat)
-    for i, j in zip(rows, cols):
-        if H[i] - H[j] <= 0:
-            raise ValueError(
-                f"entry ({i + 1},{j + 1}) sits on a root with alpha(H) = "
-                f"{H[i] - H[j]:g} <= 0; conjugation does not contract it"
-            )
-    exp_n = _exp_nilpotent(n_mat)
-    gaps = H[:, None] - H[None, :]
-    residuals = []
-    for k in range(k_max + 1):
-        conj = exp_n * np.exp(-k * step * gaps)
-        residuals.append(float(np.linalg.norm(conj - np.eye(n))))
-    return residuals

@@ -1,20 +1,20 @@
-"""Restricted root systems, Weyl groups, reduced words, Bruhat-Chevalley order.
+"""Restricted root systems, Weyl groups and reduced words.
 
 Roots are rational covectors on the coordinates of a Cartan subspace and
 Weyl elements are rational matrices acting on those coordinates, so every
-question asked here (length, descent, order) reduces to exact arithmetic.
-Simple-root indices are 1-based throughout the public API, matching the
-generator labels s1, s2, ... used everywhere else.
+question asked here (length, descent, reducedness) reduces to exact
+arithmetic.  Simple-root indices are 1-based throughout the public API,
+matching the generator labels s1, s2, ... used everywhere else.
 
 One table answers every question: `WeylTable` reads the simple reflections
 off their validated Fraction matrices once, enumerates the group as
-permutations of the root list, and answers lengths, reduced words,
-reducedness and the Bruhat-Chevalley order by lookups.  Each `RootDatum`
-keeps one such table (`weyl_table`), which the group layer shares, and the
-public functions map a `WeylElement` to its index by its root
-permutation.  Fraction arithmetic remains only to validate a datum, to
-derive its positive roots when none are given (the same `closure`, run on
-root vectors), and to build the `WeylElement`s the library hands out.
+permutations of the root list, and answers lengths, reduced words and
+reducedness by lookups.  Each `RootDatum` keeps one such table
+(`weyl_table`), which the group layer shares, and the public functions map
+a `WeylElement` to its index by its root permutation.  Fraction arithmetic
+remains only to validate a datum, to derive its positive roots when none
+are given (the same `closure`, run on root vectors), and to build the
+`WeylElement`s the library hands out.
 """
 
 from __future__ import annotations
@@ -331,21 +331,6 @@ class WeylTable:
             w = nxt
         return True
 
-    def bruhat_leq(self, v: int, w: int) -> bool:
-        """v <= w in the Bruhat-Chevalley order, by the classical descent
-        recursion (Bjorner-Brenti, Combinatorics of Coxeter Groups, Ch. 2)
-        run as a loop: for the smallest left descent i of w, v <= w iff
-        r_i v <= r_i w when i is also a left descent of v, else v <= r_i w."""
-        length = self.length
-        while length[v]:
-            if length[v] > length[w]:
-                return False
-            row = self.left[self.word[w][0] - 1]
-            if length[row[v]] < length[v]:
-                v = row[v]
-            w = row[w]
-        return True
-
     def reduced_words(self, w: int) -> Iterator[tuple[int, ...]]:
         """Every reduced word of w, lazily: first letters (the left
         descents) ascending, each followed by the reduced words of the rest
@@ -395,6 +380,7 @@ def reduced_word(w: WeylElement) -> list[int]:
     return list(table.word[table.position(w)])
 
 
+# no command calls it; kept because benchmarks/tracer.py wraps it
 def is_reduced(datum: RootDatum, word) -> bool:
     """True iff the word's product has length equal to the word's length.
     A letter outside 1..rank raises IndexError."""
@@ -404,14 +390,7 @@ def is_reduced(datum: RootDatum, word) -> bool:
     return weyl_table(datum).is_reduced(word)
 
 
-def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """The Bruhat-Chevalley order, looked up as `WeylTable.bruhat_leq`."""
-    if v.datum != w.datum:
-        raise ValueError("elements live over different root data")
-    table = weyl_table(w.datum)
-    return table.bruhat_leq(table.position(v), table.position(w))
-
-
+# no command calls it; kept because benchmarks/tracer.py wraps it
 def weyl_group(datum: RootDatum) -> tuple[WeylElement, ...]:
     """All elements, sorted by (length, matrix)."""
     table = weyl_table(datum)
@@ -419,29 +398,3 @@ def weyl_group(datum: RootDatum) -> tuple[WeylElement, ...]:
         sorted(map(table.element, range(len(table))), key=lambda w: (length(w), w.matrix))
     )
 
-
-def longest_element(datum: RootDatum) -> WeylElement:
-    table = weyl_table(datum)
-    top = max(table.length)
-    ties = [w for w, ell in enumerate(table.length) if ell == top]
-    if len(ties) != 1:
-        raise ValueError("longest element is not unique; not a finite Weyl group?")
-    return table.element(ties[0])
-
-
-def split_roots_by_H(datum: RootDatum, theta) -> tuple[tuple[Covector, ...], tuple[Covector, ...]]:
-    """Partition the positive roots by a chamber-closure direction H encoded
-    through Theta = {i : alpha_i(H) = 0}.
-
-    Returns (roots vanishing on H, roots positive on H); the first set is
-    exactly the positive roots supported on the simple roots in Theta.
-    """
-    theta = set(theta)
-    if not theta <= set(range(1, datum.rank + 1)):
-        raise IndexError(f"Theta {sorted(theta)} not within 1..{datum.rank}")
-    zero, positive = [], []
-    for root, coeffs in zip(datum.positive_roots, datum.positive_coefficients()):
-        assert coeffs is not None
-        support = {j + 1 for j, c in enumerate(coeffs) if c != 0}
-        (zero if support <= theta else positive).append(root)
-    return tuple(zero), tuple(positive)

@@ -692,27 +692,12 @@ def project_to_W(u: UElement) -> WeylElement:
     return tables.weyl.element(tables.pi[tables.position(u)])
 
 
-def lift_word(preset: GroupPreset, word: Iterable[int]) -> UElement:
-    """The canonical lift s_{i_1} ... s_{i_d} of a word in simple indices."""
-    return reduce(
-        lambda acc, i: acc * preset.generator(i),
-        word,
-        preset.identity(),
-    )
-
-
 def canonical_form(u: UElement) -> tuple[tuple[int, ...], UElement]:
     """Canonical decomposition u = s_{i_1} ... s_{i_d} c: the deterministic
     reduced word of pi(u) and the trailing C factor."""
     tables = compile_group(u.preset)
     k = tables.position(u)
     return tables.weyl.word[tables.pi[k]], tables.U.elements[tables.c_part[k]]
-
-
-def c_part(u: UElement) -> UElement:
-    """The trailing C factor of the canonical decomposition
-    u = (lift of a reduced word of pi(u)) * c."""
-    return canonical_form(u)[1]
 
 
 def subgroup_U_H(

@@ -70,7 +70,6 @@ from .utits import (
     FiniteGroupTable,
     GroupTables,
     UElement,
-    _coset,
     compile_group,
     cosets,
     display_word,
@@ -260,6 +259,7 @@ def _down_masks(tables: GroupTables) -> DownSets:
     return tables.down
 
 
+# no command calls it; kept because benchmarks/tracer.py wraps it
 def down_covers(u: UElement) -> frozenset[UElement]:
     """Elements covered by u: one drop position at a time, the dropped
     letter replaced by 1 or by its square (the two coincide when the
@@ -269,6 +269,7 @@ def down_covers(u: UElement) -> frozenset[UElement]:
     return frozenset(elements[v] for v in _covers(tables)[tables.position(u)])
 
 
+# no command calls it; kept because benchmarks/tracer.py wraps it
 def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
     """Grid route for any reduced expression of pi(u): every
     s_1^{k_1} ... s_d^{k_d} c with k in {0,1,2}^d, where u = s_1 ... s_d c.
@@ -498,19 +499,13 @@ def _require_control(quotient: QuotientPoset, what: str) -> None:
 
 
 def control_forward_pairs(quotient: QuotientPoset) -> list[tuple[int, int]]:
-    """`control_forward_edges` as class indices (src, dst), in the same
-    order: the classes are in representative-key order, so sorting the
-    indices sorts the representatives."""
+    """Control-set order facts implied by the coset order, direction
+    reversed: a pair (src, dst) of class indices asserts that the control
+    set of class src strictly precedes that of class dst.  The classes are
+    in representative-key order, so sorting the indices sorts the
+    representatives."""
     _require_control(quotient, "forward edges")
     return sorted((hi, lo) for lo, hi in quotient.covers())
-
-
-def control_forward_edges(quotient: QuotientPoset) -> list[tuple[Coset, Coset]]:
-    """Control-set order facts implied by the coset order, direction
-    reversed: a pair (src, dst) asserts D(src.representative) strictly
-    precedes D(dst.representative)."""
-    classes = quotient.cosets
-    return [(classes[src], classes[dst]) for src, dst in control_forward_pairs(quotient)]
 
 
 # -- the partial converse test -------------------------------------------------
@@ -532,34 +527,15 @@ def _reduced_lift_of_class(
 
 
 def _grid_candidates(u_class: Coset, v_class: Coset) -> frozenset[UElement]:
-    """The members of `u_class` on the exponent-3 grid of a reduced
-    generator product in `v_class` (see `converse_candidates`)."""
+    """Necessary-condition candidates for the hypothesis that the control
+    set of `v_class` precedes that of `u_class`: the members of `u_class`
+    on the grid of every s_1^{k_1} ... s_d^{k_d}, k_i in {0, 1, 2, 3}, of
+    a reduced generator product s_1 ... s_d in `v_class`.  An empty result
+    refutes the hypothesis; a nonempty one decides nothing."""
     tables = compile_group(v_class.representative.preset)
     _, word = _reduced_lift_of_class(tables, v_class)
     grid = _grid(tables, word, 3)
     return frozenset(tables.U.elements[k] for k in u_class.ids if k in grid)
-
-
-def converse_candidates(
-    group: FiniteGroupTable,
-    U_S: FiniteGroupTable,
-    u: UElement,
-    v: UElement,
-) -> frozenset[UElement]:
-    """Necessary-condition candidates for the hypothesis that the control
-    set of v's class precedes the control set of u's class.
-
-    Takes a reduced generator product s_1...s_d in the class of v, forms
-    the grid of every s_1^{k_1}...s_d^{k_d} with k_i in {0,1,2,3}, and
-    returns the ones lying in the class of u.  An empty result refutes the
-    hypothesis; a nonempty one decides nothing.
-    """
-    if not U_S.is_subset_of(group):
-        raise ValueError("subgroup is not contained in group")
-    tables = compile_group(group.preset)
-    subgroup_ids = [tables.position(h) for h in U_S]
-    u_class, v_class = (_coset(tables, subgroup_ids, tables.position(x)) for x in (u, v))
-    return _grid_candidates(u_class, v_class)
 
 
 @dataclass(frozen=True)

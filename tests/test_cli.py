@@ -261,6 +261,42 @@ def test_cmd_oracle_flow_refuses_an_overflowing_time_step(capsys, step):
     assert err.count("\n") == 1
 
 
+HUGE = "1" + "0" * 200  # 1e200, written out
+
+
+@pytest.mark.parametrize(
+    "nilpotent,message",
+    [
+        (f"e12={HUGE},e23=1", "error: --time-step 1 times --nilpotent of Frobenius norm 1e+200"),
+        ("e12=1,e23=nan", "parse error: --nilpotent entry 'e23=nan' is not finite (at position 6)"),
+        ("e23=inf", "parse error: --nilpotent entry 'e23=inf' is not finite (at position 0)"),
+        ("e23=-inf", "parse error: --nilpotent entry 'e23=-inf' is not finite (at position 0)"),
+    ],
+    ids=["overflow", "nan", "inf", "minus-inf"],
+)
+def test_cmd_oracle_flow_refuses_a_non_finite_unipotent_part(capsys, nilpotent, message):
+    # refused before any exp: no numpy warning, and one line naming the flag
+    argv = ["oracle", "flow", "--preset", "sl3", "--H", "0,0,0", "--nilpotent", nilpotent]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [*argv, "--steps", "10"])
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_cmd_oracle_flow_reads_nilpotent_exponents(capsys):
+    argv = ["oracle", "flow", "--preset", "sl3", "--H", "2,-1,-1", "--steps", "10", "--grid", "2"]
+    outputs = []
+    for value in ("1e3", "1000", "1E+3", "1000.0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [*argv, "--json", "--nilpotent", f"e23={value}"])
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert len(set(outputs)) == 1
+    assert json.loads(outputs[0].split("\n", 1)[1])["preset"] == "sl3"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

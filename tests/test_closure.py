@@ -17,7 +17,7 @@ closures on U's table."""
 from pathlib import Path
 
 import pytest
-from test_utits import SHEAR_SL2, SL3_CONFIG
+from test_utits import SHEAR_SL2, SL3_CONFIG, is_signed_permutation
 
 from wtits import (
     display_word,
@@ -30,7 +30,7 @@ from wtits import (
 )
 from wtits import exact, utits
 from wtits.cli import hasse_json
-from wtits.exact import identity_matrix, is_signed_permutation, mat_inverse, mat_mul
+from wtits.exact import identity_matrix, mat_inverse, mat_mul
 from wtits.utits import FiniteGroupTable, UElement, _closure, compile_group
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"

@@ -14,7 +14,6 @@ from wtits.exact import (
     frac_mat_mul,
     frac_vec_mat,
     identity_matrix,
-    is_signed_permutation,
     mat_inverse,
     mat_mul,
     mat_pow,
@@ -58,13 +57,6 @@ def test_mat_pow():
     shear = ((1, 1), (0, 1))
     assert mat_pow(shear, 7) == ((1, 7), (0, 1))
     assert mat_pow(shear, -3) == ((1, -3), (0, 1))
-
-
-def test_is_signed_permutation():
-    assert is_signed_permutation(((0, -1), (1, 0)))
-    assert not is_signed_permutation(((1, 1), (0, 1)))
-    assert not is_signed_permutation(((1, 0), (1, 0)))
-    assert not is_signed_permutation(((2, 0), (0, 1)))
 
 
 def leibniz(a):

@@ -3,7 +3,9 @@
 The exact commands run in a fresh interpreter, because the test process
 itself has imported numpy long before."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +65,24 @@ def test_lazy_names_resolve():
     assert set(wtits.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         wtits.no_such_name
+
+
+def test_readme_entry_points_run():
+    # the python block under README's "Library entry points" runs as
+    # written, and imports only names the package exports
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "wtits"
+        for alias in node.names
+    }
+    assert imported and imported <= set(wtits.__all__), imported - set(wtits.__all__)
+    namespace: dict = {}
+    exec(block, namespace)
+    poset = namespace["poset"]
+    assert (len(poset), len(poset.covers)) == (24, 64)
+    assert len(namespace["below"]) == 3
+    assert len(namespace["morse"].cosets) == 6

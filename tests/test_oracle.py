@@ -13,34 +13,30 @@ import pytest
 
 import wtits.oracle as oracle
 
+from oracle_reference import contraction_check, psi_rank_one, rank_one_generators
 from wtits import (
-    CellSample,
     FlowSpec,
-    contraction_check,
     display_word,
-    down_covers,
     enumerate_U,
     flow_step,
-    incidence_test,
     iwasawa_K,
     load_preset,
-    psi_rank_one,
-    psi_split,
     recover_morse,
-    sample_schubert,
 )
 from wtits.oracle import (
     MAX_STACK_FLOATS,
     WORKSPACE_BYTES,
+    CellSample,
     component_distance,
     _h_blocks,
     _rotation_block_of,
     min_distance,
-    rank_one_generators,
+    sample_schubert,
     schubert_agreement_report,
     u_cell_key,
 )
 from wtits.utits import GroupPreset, canonical_form, cosets, project_to_W, subgroup_U_H
+from wtits.xorder import down_covers
 
 
 def as_float(u):
@@ -166,16 +162,6 @@ class TestIwasawa:
         with pytest.raises(ArithmeticError, match="residual"):
             iwasawa_K(stack)
 
-    def test_flag_point_validator(self, sl3):
-        from wtits import require_flag_point
-
-        k = require_flag_point(as_float(sl3.generator(1)))
-        assert k.shape == (3, 3)
-        with pytest.raises(ValueError, match="orthogonal"):
-            require_flag_point(np.diag([2.0, 1.0, 0.5]))
-        with pytest.raises(ValueError, match="determinant"):
-            require_flag_point(np.diag([1.0, 1.0, -1.0]))
-
     def test_factors_through_projection(self, sl3):
         # the step map only sees the K-part of its input
         nil = np.zeros((3, 3))
@@ -190,6 +176,15 @@ class TestIwasawa:
         )
 
 
+def psi_split(gen, t):
+    """The rank-one cell map of a split generator at t: the sampling
+    kernel on a one-letter plan in the generator's rotation plane, so
+    psi(0) = 1, psi(1/2) = s and psi(1) = s^2."""
+    n = gen.preset.n
+    plan = oracle._CellPlan(n, (_rotation_block_of(gen),), np.arange(n), np.ones(n), ())
+    return oracle._cell_block(plan, np.array([[t]]), oracle._Workspace(n, 1, 0))[:, :, 0]
+
+
 class TestPsiSplit:
     def test_endpoints(self, sl3, sl2):
         for preset in (sl3, sl2):
@@ -198,6 +193,11 @@ class TestPsiSplit:
                 assert np.allclose(psi_split(s, 0.0), np.eye(preset.n), atol=1e-12)
                 assert np.allclose(psi_split(s, 0.5), as_float(s), atol=1e-12)
                 assert np.allclose(psi_split(s, 1.0), as_float(s**2), atol=1e-12)
+                # the engine's plan for the cell of s is this one-letter plan
+                plan = oracle._cell_plan(s, 0)
+                assert plan.planes == (_rotation_block_of(s),)
+                assert np.array_equal(plan.c_columns, np.arange(preset.n))
+                assert (plan.c_signs == 1).all()
 
     def test_is_one_parameter_group(self, sl3):
         s = sl3.generator(1)
@@ -207,7 +207,7 @@ class TestPsiSplit:
         )
 
     def test_rejects_non_block_elements(self, sl3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a single rotation block"):
             psi_split(sl3.generator(1) * sl3.generator(2), 0.3)
 
 
@@ -324,9 +324,9 @@ class TestIncidence:
     def test_examples(self, sl3):
         s1, s2 = sl3.generator(1), sl3.generator(2)
         sample = sample_schubert(s1, 10_000, 42)
-        assert incidence_test(s1, sample, 1e-8)
-        assert incidence_test(sl3.identity(), sample, 1e-2)
-        assert not incidence_test(s2**2, sample, 1e-2)
+        assert min_distance(s1, sample) < 1e-8
+        assert min_distance(sl3.identity(), sample) < 1e-2
+        assert not min_distance(s2**2, sample) < 1e-2
         assert min_distance(s2**2, sample) > 1.9
 
     def test_small_count_agreement(self, sl3):
@@ -688,6 +688,41 @@ class TestFlow:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"--time-step \S+ times H = \[2.0, -1.0, -1.0\]"):
                 FlowSpec(H=np.array([2.0, -1.0, -1.0]), time_step=step)
+
+    @pytest.mark.parametrize("part", ["elliptic", "nilpotent"])
+    def test_flowspec_refuses_non_finite_parts(self, part):
+        bad = np.eye(3) if part == "elliptic" else np.zeros((3, 3))
+        bad[0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{part} part .*must be finite$"):
+                FlowSpec(H=np.zeros(3), **{part: bad})
+
+    @pytest.mark.parametrize("entry,step", [(1e200, 1.0), (1e160, 1.0), (1.0, 1e300), (1e100, 1e100)])
+    def test_flowspec_refuses_an_overflowing_unipotent_part(self, entry, step):
+        # |exp(step N)|_F <= sum_{k<n} (step |N|_F)^k / k!, checked in Python
+        # floats before any exp: no numpy warning
+        nil = np.zeros((3, 3))
+        nil[0, 1], nil[1, 2] = entry, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"times --nilpotent of Frobenius norm"):
+                FlowSpec(H=np.zeros(3), nilpotent=nil, time_step=step)
+
+    def test_unipotent_bound_leaves_the_hyperbolic_bound(self, sl3):
+        # a zero N keeps the H bound exactly: step 177 runs, 178 is refused;
+        # a small N still runs at step 1
+        H = np.array([2.0, -1.0, -1.0])
+        for nil in (None, np.zeros((3, 3))):
+            FlowSpec(H=H, nilpotent=nil, time_step=177.0)
+            with pytest.raises(ValueError, match=r"--time-step 178 times H"):
+                FlowSpec(H=H, nilpotent=nil, time_step=178.0)
+        nil = np.zeros((3, 3))
+        nil[1, 2] = 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = FlowSpec(H=H, nilpotent=nil)
+            assert np.isfinite(flow_step(spec, as_float(sl3.generator(1)))).all()
 
     def test_largest_time_step_below_the_overflow_runs(self, sl3):
         with warnings.catch_warnings():

@@ -13,13 +13,11 @@ from wtits import (
     InvariantViolation,
     PresetError,
     UElement,
-    c_part,
     check_quotient_isomorphism,
     cosets,
     display_word,
     enumerate_C,
     enumerate_U,
-    lift_word,
     load_config,
     load_preset,
     project_to_W,
@@ -28,7 +26,7 @@ from wtits import (
 )
 from wtits.exact import identity_matrix, mat_mul
 from wtits.rootsys import length, simple_reflection, weyl_group
-from wtits.utits import _closure, canonical_form
+from wtits.utits import _closure, canonical_form, compile_group
 
 S1_SL3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 S2_SL3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
@@ -123,15 +121,24 @@ def test_projection_of_word(sl3):
 
 
 def test_lift_word(sl3, so24):
-    assert lift_word(sl3, []).is_identity()
+    # the engine lifts a word by walking its generator tables; the
+    # reference multiplies the generator matrices
+    for preset, word in ((sl3, []), (sl3, [1, 2]), (so24, [1, 2, 1, 2]), (so24, [2, 1, 2, 1])):
+        tables = compile_group(preset)
+        walked = tables.U.elements[tables.walk(tables.identity, [i - 1 for i in word])]
+        assert walked == ref.lift_word(preset, word)
+    assert ref.lift_word(sl3, []).is_identity()
     s1, s2 = sl3.generator(1), sl3.generator(2)
-    assert lift_word(sl3, [1, 2]).matrix == mat_mul(s1.matrix, s2.matrix)
-    a = lift_word(so24, [1, 2, 1, 2])
-    b = lift_word(so24, [2, 1, 2, 1])
+    assert ref.lift_word(sl3, [1, 2]).matrix == mat_mul(s1.matrix, s2.matrix)
+    a = ref.lift_word(so24, [1, 2, 1, 2])
+    b = ref.lift_word(so24, [2, 1, 2, 1])
     assert a.matrix == b.matrix
 
 
 def test_c_part(sl3):
+    def c_part(u):
+        return canonical_form(u)[1]
+
     s1, s2 = sl3.generator(1), sl3.generator(2)
     assert c_part(s1**3).matrix == (s1**2).matrix
     for c in enumerate_C(sl3):
@@ -141,7 +148,7 @@ def test_c_part(sl3):
     # every element recomposes
     for u in enumerate_U(sl3):
         word, c = canonical_form(u)
-        assert (lift_word(sl3, word) * c).matrix == u.matrix
+        assert (ref.lift_word(sl3, word) * c).matrix == u.matrix
         assert len(word) == length(project_to_W(u))
 
 
@@ -209,8 +216,27 @@ def test_check_quotient_isomorphism(sl3):
     assert trivial.classes_in_U == 24 and trivial.identity_holds
 
 
+def is_signed_permutation(a) -> bool:
+    """Exactly one entry of modulus 1 per row and per column, rest zero."""
+    n = len(a)
+    col_hits = [0] * n
+    for row in a:
+        hits = [j for j, x in enumerate(row) if x != 0]
+        if len(hits) != 1 or abs(row[hits[0]]) != 1:
+            return False
+        col_hits[hits[0]] += 1
+    return all(c == 1 for c in col_hits)
+
+
+def test_is_signed_permutation():
+    assert is_signed_permutation(((0, -1), (1, 0)))
+    assert not is_signed_permutation(((1, 1), (0, 1)))
+    assert not is_signed_permutation(((1, 0), (1, 0)))
+    assert not is_signed_permutation(((2, 0), (0, 1)))
+
+
 def test_all_elements_unimodular_signed_permutations(sl3, so24):
-    from wtits.exact import determinant, is_signed_permutation
+    from wtits.exact import determinant
 
     for u in enumerate_U(sl3):
         assert determinant(u.matrix) == 1

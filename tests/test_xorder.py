@@ -14,18 +14,14 @@ import fixture_sl3
 import fixture_so24
 import weyl_reference as ref
 from wtits import (
-    control_forward_edges,
     control_quotient_order,
-    converse_candidates,
     cosets,
     display_word,
-    down_covers,
     down_set,
     enumerate_C,
     enumerate_U,
     extended_leq,
     hasse,
-    lift_word,
     load_preset,
     morse_quotient_order,
     pair_status,
@@ -34,10 +30,17 @@ from wtits import (
     subgroup_closure,
 )
 from wtits.cli import parse_element
-from wtits.rootsys import length, longest_element
+from wtits.rootsys import length
 from wtits import InvariantViolation, ReducedLiftUnavailable, load_config
 from wtits.utits import compile_group
-from wtits.xorder import _bits, _verify_partial_order, down_set_from_word
+from wtits.xorder import (
+    _bits,
+    _grid_candidates,
+    _verify_partial_order,
+    control_forward_pairs,
+    down_covers,
+    down_set_from_word,
+)
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
@@ -152,7 +155,7 @@ def test_projection_monotone_and_bruhat_recovery(name):
         for hi in table:
             if extended_leq(lo, hi):
                 assert bruhat[pi[lo.matrix], pi[hi.matrix]]
-    lifts = {w.matrix: lift_word(preset, ref.reduced_word(w)) for w in group_w}
+    lifts = {w.matrix: ref.lift_word(preset, ref.reduced_word(w)) for w in group_w}
     for v in group_w:
         for w in group_w:
             lifted = extended_leq(lifts[v.matrix], lifts[w.matrix])
@@ -165,7 +168,7 @@ def test_bruhat_recovery_matches_tableau_criterion(name):
     # extended order on reduced-word lifts against the tableau criterion
     preset = load_preset(name)
     weyl = compile_group(preset).weyl
-    lifts = [lift_word(preset, word) for word in weyl.word]
+    lifts = [ref.lift_word(preset, word) for word in weyl.word]
     perms = [ref.permutation(u) for u in lifts]
     assert len(set(perms)) == len(perms) == math.factorial(preset.n)
     for perm, ell in zip(perms, weyl.length):
@@ -185,7 +188,7 @@ def test_extremes_and_grading(name):
     preset = load_preset(name)
     table = enumerate_U(preset)
     c_mats = {c.matrix for c in enumerate_C(preset)}
-    w0 = longest_element(preset.root_datum)
+    w0 = ref.weyl_group(preset.root_datum)[-1]  # sorted by length: the longest
     minimal = {u.matrix for u in table if not down_covers(u)}
     assert minimal == c_mats
     maximal = {
@@ -243,7 +246,7 @@ def test_control_quotient_matches_morse(sl3):
     assert qc.relation == qm.relation
     assert qc.kind == "control-forward" and qm.kind == "morse"
     with pytest.raises(ValueError):
-        control_forward_edges(qm)
+        control_forward_pairs(qm)
 
 
 def test_control_quotient_degenerate(sl3):
@@ -252,7 +255,7 @@ def test_control_quotient_degenerate(sl3):
     assert len(q1.cosets) == 24
     assert len(q1.covers()) == 64
     q2 = control_quotient_order(table, table)
-    assert len(q2.cosets) == 1 and control_forward_edges(q2) == []
+    assert len(q2.cosets) == 1 and control_forward_pairs(q2) == []
 
 
 def test_control_forward_edges_reference(sl3):
@@ -266,12 +269,13 @@ def test_control_forward_edges_reference(sl3):
             m.matrix for m in quotient.cosets[quotient.index_of(x)].members
         )
 
+    classes = quotient.cosets
     got = {
         (
-            frozenset(m.matrix for m in src.members),
-            frozenset(m.matrix for m in dst.members),
+            frozenset(m.matrix for m in classes[src].members),
+            frozenset(m.matrix for m in classes[dst].members),
         )
-        for src, dst in control_forward_edges(quotient)
+        for src, dst in control_forward_pairs(quotient)
     }
     want = {
         (class_key(a), class_key(b)) for a, b in fixture_sl3.CONTROL_FORWARD_ARROWS
@@ -279,22 +283,20 @@ def test_control_forward_edges_reference(sl3):
     assert got == want and len(got) == 8
     # trivial U(S): 64 reversed cover edges
     q_triv = control_quotient_order(table, subgroup_closure(sl3, []))
-    assert len(control_forward_edges(q_triv)) == 64
+    assert len(control_forward_pairs(q_triv)) == 64
 
 
 def test_converse_candidates(sl3):
-    table = enumerate_U(sl3)
-    u_s = subgroup_closure(sl3, [sl3.generator(1)])
+    classes = cosets(enumerate_U(sl3), subgroup_closure(sl3, [sl3.generator(1)]))
     one = sl3.identity()
     s1, s2 = sl3.generator(1), sl3.generator(2)
+    u_class = next(c for c in classes if one in c)
     # same class: contains the identity
-    assert one in converse_candidates(table, u_s, one, one)
+    assert one in _grid_candidates(u_class, u_class)
     # v-class = U(S) s2, u-class = U(S): nonempty, contains s1
-    cands = converse_candidates(table, u_s, one, s2)
+    cands = _grid_candidates(u_class, next(c for c in classes if s2 in c))
     assert s1 in cands and cands
     # every candidate lies in the u class
-    classes = cosets(table, u_s)
-    u_class = next(c for c in classes if one in c)
     assert all(x in u_class for x in cands)
 
 
@@ -696,7 +698,7 @@ def reference_lift_word(coset):
     by Fraction words and matrix products; that word, or None."""
     for member in coset.members:
         for word in ref.all_reduced_words(project_to_W(member)):
-            if lift_word(member.preset, word).matrix == member.matrix:
+            if ref.lift_word(member.preset, word).matrix == member.matrix:
                 return word
     return None
 
@@ -727,13 +729,12 @@ def test_converse_candidates_match_matrix_loop(make):
             word = reference_lift_word(v_class)
             products = None if word is None else reference_products(preset, word)
             for u_class in classes:
-                u, v = u_class.representative, v_class.representative
                 if word is None:
                     with pytest.raises(ReducedLiftUnavailable):
-                        converse_candidates(table, u_s, u, v)
+                        _grid_candidates(u_class, v_class)
                 else:
                     want = {x for x in products if x in u_class}
-                    assert converse_candidates(table, u_s, u, v) == want
+                    assert _grid_candidates(u_class, v_class) == want
 
 
 def test_converse_grid_matches_matrix_loop_sl4():
@@ -752,7 +753,7 @@ def test_converse_grid_matches_matrix_loop_sl4():
             except ReducedLiftUnavailable:
                 continue
             liftable += 1
-            assert member in v_class and lift_word(preset, word) == member
+            assert member in v_class and ref.lift_word(preset, word) == member
             assert ref.is_reduced(preset.root_datum, word)
             grid = {tables.U.elements[k] for k in xorder._grid(tables, word, 3)}
             assert grid == reference_products(preset, word)

@@ -11,6 +11,7 @@ compare the two:
 * `bruhat_leq`: the classical descent recursion (Bjorner-Brenti,
   Combinatorics of Coxeter Groups, Ch. 2),
 * `all_reduced_words`, `evaluate_word`, `left_descents`, `is_reduced`,
+* `lift_word`: the product s_{i_1} ... s_{i_d} of generator matrices,
 * `tableau_leq`: the type-A tableau criterion (Thm 2.6.3),
 * `validate_group_table`: the group axioms of a `FiniteGroupTable` by
   brute force.
@@ -30,13 +31,32 @@ def reflection(datum, i):
     return simple_reflection(datum, i)
 
 
+# left products and `bruhat_leq` answers, keyed by `_key`
+_LEFT: dict = {}
+_LEQ: dict = {}
+_DATA: dict = {}  # id -> root datum, kept alive so that each id keys one datum
+
+
+def _key(w):
+    """w as its datum's id and its matrix entries as (numerator,
+    denominator) pairs.  A WeylElement's own hash runs `Fraction.__hash__`
+    over its matrix and its whole root datum, which would cost the
+    recursions here more than their products."""
+    _DATA.setdefault(id(w.datum), w.datum)
+    return id(w.datum), tuple((x.numerator, x.denominator) for row in w.matrix for x in row)
+
+
+def left(i, w):
+    """r_i w, by one Fraction-matrix product per (i, w)."""
+    key = i, _key(w)
+    if key not in _LEFT:
+        _LEFT[key] = reflection(w.datum, i) * w
+    return _LEFT[key]
+
+
 def left_descents(w):
     """Simple indices i with l(r_i w) < l(w), ascending."""
-    return [
-        i
-        for i in range(1, w.datum.rank + 1)
-        if length(reflection(w.datum, i) * w) < length(w)
-    ]
+    return [i for i in range(1, w.datum.rank + 1) if length(left(i, w)) < length(w)]
 
 
 def reduced_word(w):
@@ -46,7 +66,7 @@ def reduced_word(w):
     while length(current) > 0:
         i = left_descents(current)[0]
         word.append(i)
-        current = reflection(current.datum, i) * current
+        current = left(i, current)
     return word
 
 
@@ -57,26 +77,36 @@ def evaluate_word(datum, word):
     return result
 
 
+def lift_word(preset, word):
+    """The lift s_{i_1} ... s_{i_d} of a word in simple indices, by
+    integer-matrix products of the generators."""
+    result = preset.identity()
+    for i in word:
+        result = result * preset.generator(i)
+    return result
+
+
 def is_reduced(datum, word):
     """True iff the word's product has length equal to the word's length."""
     word = list(word)
     return length(evaluate_word(datum, word)) == len(word)
 
 
-@lru_cache(maxsize=None)
 def bruhat_leq(v, w):
     """Bruhat-Chevalley order via the classical descent recursion:
     for a left descent i of w,  v <= w  iff  (r_i v <= r_i w when i is also
     a descent of v, else v <= r_i w)."""
-    if length(v) == 0:
-        return True
-    if length(v) > length(w):
-        return False
-    r = reflection(w.datum, left_descents(w)[0])
-    rv = r * v
-    if length(rv) < length(v):
-        return bruhat_leq(rv, r * w)
-    return bruhat_leq(v, r * w)
+    key = _key(v), _key(w)
+    if key not in _LEQ:
+        if length(v) == 0:
+            _LEQ[key] = True
+        elif length(v) > length(w):
+            _LEQ[key] = False
+        else:
+            i = left_descents(w)[0]
+            rv, rw = left(i, v), left(i, w)
+            _LEQ[key] = bruhat_leq(rv, rw) if length(rv) < length(v) else bruhat_leq(v, rw)
+    return _LEQ[key]
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +134,7 @@ def all_reduced_words(w):
         return ((),)
     words = []
     for i in left_descents(w):
-        rest = reflection(w.datum, i) * w
+        rest = left(i, w)
         words.extend((i,) + tail for tail in all_reduced_words(rest))
     return tuple(words)
 

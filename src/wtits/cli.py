@@ -11,8 +11,9 @@ Element expressions are whitespace-separated tokens `1`, `s<i>` or
 generators), multiplied left to right.  All emitted DOT and JSON is
 canonically ordered, so identical inputs and seeds produce identical bytes.
 
-The order commands (`order`, `morse`, `control`) refuse a group, preset or
-config alike, from its exact |U| = |W| * |C| before U is closed.
+The order commands (`order`, `morse`, `control`) and `oracle schubert`
+refuse a group, preset or config alike, from its exact |U| = |W| * |C|
+before U is closed.
 
 Exit codes: 0 success, 2 parse/usage error, 3 invariant violation.
 """

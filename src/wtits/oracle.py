@@ -48,9 +48,11 @@ nothing that keeps the lock for a whole run (`np.minimum.at` does).
 A flow advances all of its starts (the group points, then the random
 ones) as one (starts, n, n) stack: each step is one product with the flow
 matrix and one batched QR, with every check applied to each matrix.
-Sample and start stacks are refused from their predicted size, before any
-allocation, above MAX_STACK_FLOATS; the report applies the same refusal to
-each cell, before any draw, although it never holds a whole cell.
+Sample and start stacks, and a flow's table of start-to-component
+distances, are refused from their predicted size, before any allocation,
+above MAX_STACK_FLOATS; the report applies the same refusal to each cell,
+before any draw, although it never holds a whole cell, and the order's
+cap (`xorder.require_order_memory`) before U is closed.
 
 This is the package's only numpy user.  `wtits` resolves the names it
 re-exports from here on first access, so the exact commands never import
@@ -83,7 +85,7 @@ from .utits import (
     enumerate_U,
     subgroup_U_H,
 )
-from .xorder import extended_leq
+from .xorder import extended_leq, require_order_memory
 
 ORTHO_TOL = 1e-10
 MAX_STACK_FLOATS = 1 << 25  # 256 MiB of float64: the largest cell sample or flow stack
@@ -578,6 +580,7 @@ def schubert_agreement_report(
     """
     _require_positive("tol", tol)
     _require_positive("reject_margin", reject_margin)
+    require_order_memory(preset.predicted_size)  # the verdicts read the whole order
     table = enumerate_U(preset)
     plans = [_cell_plan(hi, count) for hi in table]
     targets = _target_stack(table, (preset.n, preset.n))
@@ -673,11 +676,16 @@ class FlowSpec:
         self.nilpotent = (
             np.zeros((n, n)) if self.nilpotent is None else np.asarray(self.nilpotent, dtype=float)
         )
+        for name, part in (("elliptic", self.elliptic), ("nilpotent", self.nilpotent)):
+            if part.shape != (n, n):
+                raise ValueError(f"{name} part must be {n}x{n}, got shape {part.shape}")
         if not np.isfinite(self.elliptic).all():
             raise ValueError("elliptic part must be finite")
         if not np.isfinite(self.nilpotent).all():
             raise ValueError("nilpotent part (--nilpotent) must be finite")
-        if np.linalg.norm(self.elliptic.T @ self.elliptic - np.eye(n)) > ORTHO_TOL:
+        # no entry of an orthogonal matrix exceeds 1: refused before E^T E can overflow
+        big = np.abs(self.elliptic).max() > 1 + ORTHO_TOL
+        if big or np.linalg.norm(self.elliptic.T @ self.elliptic - np.eye(n)) > ORTHO_TOL:
             raise ValueError("elliptic part must be orthogonal")
         if np.any(np.tril(self.nilpotent) != 0):
             raise ValueError("nilpotent part must be strictly upper triangular")
@@ -808,6 +816,9 @@ def recover_morse(
     _require_stack_size((len(table) + grid) * n * n, f"a flow stack with grid={grid}")
     u_h = subgroup_U_H(preset, theta)
     classes = cosets(table, u_h)
+    starts = len(table) + grid  # the group points, then the random ones
+    what = f"a distance table of {starts} starts by {len(classes)} classes"
+    _require_stack_size(starts * len(classes), what)
     blocks = _h_blocks(spec.H)
     degenerate = len(theta) == datum.rank and not np.any(spec.nilpotent)
 
@@ -828,10 +839,9 @@ def recover_morse(
     limits = np.concatenate([points, iwasawa_K(gauss)])
     for _ in range(iters):
         limits = flow_step(spec, limits)
-    dists = np.stack(
-        [component_distance(limits, coset.representative, blocks) for coset in classes],
-        axis=-1,
-    )
+    dists = np.empty((starts, len(classes)))
+    for j, coset in enumerate(classes):
+        dists[:, j] = component_distance(limits, coset.representative, blocks)
     nearest = dists.argmin(axis=-1)
     distances = dists.min(axis=-1)
     converged = distances <= CONVERGE_TOL

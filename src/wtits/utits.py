@@ -22,12 +22,12 @@ right-coset partitions.
 Every subgroup of U (C, U_H and U(S)) is closed by the same loop on U's
 table, with one step k -> mul(k, g) per generator index g.
 
-Every size check but one runs on the loaded group, before U is closed, on
-its exact |U| = |W| * |C| (`GroupPreset.predicted_size`, computed once):
-compiling refuses C tables over `MAX_C_RIGHT_ENTRIES`, and the order
-commands apply `xorder`'s caps.
-The one exception is `load_preset`, which refuses by name an sl<n> whose
-n! * 2^(n-1) elements exceed the closure bound.
+U is an extension of W by the abelian C, so the tables index each element
+u = lift(pi(u)) c by that pair.  Compiling is bounded by the closure bound,
+and `load_preset` refuses by name an sl<n> whose n! * 2^(n-1) elements
+exceed it; the order commands and the Schubert report apply `xorder`'s
+caps from the exact |U| = |W| * |C| (`GroupPreset.predicted_size`,
+computed once) before U is closed.
 
 Canonical element keys are the integer matrices themselves, so equality and
 hashing are exact (each element hashes its matrix once, on creation); table
@@ -41,7 +41,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ClosureBoundExceeded, InvariantViolation, PresetError
@@ -283,7 +283,6 @@ def _so24_preset() -> GroupPreset:
 
 
 _SL_NAME = re.compile(r"sl(?:(\d+)|\((\d+)\))$")
-MAX_C_RIGHT_ENTRIES = 1 << 22  # the largest |U| * |C| entries of C's right-multiplication tables
 _PRESETS: dict[str, GroupPreset] = {}
 
 
@@ -448,19 +447,20 @@ class GroupTables:
     * `inverse[k]`; `pi[k]`, an index into `weyl`, the root datum's own
       `WeylTable` (`rootsys.weyl_table`), so the group and the public Weyl
       functions share one table,
-    * `c_part[k]`: the C factor of the canonical decomposition
-      u = s_1 ... s_d c, where s_1 ... s_d lifts the word `weyl.word[pi[k]]`,
-    * `c_right[c]`: right multiplication by each element c of C, composed
-      from the table of the element that found c as C is closed (`close`),
-    * `s_tokens[w]`, `c_tokens[c]`: display spellings of canonical words and
+    * `c_ids[s]`: the index of the element of C in slot s; slots follow
+      index order, so slot s holds `C.elements[s]`,
+    * `slot[k]`: the slot of the C factor c of the canonical decomposition
+      u_k = s_1 ... s_d c, where s_1 ... s_d lifts the word `weyl.word[pi[k]]`,
+    * `at[w][s]`: the index of lift(w) c_s, the inverse of k -> (pi[k], slot[k]),
+    * `c_mul[s][t]`: C's own table, the slot of c_s c_t, so right
+      multiplication by c_t is `at[pi[k]][c_mul[slot[k]][t]]` (`times_c`),
+    * `s_tokens[w]`, `c_tokens[s]`: display spellings of canonical words and
       of C elements; `word(k)` joins u_k's once, on first use.
 
-    Construction first refuses, before U is closed, a group whose exact
-    |U| * |C| (`predicted_size`) exceeds `MAX_C_RIGHT_ENTRIES`, the entries
-    of `c_right`.  It then checks, on lookups and exhaustively: pi is well
-    defined on every generator edge, C lies in the kernel of pi and is abelian,
-    |U| = |W| * |C|, C is normal in U, and every canonical C part lies in
-    C.  Normality is checked on the generators: g C g^-1 lies in C for each
+    Construction checks, on lookups and exhaustively: pi is well defined on
+    every generator edge, C lies in the kernel of pi, |U| = |W| * |C|, C is
+    abelian, C is normal in U, and every canonical C part lies in C.
+    Normality is checked on the generators: g C g^-1 lies in C for each
     of the r + m generators g.  That is the same check as u C u^-1 in C for
     every u, at (r + m) * |C| walks instead of |U| * |C|: conjugation by g
     is injective, so it maps the finite C onto itself, and every u is a
@@ -473,13 +473,6 @@ class GroupTables:
         rank = preset.rank
         self.preset = preset
         self.weyl = weyl = weyl_table(preset.root_datum)
-        size = preset.predicted_size
-        c_size = size // len(weyl)
-        if size * c_size > MAX_C_RIGHT_ENTRIES:
-            raise PresetError(
-                f"{preset.name} would have |U| = {size} and |C| = {c_size}, so its C tables "
-                f"take {size * c_size} entries, over the cap of {MAX_C_RIGHT_ENTRIES}"
-            )
         generators = preset.generators + preset.c_generators
         mats, right, words = _closure(identity_matrix(preset.n), generators, DEFAULT_CLOSURE_BOUND)
         pi: list[int | None] = [None] * len(mats)
@@ -513,55 +506,62 @@ class GroupTables:
             for word in self.words
         )
 
-        c_tokens, c_right = self._close_c()
-        c_members = sorted(c_tokens)
-        for c in c_members:
+        c_tokens = self._close_c()
+        self.c_ids = c_ids = tuple(sorted(c_tokens))
+        for c in c_ids:
             if self.pi[c] != weyl.identity:
                 raise InvariantViolation(
                     f"C element {self._word_name(c)} has nontrivial Weyl projection"
                 )
-        for a in c_members:
-            for b in c_members:
-                if c_right[b][a] != c_right[a][b]:
-                    raise InvariantViolation("C is not abelian")
-        if len(mats) != len(weyl) * len(c_members):
+        if len(mats) != len(weyl) * len(c_ids):
             raise InvariantViolation(
-                f"|U| = {len(mats)} != |W| * |C| = {len(weyl)} * {len(c_members)}"
+                f"|U| = {len(mats)} != |W| * |C| = {len(weyl)} * {len(c_ids)}"
             )
+        slot_of = {c: s for s, c in enumerate(c_ids)}
+        self.c_mul = tuple(tuple(slot_of[self.mul(a, b)] for b in c_ids) for a in c_ids)
+        for s, row in enumerate(self.c_mul):
+            for t in range(s):
+                if row[t] != self.c_mul[t][s]:
+                    raise InvariantViolation(
+                        f"C is not abelian: {self._word_name(c_ids[s])} and "
+                        f"{self._word_name(c_ids[t])} do not commute"
+                    )
         for row in self.right:
             g = row[e]
             back = self.words[self.inverse[g]]
-            for c in c_members:
-                if self.walk(c_right[c][g], back) not in c_tokens:
+            for c in c_ids:
+                if self.walk(self.mul(g, c), back) not in slot_of:
                     raise InvariantViolation(
                         f"C is not normal in U: g c g^-1 escapes C for the generator "
                         f"g = {self._word_name(g)}, c = {self._word_name(c)}"
                     )
         lifts = [self.walk(e, [i - 1 for i in word]) for word in weyl.word]
-        self.c_part = tuple(
-            self.mul(self.inverse[lifts[w]], k) for k, w in enumerate(self.pi)
-        )
-        for k, c in enumerate(self.c_part):
-            if c not in c_tokens:
+        parts = [self.mul(self.inverse[lifts[w]], k) for k, w in enumerate(self.pi)]
+        for k, c in enumerate(parts):
+            if c not in slot_of:
                 raise InvariantViolation(
                     f"canonical C part {self._word_name(c)} of {self._word_name(k)} "
                     "escapes C; preset data corrupted"
                 )
-        self.C = FiniteGroupTable(self.U.elements[c] for c in c_members)
-        self.c_right = c_right
-        self.c_tokens = c_tokens
+        self.slot = tuple(map(slot_of.__getitem__, parts))
+        at = [[0] * len(c_ids) for _ in range(len(weyl))]
+        for k, (w, s) in enumerate(zip(self.pi, self.slot)):
+            at[w][s] = k
+        self.at = tuple(map(tuple, at))
+        self.C = FiniteGroupTable(self.U.elements[c] for c in c_ids)
+        self.c_tokens = tuple(map(c_tokens.__getitem__, c_ids))
         self.s_tokens = tuple(tuple(f"s{i}" for i in word) for word in weyl.word)
         self._words: list[str | None] = [None] * len(mats)
         self.covers: tuple[tuple[int, ...], ...] | None = None
         self.down = None  # an `xorder.DownSets` once built
 
-    def _close_c(self) -> tuple[dict[int, tuple[str, ...]], dict[int, tuple[int, ...]]]:
+    def _close_c(self) -> dict[int, tuple[str, ...]]:
         """C as the closure of the s_i^2 and c_j on U's table: the shortest
-        token spelling of each element (lexicographic tie-break) and its
-        right-multiplication table.  A step equal to an earlier one (in the
-        order s_1^2 .. s_r^2, c_1 .. c_m) is dropped and the rest are sorted
-        by token, so first in, first out, each element keeps its least
-        shortest spelling and equal steps keep the earlier generator's."""
+        token spelling of each element (lexicographic tie-break).  A step
+        equal to an earlier one (in the order s_1^2 .. s_r^2, c_1 .. c_m) is
+        dropped and the rest are sorted by token, so first in, first out,
+        each element keeps its least shortest spelling and equal steps keep
+        the earlier generator's."""
         rank, e = self.preset.rank, self.identity
         steps: dict[int, str] = {}
         for i in range(rank):
@@ -569,18 +569,8 @@ class GroupTables:
         for j in range(len(self.preset.c_generators)):
             steps.setdefault(self.right[rank + j][e], f"c{j + 1}")
         ids = sorted(steps, key=steps.__getitem__)
-        keys, right, words = self.close(ids)
-        c_tokens = {key: tuple(steps[ids[s]] for s in word) for key, word in zip(keys, words)}
-        c_right = {e: tuple(range(len(self.pi)))}
-        tables = [  # right multiplication by each step, one generator row at a time
-            reduce(lambda t, g: tuple(map(self.right[g].__getitem__, t)), self.words[k], c_right[e])
-            for k in ids
-        ]
-        for k, key in enumerate(keys):  # discovery order: the first key to reach one found it
-            for table, row in zip(tables, right):
-                if keys[row[k]] not in c_right:
-                    c_right[keys[row[k]]] = tuple(map(table.__getitem__, c_right[key]))
-        return c_tokens, c_right
+        keys, _, words = self.close(ids)
+        return {key: tuple(steps[ids[s]] for s in word) for key, word in zip(keys, words)}
 
     def close(self, ids: Iterable[int]) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
         """`rootsys.closure` of the subgroup generated by the elements `ids`."""
@@ -604,6 +594,12 @@ class GroupTables:
     def mul(self, a: int, b: int) -> int:
         return self.walk(a, self.words[b])
 
+    def times_c(self, ks: Iterable[int], t: int) -> list[int]:
+        """The index of u_k c_t for each k in `ks`: u_k = lift(pi(u_k)) c_s
+        moves to slot c_mul[s][t] = c_mul[t][s] (C is abelian)."""
+        at, pi, slot, row = self.at, self.pi, self.slot, self.c_mul[t]
+        return [at[pi[k]][row[slot[k]]] for k in ks]
+
     def position(self, u: UElement) -> int:
         try:
             return self.index[u]
@@ -618,7 +614,7 @@ class GroupTables:
         """The display tokens of u_k: the deterministic reduced word of
         pi(u_k) followed by the shortest squared-generator factorization of
         its C part (lexicographic tie-break), e.g. ("s2", "s1", "s1^2", "s2^2")."""
-        return self.s_tokens[self.pi[k]] + self.c_tokens[self.c_part[k]]
+        return self.s_tokens[self.pi[k]] + self.c_tokens[self.slot[k]]
 
     def word(self, k: int) -> str:
         """The display word of u_k (see `display_word`), spelled on first use."""
@@ -697,7 +693,7 @@ def canonical_form(u: UElement) -> tuple[tuple[int, ...], UElement]:
     reduced word of pi(u) and the trailing C factor."""
     tables = compile_group(u.preset)
     k = tables.position(u)
-    return tables.weyl.word[tables.pi[k]], tables.U.elements[tables.c_part[k]]
+    return tables.weyl.word[tables.pi[k]], tables.C.elements[tables.slot[k]]
 
 
 def subgroup_U_H(

@@ -23,12 +23,12 @@ instead of returning silently wrong data.  This redundancy is permanent,
 not test scaffolding.  The same grid with exponents up to 3 gives the
 candidates of the partial converse test for control sets.
 
-The down-sets use the C-slot layout: u sits at bit pi(u) * |C| + (the
-position of its C part in C), one |C|-bit block per Weyl element.  The
-grid of u = lift(pi(u)) c is the grid of the lift times c, and C is
-abelian, so right multiplication by c moves each slot to one other slot
-in every block: each Weyl element's grid is built once, and each of its
-|C| translates is |C| shift-and-mask operations on one int (`_down_masks`).
+The down-sets use the C-slot layout: u sits at bit pi(u) * |C| + slot(u),
+one |C|-bit block per Weyl element.  The grid of u = lift(pi(u)) c is the
+grid of the lift times c, and right multiplication by c moves each slot to
+one other slot in every block (C's own table, `c_mul`): each Weyl
+element's grid is built once, and each of its |C| translates is |C|
+shift-and-mask operations on one int (`_down_masks`).
 
 The Hasse diagram is the cover table itself, its elements in (projection
 length, display word) order.  It needs no closure: the order projects
@@ -159,8 +159,8 @@ def _covers(tables: GroupTables) -> tuple[tuple[int, ...], ...]:
         require_cover_memory(len(tables.pi), len(tables.preset.root_datum.positive_roots))
         lifted = [_drop_covers(tables, w) for w in range(len(tables.weyl))]
         tables.covers = tuple(
-            tuple(sorted(map(tables.c_right[c].__getitem__, lifted[w])))
-            for w, c in zip(tables.pi, tables.c_part)
+            tuple(sorted(tables.times_c(lifted[w], t)))
+            for w, t in zip(tables.pi, tables.slot)
         )
     return tables.covers
 
@@ -202,8 +202,8 @@ def _down_closure(tables: GroupTables, place: Sequence[int]) -> list[int]:
 
 class DownSets(NamedTuple):
     """The down-set of every element of U in the C-slot layout: u_k sits at
-    bit place[k] = pi(k) * |C| + (position of c_part(k) in C), and masks[k]
-    holds the elements at or below u_k; members[p] is the element at bit p."""
+    bit place[k] = pi[k] * |C| + slot[k], and masks[k] holds the elements at
+    or below u_k; members[p] is the element at bit p."""
 
     place: tuple[int, ...]
     members: tuple[UElement, ...]
@@ -214,38 +214,30 @@ def _down_masks(tables: GroupTables) -> DownSets:
     """Down-set of every element, by both routes, cross-checked.
 
     The covers' closure is laid out in C-slot blocks, one block of |C| bits
-    per Weyl element.  Write u = lift(pi(u)) c with c = c_part(u): the grid
-    of u is the grid of the lift translated by c on the right.  C is
-    abelian, so that translation moves every element of one slot to one
-    other slot in every block: the lift's grid is built once per Weyl
+    per Weyl element.  Write u = lift(pi(u)) c_t: the grid of u is the grid
+    of the lift translated by c_t on the right, which moves slot s to slot
+    c_mul[s][t] in every block: the lift's grid is built once per Weyl
     element and each translate is |C| shift-and-mask operations.  Every
     element's grid translate must equal its closure row."""
     if tables.down is None:
         require_order_memory(len(tables.pi))
-        c_ids = sorted(tables.c_tokens)  # C in index order: slot s holds c_ids[s]
-        slot = {c: s for s, c in enumerate(c_ids)}
-        width, blocks = len(c_ids), len(tables.weyl)
-        place = [w * width + slot[c] for w, c in zip(tables.pi, tables.c_part)]
+        width, blocks = len(tables.c_ids), len(tables.weyl)
+        place = [w * width + s for w, s in zip(tables.pi, tables.slot)]
         down = _down_closure(tables, place)
         column = int(("0" * (width - 1) + "1") * blocks, 2)  # slot 0 of every block
-        moves = []  # per c: (shift, the slots that move by it) of the translation by c
-        for c in c_ids:
+        moves = []  # per slot t: (shift, the slots that move by it) of the translation by c_t
+        for t in range(width):
             by_shift: dict[int, int] = {}
-            for s, a in enumerate(c_ids):
-                d = slot[tables.c_right[c][a]] - s
+            for s, row in enumerate(tables.c_mul):
+                d = row[t] - s
                 by_shift[d] = by_shift.get(d, 0) | column << s
-            moves.append((tables.c_right[c], tuple(by_shift.items())))
-        lifts = [0] * blocks
-        for k, c in enumerate(tables.c_part):
-            if c == tables.identity:
-                lifts[tables.pi[k]] = k
-        for w, lift in enumerate(lifts):
+            moves.append(tuple(by_shift.items()))
+        for w, translates in enumerate(tables.at):
             grid = _mask(map(place.__getitem__, _grid(tables, tables.weyl.word[w], 2)), len(place))
-            for c_right, shifts in moves:
+            for k, shifts in zip(translates, moves):  # k = lift(w) c_t
                 via_grid = 0
                 for d, lanes in shifts:
                     via_grid |= (grid & lanes) << d if d >= 0 else (grid & lanes) >> -d
-                k = c_right[lift]
                 if via_grid != down[k]:
                     raise InvariantViolation(
                         f"down-set routes disagree for {tables.word(k)}: "
@@ -284,9 +276,8 @@ def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
     c = tables.mul(tables.inverse[lift], tables.position(u))
     if tables.pi[c] != tables.weyl.identity:
         raise ValueError("word does not project to pi(u)")
-    c_right = tables.c_right[c]
-    elements = tables.U.elements
-    return frozenset(elements[c_right[x]] for x in _grid(tables, word, 2))
+    t, elements = tables.slot[c], tables.U.elements
+    return frozenset(map(elements.__getitem__, tables.times_c(_grid(tables, word, 2), t)))
 
 
 def down_set(u: UElement) -> frozenset[UElement]:

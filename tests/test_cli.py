@@ -8,7 +8,6 @@ import pytest
 
 from wtits import (
     ExprParseError,
-    PresetError,
     display_word,
     enumerate_U,
     extended_leq,
@@ -582,50 +581,23 @@ def test_seed_environment_variable_is_ignored(capsys, monkeypatch, value):
         assert build_parser().parse_args(argv).seed == 42
 
 
-@pytest.mark.parametrize(
-    "argv", [["group", "--preset", "sl7"], ["oracle", "schubert", "--preset", "sl(7)"]]
-)
-def test_sl7_refused_from_predicted_c_tables(capsys, monkeypatch, argv):
-    import wtits.utits as utits
+def test_oracle_schubert_refuses_sl7_before_closing_u(capsys, monkeypatch):
+    from wtits.xorder import MAX_ORDER_BYTES
 
-    sl6 = load_preset("sl6")
-    refuse_closing_u(monkeypatch, load_preset("sl7"), sl6)
-    code, out, err = run(capsys, argv)
+    # the report's verdicts read the whole order: refused by its down-set cap
+    refuse_closing_u(monkeypatch, load_preset("sl7"))
+    code, out, err = run(capsys, ["oracle", "schubert", "--preset", "sl(7)"])
     assert code == 2 and out == ""
-    # |U| = 7! * 2^6 and |C| = 2^6
-    assert "sl7 would have |U| = 322560 and |C| = 64" in err
-    assert f"C tables take 20643840 entries, over the cap of {utits.MAX_C_RIGHT_ENTRIES}" in err
-    # sl6 (23040 * 32 = 737280 entries) is refused one below its entries, let through at them
-    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 737279)
-    with pytest.raises(PresetError, match="737280 entries, over the cap of 737279"):
-        utits.GroupTables(sl6)
-    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 737280)
-    with pytest.raises(AssertionError, match="U must not be closed"):
-        utits.GroupTables(sl6)
-
-
-def test_config_refused_from_predicted_c_tables(capsys, monkeypatch):
-    import wtits.utits as utits
-
-    # |U| * |C| = 8 * 4 = 32 entries: refused one below, compiled at the cap
-    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 31)
-    code, out, err = run(capsys, ["group", "--config", str(CUSTOM_O3)])
-    assert code == 2 and out == ""
-    assert err == (
-        "error: custom-o3 would have |U| = 8 and |C| = 4, so its C tables take 32 entries, "
-        "over the cap of 31\n"
-    )
-    monkeypatch.setattr(utits, "MAX_C_RIGHT_ENTRIES", 32)
-    code, out, _ = run(capsys, ["group", "--config", str(CUSTOM_O3)])
-    assert code == 0 and "|U|=8 |W|=2 |C|=4" in out
+    assert "|U| = 322560 elements needs 13005619200 bytes" in err
+    assert f"over the cap of {MAX_ORDER_BYTES}" in err
 
 
 def test_order_command_sizes_the_group_once(capsys, monkeypatch):
     import wtits.utits as utits
     from wtits.exact import mat_mul
 
-    # the order caps and the C-table cap read one predicted size: C is closed
-    # on matrices once, then U once
+    # the order caps read the predicted size: C is closed on matrices once,
+    # then U once
     preset = load_config(CUSTOM_O3)
     closed = []
     closure = utits._closure

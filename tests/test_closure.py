@@ -8,8 +8,9 @@ same, whether or not the generators are signed permutations.
 
 C: a level-by-level loop over U's table that sorts each level by its token
 spellings and composes generator rows along each spelling.  The closure on
-U's table must give the same spellings (the display words of C parts) and
-the same right-multiplication tables.
+U's table must give the same spellings (the display words of C parts), and
+right multiplication by each c through `at` and C's own table `c_mul` must
+give the composed tables.
 
 U_H and U(S): matrix-product closures of their generators, against the
 closures on U's table."""
@@ -170,17 +171,21 @@ def _table_of(preset, generators):
 @pytest.mark.parametrize("name", ["sl3", "so24", "custom", "shear", "c1", "sl4", "sl5"])
 def test_c_closure_matches_level_reference(name):
     tables = compile_group(_load(name))
-    c_tokens, c_right = tables._close_c()
     expected_tokens, expected_right = reference_close_c(tables)
-    assert c_tokens == expected_tokens
-    assert c_right == expected_right
+    assert tables._close_c() == expected_tokens
+    assert tables.c_tokens == tuple(map(expected_tokens.__getitem__, tables.c_ids))
+    # right multiplication by every c through `at` and C's own table
+    everything = range(len(tables.pi))
+    assert sorted(expected_right) == list(tables.c_ids)
+    for t, c in enumerate(tables.c_ids):
+        assert tuple(tables.times_c(everything, t)) == expected_right[c]
 
 
 def test_c_words_keep_the_earlier_of_equal_steps():
     # c1 = s1^2 is spelled s1^2, the earlier generator, although "c1" < "s1^2"
     preset = _load("c1")
     tables = compile_group(preset)
-    assert sorted(tables.c_tokens.values()) == [(), ("s1^2",), ("s1^2", "s2^2"), ("s2^2",)]
+    assert sorted(tables.c_tokens) == [(), ("s1^2",), ("s1^2", "s2^2"), ("s2^2",)]
     words = sorted(display_word(c) for c in enumerate_C(preset))
     assert words == ["1", "s1^2", "s1^2 s2^2", "s2^2"]
 

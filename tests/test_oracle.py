@@ -698,6 +698,24 @@ class TestFlow:
             with pytest.raises(ValueError, match=f"^{part} part .*must be finite$"):
                 FlowSpec(H=np.zeros(3), **{part: bad})
 
+    @pytest.mark.parametrize("part", ["elliptic", "nilpotent"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,), (1, 3, 3)])
+    def test_flowspec_refuses_a_part_that_is_not_n_by_n(self, part, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                FlowSpec(H=np.zeros(3), **{part: np.zeros(shape)})
+        assert str(err.value) == f"{part} part must be 3x3, got shape {shape}"
+
+    @pytest.mark.parametrize("entry", [1e200, -1e200, 1.5])
+    def test_flowspec_refuses_an_elliptic_entry_above_one(self, entry):
+        # no orthogonal matrix has such an entry: refused before
+        # elliptic.T @ elliptic, which would overflow at 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^elliptic part must be orthogonal$"):
+                FlowSpec(H=np.zeros(3), elliptic=np.full((3, 3), entry))
+
     @pytest.mark.parametrize("entry,step", [(1e200, 1.0), (1e160, 1.0), (1.0, 1e300), (1e100, 1e100)])
     def test_flowspec_refuses_an_overflowing_unipotent_part(self, entry, step):
         # |exp(step N)|_F <= sum_{k<n} (step |N|_F)^k / k!, checked in Python
@@ -843,12 +861,32 @@ class TestSizeGuards:
             schubert_agreement_report(sl3, count=count, seed=42)
         with pytest.raises(AssertionError, match="passed the guard"):
             schubert_agreement_report(sl3, count=count - 1, seed=42)
-        spec = FlowSpec(H=np.array([1.0, 0.0, -1.0]))
+        # Theta = {2}: 6 classes, so the distance table, (|U| + grid) * 6
+        # floats, stays under the flow stack's (|U| + grid) * 9
+        spec = FlowSpec(H=np.array([1.0, 1.0, -2.0]))
         grid = MAX_STACK_FLOATS // 9 - len(enumerate_U(sl3)) + 1  # (|U| + grid) * 9
-        with pytest.raises(ValueError, match="over the cap"):
+        with pytest.raises(ValueError, match="a flow stack with grid=.* over the cap"):
             recover_morse(sl3, spec, grid=grid, iters=1)
         with pytest.raises(AssertionError, match="passed the guard"):
             recover_morse(sl3, spec, grid=grid - 1, iters=1)
+
+    def test_distance_table_cap_before_any_flow_step(self, sl3, monkeypatch):
+        # Theta = {}: 24 classes, so (24 + 4) starts need 672 distances,
+        # more than the (24 + 4) * 9 = 252 floats of the flow stack
+        def no_flow(*args):
+            raise AssertionError("flowed")
+
+        monkeypatch.setattr(oracle, "flow_step", no_flow)
+        spec = FlowSpec(H=np.array([1.0, 0.0, -1.0]))
+        monkeypatch.setattr(oracle, "MAX_STACK_FLOATS", 671)
+        with pytest.raises(ValueError) as err:
+            recover_morse(sl3, spec, grid=4, iters=1)
+        assert str(err.value) == (
+            "a distance table of 28 starts by 24 classes needs 672 floats, over the cap of 671"
+        )
+        monkeypatch.setattr(oracle, "MAX_STACK_FLOATS", 672)
+        with pytest.raises(AssertionError, match="flowed"):
+            recover_morse(sl3, spec, grid=4, iters=1)
 
 
 class TestContraction:

@@ -429,11 +429,9 @@ def test_compile_errors_name_c_element_by_word(monkeypatch):
     real = utits.GroupTables._close_c
 
     def with_s1_in_c(self):
-        c_tokens, c_right = real(self)
-        s1 = self.right[0][self.identity]
-        c_tokens[s1] = ("s1",)
-        c_right[s1] = self.right[0]
-        return c_tokens, c_right
+        c_tokens = real(self)
+        c_tokens[self.right[0][self.identity]] = ("s1",)
+        return c_tokens
 
     monkeypatch.setattr(utits.GroupTables, "_close_c", with_s1_in_c)
     with pytest.raises(InvariantViolation) as err:
@@ -473,24 +471,39 @@ def test_compile_errors_name_normality_by_word(monkeypatch):
     import wtits.utits as utits
 
     preset = load_config(SL3_CONFIG)
-    real = utits.GroupTables._close_c
+    real = utits.GroupTables.mul
 
-    def with_s1_c_escaping(self):
-        # s1 * c recorded as s2 for c = s1^2, so s1 c s1^-1 projects to r2 r1
-        c_tokens, c_right = real(self)
+    def with_s1_c_escaping(self, a, b):
+        # s1 * c read as s2 for c = s1^2, so s1 c s1^-1 projects to r2 r1
         s1, s2 = self.right[0][self.identity], self.right[1][self.identity]
-        c = self.right[0][s1]
-        table = list(c_right[c])
-        table[s1] = s2
-        c_right[c] = tuple(table)
-        return c_tokens, c_right
+        return s2 if (a, b) == (s1, self.right[0][s1]) else real(self, a, b)
 
-    monkeypatch.setattr(utits.GroupTables, "_close_c", with_s1_c_escaping)
+    monkeypatch.setattr(utits.GroupTables, "mul", with_s1_c_escaping)
     with pytest.raises(InvariantViolation) as err:
         enumerate_U(preset)
     assert str(err.value) == (
         "C is not normal in U: g c g^-1 escapes C for the generator g = s1, c = s1 s1"
     )
+
+
+def test_compile_errors_name_non_commuting_c_elements_by_word(monkeypatch):
+    import wtits.utits as utits
+
+    preset = load_config(SL3_CONFIG)
+    real = utits.GroupTables.mul
+
+    def with_s1_squared_s2_squared_trivial(self, a, b):
+        # s1^2 * s2^2 read as 1, while s2^2 * s1^2 is still the third element of C
+        s1, s2 = self.right[0][self.identity], self.right[1][self.identity]
+        if (a, b) == (self.right[0][s1], self.right[1][s2]):
+            return self.identity
+        return real(self, a, b)
+
+    monkeypatch.setattr(utits.GroupTables, "mul", with_s1_squared_s2_squared_trivial)
+    with pytest.raises(InvariantViolation) as err:
+        enumerate_U(preset)
+    pair = re.fullmatch(r"C is not abelian: (.+) and (.+) do not commute", str(err.value))
+    assert pair and sorted(pair.groups()) == ["s1 s1", "s2 s2"]
 
 
 @pytest.mark.parametrize("n,predicted", [(9, 92897280), (12, 980995276800)])

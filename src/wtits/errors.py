@@ -1,4 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `Frozen`, the base of
+its immutable value classes."""
+
+
+class Frozen:
+    """Base of the immutable value classes: once built, assigning or
+    deleting any attribute raises AttributeError naming it.  Each subclass
+    sets its own fields in `__init__`, past this guard, with `_set`."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        """Set the fields, from `__init__` only."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
 class InvariantViolation(Exception):

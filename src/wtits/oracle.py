@@ -68,12 +68,12 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot, isfinite, log, prod
 
 import numpy as np
 
+from .errors import Frozen
 from .utits import (
     GroupPreset,
     UElement,
@@ -174,34 +174,37 @@ def _rotation_block_of(gen: UElement) -> tuple[int, int, int]:
 
 
 # the type sample_schubert returns, kept with it for benchmarks/tracer.py
-@dataclass
-class CellSample:
+class CellSample(Frozen):
     """Points Psi_u(t) of one closed Schubert cell, with their parameters.
 
     The first rows of `parameters` are the distinguished grid {0, 1/2, 1}^d
     (whose images are exactly the group elements lying in the closed cell,
     the all-halves point giving u itself); the remainder are the uniform
-    draws.
+    draws.  `points` has shape (N, n, n) and `parameters` (N, d).
     """
 
-    u: UElement
-    points: np.ndarray  # (N, n, n)
-    parameters: np.ndarray  # (N, d)
+    __slots__ = ("u", "points", "parameters")
+
+    def __init__(self, u: UElement, points: np.ndarray, parameters: np.ndarray):
+        self._set(u=u, points=points, parameters=parameters)
 
 
-@dataclass(frozen=True)
-class _CellPlan:
+class _CellPlan(Frozen):
     """The exact-layer data of one cell, as plain numbers: the rotation
     plane (p, q, orientation) of each letter of u's reduced lift, the C
     part as a signed permutation of columns (column j of Psi_u is
     c_signs[j] times column c_columns[j] of the rotation product), and the
     substream key."""
 
-    n: int
-    planes: tuple[tuple[int, int, int], ...]
-    c_columns: np.ndarray
-    c_signs: np.ndarray
-    key: tuple[int, ...]
+    def __init__(
+        self,
+        n: int,
+        planes: tuple[tuple[int, int, int], ...],
+        c_columns: np.ndarray,
+        c_signs: np.ndarray,
+        key: tuple[int, ...],
+    ):
+        self._set(n=n, planes=planes, c_columns=c_columns, c_signs=c_signs, key=key)
 
     @cached_property
     def turns(self) -> np.ndarray:
@@ -598,23 +601,28 @@ def schubert_agreement_report(
 
     with ThreadPoolExecutor(max_workers=_worker_count(), initializer=new_workspace) as pool:
         cells = pool.map(measure, plans)
-        for hi, distances in zip(table, cells):
-            for lo, dist in zip(table, distances.tolist()):
-                numerical = dist < tol
-                combinatorial = extended_leq(lo, hi)
-                if numerical != combinatorial:
-                    agree = False
-                if not combinatorial and dist <= reject_margin:
-                    margin_ok = False
-                pairs.append(
-                    {
-                        "lo": display_word(lo),
-                        "hi": display_word(hi),
-                        "combinatorial": combinatorial,
-                        "numerical": numerical,
-                        "min_distance": dist,
-                    }
-                )
+        try:
+            for hi, distances in zip(table, cells):
+                for lo, dist in zip(table, distances.tolist()):
+                    numerical = dist < tol
+                    combinatorial = extended_leq(lo, hi)
+                    if numerical != combinatorial:
+                        agree = False
+                    if not combinatorial and dist <= reject_margin:
+                        margin_ok = False
+                    pairs.append(
+                        {
+                            "lo": display_word(lo),
+                            "hi": display_word(hi),
+                            "combinatorial": combinatorial,
+                            "numerical": numerical,
+                            "min_distance": dist,
+                        }
+                    )
+        except BaseException:
+            # the cells not yet started would only delay the error
+            pool.shutdown(cancel_futures=True)
+            raise
     pairs.sort(key=lambda p: (p["hi"], p["lo"]))
     return {
         "preset": preset.name,
@@ -644,84 +652,89 @@ def _exp_nilpotent(n_mat: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class FlowSpec:
+class FlowSpec(Frozen):
     """A translation flow datum g = elliptic * exp(step H) * exp(step N).
 
     H is the diagonal hyperbolic direction (nonincreasing, trace zero, i.e.
     in the closed positive chamber), `elliptic` an orthogonal matrix and
     `nilpotent` a strictly upper triangular matrix; the three parts must
-    pairwise commute, as in a multiplicative Jordan decomposition.
+    pairwise commute, as in a multiplicative Jordan decomposition.  The
+    parts are validated once, on construction, and `flow_matrix` is their
+    product g.
     """
 
-    H: np.ndarray
-    elliptic: np.ndarray | None = None
-    nilpotent: np.ndarray | None = None
-    time_step: float = 1.0
-    flow_matrix: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("H", "elliptic", "nilpotent", "time_step", "flow_matrix")
 
-    def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float).reshape(-1)
-        n = self.H.shape[0]
-        if not np.all(np.isfinite(self.H)):
+    def __init__(
+        self,
+        H: np.ndarray,
+        elliptic: np.ndarray | None = None,
+        nilpotent: np.ndarray | None = None,
+        time_step: float = 1.0,
+    ):
+        H = np.asarray(H, dtype=float).reshape(-1)
+        n = H.shape[0]
+        if not np.all(np.isfinite(H)):
             raise ValueError("H must be finite")
-        if abs(self.H.sum()) > 1e-9:
+        if abs(H.sum()) > 1e-9:
             raise ValueError("H must have zero trace")
-        if np.any(np.diff(self.H) > 1e-12):
+        if np.any(np.diff(H) > 1e-12):
             raise ValueError("H must be nonincreasing (closed positive chamber)")
-        _require_positive("time_step", self.time_step)
-        self.elliptic = (
-            np.eye(n) if self.elliptic is None else np.asarray(self.elliptic, dtype=float)
-        )
-        self.nilpotent = (
-            np.zeros((n, n)) if self.nilpotent is None else np.asarray(self.nilpotent, dtype=float)
-        )
-        for name, part in (("elliptic", self.elliptic), ("nilpotent", self.nilpotent)):
+        _require_positive("time_step", time_step)
+        elliptic = np.eye(n) if elliptic is None else np.asarray(elliptic, dtype=float)
+        nilpotent = np.zeros((n, n)) if nilpotent is None else np.asarray(nilpotent, dtype=float)
+        for name, part in (("elliptic", elliptic), ("nilpotent", nilpotent)):
             if part.shape != (n, n):
                 raise ValueError(f"{name} part must be {n}x{n}, got shape {part.shape}")
-        if not np.isfinite(self.elliptic).all():
+        if not np.isfinite(elliptic).all():
             raise ValueError("elliptic part must be finite")
-        if not np.isfinite(self.nilpotent).all():
+        if not np.isfinite(nilpotent).all():
             raise ValueError("nilpotent part (--nilpotent) must be finite")
         # no entry of an orthogonal matrix exceeds 1: refused before E^T E can overflow
-        big = np.abs(self.elliptic).max() > 1 + ORTHO_TOL
-        if big or np.linalg.norm(self.elliptic.T @ self.elliptic - np.eye(n)) > ORTHO_TOL:
+        big = np.abs(elliptic).max() > 1 + ORTHO_TOL
+        if big or np.linalg.norm(elliptic.T @ elliptic - np.eye(n)) > ORTHO_TOL:
             raise ValueError("elliptic part must be orthogonal")
-        if np.any(np.tril(self.nilpotent) != 0):
+        if np.any(np.tril(nilpotent) != 0):
             raise ValueError("nilpotent part must be strictly upper triangular")
         # exp(step H) has Frobenius norm at most sqrt(n) exp(step max H), and
         # exp(step N) multiplies it by at most sum_{k<n} (step |N|_F)^k / k!:
         # refuse, before any exp, a step whose squares could overflow
-        step = float(self.time_step)  # Python floats: no overflow warning
-        peak = step * float(self.H.max())
+        step = float(time_step)  # Python floats: no overflow warning
+        peak = step * float(H.max())
         if not 2 * peak + log(n) < log(np.finfo(float).max):
             raise ValueError(
-                f"--time-step {self.time_step:g} times H = {self.H.tolist()} gives a flow "
+                f"--time-step {time_step:g} times H = {H.tolist()} gives a flow "
                 f"matrix with entries up to exp({peak:g}), too large for its Frobenius norm "
                 f"to be a finite float; lower --time-step or H"
             )
-        norm = hypot(*self.nilpotent.ravel().tolist())
+        norm = hypot(*nilpotent.ravel().tolist())
         factor = term = 1.0
         for k in range(1, n):
             term *= step * norm / k
             factor += term
         if not 2 * (peak + log(factor)) + log(n) < log(np.finfo(float).max):
             raise ValueError(
-                f"--time-step {self.time_step:g} times --nilpotent of Frobenius norm {norm:g} "
+                f"--time-step {time_step:g} times --nilpotent of Frobenius norm {norm:g} "
                 f"gives exp(step N) a Frobenius norm up to {factor:g}, too large with "
-                f"H = {self.H.tolist()} for the flow matrix's Frobenius norm to be a finite "
+                f"H = {H.tolist()} for the flow matrix's Frobenius norm to be a finite "
                 f"float; lower --time-step or --nilpotent"
             )
-        h = np.diag(np.exp(self.time_step * self.H))
-        u = _exp_nilpotent(self.time_step * self.nilpotent)
+        h = np.diag(np.exp(time_step * H))
+        u = _exp_nilpotent(time_step * nilpotent)
         for a, b, names in (
-            (self.elliptic, h, "elliptic/hyperbolic"),
-            (self.elliptic, u, "elliptic/unipotent"),
+            (elliptic, h, "elliptic/hyperbolic"),
+            (elliptic, u, "elliptic/unipotent"),
             (h, u, "hyperbolic/unipotent"),
         ):
             if np.linalg.norm(a @ b - b @ a) > ORTHO_TOL * max(1.0, np.linalg.norm(a @ b)):
                 raise ValueError(f"{names} parts do not commute")
-        self.flow_matrix = self.elliptic @ h @ u
+        self._set(
+            H=H,
+            elliptic=elliptic,
+            nilpotent=nilpotent,
+            time_step=time_step,
+            flow_matrix=elliptic @ h @ u,
+        )
 
 
 def flow_step(spec: FlowSpec, x) -> np.ndarray:
@@ -761,22 +774,53 @@ def component_distance(x: np.ndarray, u_rep: UElement, blocks) -> float | np.nda
     return np.sqrt(np.maximum(0.0, 2 * n - 2 * trace_max))
 
 
-@dataclass
-class MorseReport:
+class MorseReport(Frozen):
     """Outcome of the flow-based Morse component recovery."""
 
-    preset: str
-    theta: tuple[int, ...]
-    degenerate: bool
-    recurrent_points: tuple[UElement, ...]
-    component_labels: tuple[str, ...]
-    recurrent_per_component: tuple[int, ...]
-    attractor_components: tuple[int, ...]
-    start_count: int
-    component_assignment: tuple[int | None, ...]
-    limit_distances: tuple[float, ...]
-    non_convergent: tuple[int, ...]
-    seed: int
+    __slots__ = (
+        "preset",
+        "theta",
+        "degenerate",
+        "recurrent_points",
+        "component_labels",
+        "recurrent_per_component",
+        "attractor_components",
+        "start_count",
+        "component_assignment",
+        "limit_distances",
+        "non_convergent",
+        "seed",
+    )
+
+    def __init__(
+        self,
+        preset: str,
+        theta: tuple[int, ...],
+        degenerate: bool,
+        recurrent_points: tuple[UElement, ...],
+        component_labels: tuple[str, ...],
+        recurrent_per_component: tuple[int, ...],
+        attractor_components: tuple[int, ...],
+        start_count: int,
+        component_assignment: tuple[int | None, ...],
+        limit_distances: tuple[float, ...],
+        non_convergent: tuple[int, ...],
+        seed: int,
+    ):
+        self._set(
+            preset=preset,
+            theta=theta,
+            degenerate=degenerate,
+            recurrent_points=recurrent_points,
+            component_labels=component_labels,
+            recurrent_per_component=recurrent_per_component,
+            attractor_components=attractor_components,
+            start_count=start_count,
+            component_assignment=component_assignment,
+            limit_distances=limit_distances,
+            non_convergent=non_convergent,
+            seed=seed,
+        )
 
     def components_found(self) -> int:
         return len({a for a in self.component_assignment if a is not None})

@@ -19,12 +19,11 @@ are given (the same `closure`, run on root vectors), and to build the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .errors import ClosureBoundExceeded
+from .errors import ClosureBoundExceeded, Frozen
 from .exact import (
     FracMatrix,
     FracVector,
@@ -39,25 +38,45 @@ Covector = tuple[Fraction, ...]
 DEFAULT_CLOSURE_BOUND = 10**6  # the most elements any group closure may reach
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Frozen):
     """A finite root system presented on explicit Cartan coordinates.
 
     `dim` is the number of coordinates (which may exceed `rank`, e.g. the n
     diagonal coordinates of sl(n) for a rank n-1 system).  `multiplicities`
     holds, per simple root, the dimension m of the rank-one flag sphere S^m
     attached to it; m > 1 forces the squared generator lift to be trivial.
-    `_table` holds the Weyl table once `weyl_table` has built it, and the
-    root sets `negative_roots` and `roots` are built once each on first use;
-    nothing else about a datum changes.
+    Two data are equal, and hash alike, when those five fields are.
+    The Weyl table `_table` (read through `weyl_table`) and the root sets
+    `negative_roots` and `roots` are built once each on first use; nothing
+    else about a datum changes.
     """
 
-    rank: int
-    dim: int
-    simple_roots: tuple[Covector, ...]
-    positive_roots: tuple[Covector, ...]
-    multiplicities: tuple[int, ...]
-    _table: "WeylTable | None" = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        rank: int,
+        dim: int,
+        simple_roots: tuple[Covector, ...],
+        positive_roots: tuple[Covector, ...],
+        multiplicities: tuple[int, ...],
+    ):
+        self._set(
+            rank=rank,
+            dim=dim,
+            simple_roots=simple_roots,
+            positive_roots=positive_roots,
+            multiplicities=multiplicities,
+        )
+
+    def _key(self) -> tuple:
+        return self.rank, self.dim, self.simple_roots, self.positive_roots, self.multiplicities
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def create(
@@ -100,6 +119,10 @@ class RootDatum:
         """The expansion of each positive root over the simple roots (None
         where there is none), in order, from one elimination."""
         return solve_many(self.simple_roots, self.positive_roots)
+
+    @cached_property
+    def _table(self) -> "WeylTable":
+        return WeylTable(self, DEFAULT_CLOSURE_BOUND)
 
     @cached_property
     def negative_roots(self) -> frozenset[Covector]:
@@ -152,14 +175,30 @@ def _reflection_matrix(alpha: Covector) -> FracMatrix:
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element as an exact linear map on Cartan coordinates."""
+class WeylElement(Frozen):
+    """A Weyl group element as an exact linear map on Cartan coordinates.
+    Two elements are equal, and hash alike, when their data and matrices
+    are."""
 
-    datum: RootDatum
-    matrix: FracMatrix
-    inverse_matrix: FracMatrix = field(compare=False, repr=False)
-    cached_length: int = field(compare=False)
+    __slots__ = ("datum", "matrix", "inverse_matrix", "cached_length")
+
+    def __init__(
+        self, datum: RootDatum, matrix: FracMatrix, inverse_matrix: FracMatrix, cached_length: int
+    ):
+        self._set(
+            datum=datum,
+            matrix=matrix,
+            inverse_matrix=inverse_matrix,
+            cached_length=cached_length,
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.datum, self.matrix) == (other.datum, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.datum, self.matrix))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.datum is not other.datum and self.datum != other.datum:
@@ -367,11 +406,7 @@ class WeylTable:
 
 def weyl_table(datum: RootDatum) -> WeylTable:
     """The datum's Weyl table, built on first use and kept on the datum."""
-    table = datum._table
-    if table is None:
-        table = WeylTable(datum, DEFAULT_CLOSURE_BOUND)
-        object.__setattr__(datum, "_table", table)
-    return table
+    return datum._table
 
 
 def reduced_word(w: WeylElement) -> list[int]:

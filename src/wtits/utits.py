@@ -15,10 +15,11 @@ n unit rows under the generators, and then keys each element by the orbit
 indices of its rows: a product with a generator is n lookups, for every
 group, whatever its generators, and each key becomes its matrix once,
 after the closure, from the shared orbit rows.  Everything else is read
-off those integer tables by lookups: inverses, pi (propagated along the
-generator edges into the root datum's `WeylTable` of permutations),
-canonical reduced lifts u = s_1 ... s_d c, their display words, and
-right-coset partitions.
+off those integer tables by lookups: inverses (u^-1 walks the reversed
+word of u on the inverted generator rows, one lookup per letter), pi
+(propagated along the generator edges into the root datum's `WeylTable`
+of permutations), canonical reduced lifts u = s_1 ... s_d c, their
+display words, and right-coset partitions.
 Every subgroup of U (C, U_H and U(S)) is closed by the same loop on U's
 table, with one step k -> mul(k, g) per generator index g.
 
@@ -39,12 +40,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ClosureBoundExceeded, InvariantViolation, PresetError
+from .errors import ClosureBoundExceeded, Frozen, InvariantViolation, PresetError
 from .exact import (
     IntMatrix,
     as_int_matrix,
@@ -66,24 +66,34 @@ from .rootsys import (
     weyl_table,
 )
 
-@dataclass(frozen=True, eq=False)
-class GroupPreset:
+class GroupPreset(Frozen):
     """Full algebraic datum of one concrete group.
 
     Instances compare by identity; `load_preset` caches them so each named
-    preset is a singleton.  `_tables` holds the compiled group once
-    `compile_group` has built it, and `predicted_size` is computed once on
-    first use; nothing else about a preset changes.
+    preset is a singleton.  The compiled group `_tables` (read through
+    `compile_group`) and `predicted_size` are computed once each on first
+    use; nothing else about a preset changes.
     """
 
-    name: str
-    n: int
-    generators: tuple[IntMatrix, ...]
-    c_generators: tuple[IntMatrix, ...]
-    root_datum: RootDatum
-    a_basis: tuple[IntMatrix, ...]
-    label: str = ""
-    _tables: "GroupTables | None" = field(default=None, init=False, repr=False)
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        generators: tuple[IntMatrix, ...],
+        c_generators: tuple[IntMatrix, ...],
+        root_datum: RootDatum,
+        a_basis: tuple[IntMatrix, ...],
+        label: str = "",
+    ):
+        self._set(
+            name=name,
+            n=n,
+            generators=generators,
+            c_generators=c_generators,
+            root_datum=root_datum,
+            a_basis=a_basis,
+            label=label,
+        )
 
     @property
     def rank(self) -> int:
@@ -99,6 +109,10 @@ class GroupPreset:
         c_elements, _, _ = _closure(identity_matrix(self.n), c_gens, DEFAULT_CLOSURE_BOUND)
         return len(weyl_table(self.root_datum)) * len(c_elements)
 
+    @cached_property
+    def _tables(self) -> "GroupTables":
+        return GroupTables(self)
+
     def identity(self) -> "UElement":
         return UElement(identity_matrix(self.n), self)
 
@@ -108,18 +122,24 @@ class GroupPreset:
         return UElement(self.generators[i - 1], self)
 
 
-@dataclass(frozen=True)
-class UElement:
+class UElement(Frozen):
     """Element of U, keyed by its exact matrix: equal when the matrices are.
     The hash is the matrix's, `hash((matrix,))`, computed once on creation,
-    so sets, dicts and `GroupTables.position` never hash the matrix again."""
+    so sets, dicts and `GroupTables.position` never hash the matrix again.
+    The fields are set through their slots, as U's compile makes |U| of
+    them."""
 
-    matrix: IntMatrix
-    preset: GroupPreset = field(compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("matrix", "preset", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.matrix,)))
+    def __init__(self, matrix: IntMatrix, preset: GroupPreset):
+        _put_matrix(self, matrix)
+        _put_preset(self, preset)
+        _put_hash(self, hash((matrix,)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix
 
     def __hash__(self) -> int:
         return self._hash
@@ -139,18 +159,33 @@ class UElement:
         return self.matrix == identity_matrix(self.preset.n)
 
 
+_put_matrix, _put_preset, _put_hash = (
+    UElement.__dict__[name].__set__ for name in UElement.__slots__
+)
+
+
 class FiniteGroupTable:
     """An enumerated finite matrix group (or subgroup): elements sorted by
     canonical key, with constant-time membership.  `index` maps each element
-    (equal by matrix, hashed once) to its position."""
+    (equal by matrix, hashed once) to its position.  The group layer, which
+    already holds its elements distinct and in key order, builds its tables
+    with `_from_sorted`, which neither sorts nor deduplicates again."""
 
     def __init__(self, elements: Iterable[UElement]):
-        elts = sorted(set(elements), key=lambda u: u.matrix)
-        if not elts:
+        self._fill(sorted(set(elements), key=lambda u: u.matrix))
+
+    @classmethod
+    def _from_sorted(cls, elements: Sequence[UElement]) -> "FiniteGroupTable":
+        table = cls.__new__(cls)
+        table._fill(elements)
+        return table
+
+    def _fill(self, elements: Sequence[UElement]) -> None:
+        if not elements:
             raise ValueError("a group table cannot be empty")
-        self.preset = elts[0].preset
-        self.elements: tuple[UElement, ...] = tuple(elts)
-        self.index: dict[UElement, int] = {u: k for k, u in enumerate(elts)}
+        self.preset = elements[0].preset
+        self.elements: tuple[UElement, ...] = tuple(elements)
+        self.index: dict[UElement, int] = dict(zip(self.elements, range(len(elements))))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -444,9 +479,12 @@ class GroupTables:
     * `right[g][k]`: the index of u_k * (generator g), recorded by the closure,
     * `words[k]`: a shortest generator word of u_k, so `mul(a, b)` is a walk
       along `right`,
-    * `inverse[k]`; `pi[k]`, an index into `weyl`, the root datum's own
-      `WeylTable` (`rootsys.weyl_table`), so the group and the public Weyl
-      functions share one table,
+    * `inverse[k]`: for u_k = g_1 ... g_d (its word), u_k^-1 = g_d^-1 ...
+      g_1^-1, walked from the identity on the inverse permutations of the
+      `right` rows: d lookups, with no generator orders,
+    * `pi[k]`, an index into `weyl`, the root datum's own `WeylTable`
+      (`rootsys.weyl_table`), so the group and the public Weyl functions
+      share one table,
     * `c_ids[s]`: the index of the element of C in slot s; slots follow
       index order, so slot s holds `C.elements[s]`,
     * `slot[k]`: the slot of the C factor c of the canonical decomposition
@@ -485,26 +523,33 @@ class GroupTables:
                 elif pi[row[k]] != w:
                     raise InvariantViolation("pi is not well defined on the generator edges")
         order = sorted(range(len(mats)), key=mats.__getitem__)
+        ids = list(range(len(mats)))  # one int per index, shared by every table
         new = [0] * len(mats)
-        for pos, old in enumerate(order):
+        for pos, old in zip(ids, order):
             new[old] = pos
-        self.U = FiniteGroupTable(UElement(mats[old], preset) for old in order)
+        self.U = FiniteGroupTable._from_sorted([UElement(mats[old], preset) for old in order])
         self.index = self.U.index
-        self.right = tuple(tuple(new[row[old]] for old in order) for row in right)
-        self.words = tuple(words[old] for old in order)
-        self.pi = tuple(pi[old] for old in order)
+        self.right = tuple(tuple([new[row[old]] for old in order]) for row in right)
+        self.words = tuple([words[old] for old in order])
+        self.pi = tuple([pi[old] for old in order])
         self.identity = e = new[0]
+        del mats, right, words, pi, order, new  # freed before the inverse rows are built
 
-        orders = []
+        # u^-1 = g_d^-1 ... g_1^-1 for u = g_1 ... g_d: the reversed word,
+        # walked on the inverse permutations of the `right` rows
+        back = []
         for row in self.right:
-            x, k = row[e], 1
-            while x != e:
-                x, k = row[x], k + 1
-            orders.append(k)
-        self.inverse = tuple(
-            self.walk(e, [g for g in reversed(word) for _ in range(orders[g] - 1)])
-            for word in self.words
-        )
+            inverted = [0] * len(row)
+            for k, x in zip(ids, row):
+                inverted[x] = k
+            back.append(inverted)
+        inverse = []
+        for word in self.words:
+            k = e
+            for g in reversed(word):
+                k = back[g][k]
+            inverse.append(k)
+        self.inverse = tuple(inverse)
 
         c_tokens = self._close_c()
         self.c_ids = c_ids = tuple(sorted(c_tokens))
@@ -513,9 +558,9 @@ class GroupTables:
                 raise InvariantViolation(
                     f"C element {self._word_name(c)} has nontrivial Weyl projection"
                 )
-        if len(mats) != len(weyl) * len(c_ids):
+        if len(ids) != len(weyl) * len(c_ids):
             raise InvariantViolation(
-                f"|U| = {len(mats)} != |W| * |C| = {len(weyl)} * {len(c_ids)}"
+                f"|U| = {len(ids)} != |W| * |C| = {len(weyl)} * {len(c_ids)}"
             )
         slot_of = {c: s for s, c in enumerate(c_ids)}
         self.c_mul = tuple(tuple(slot_of[self.mul(a, b)] for b in c_ids) for a in c_ids)
@@ -548,10 +593,10 @@ class GroupTables:
         for k, (w, s) in enumerate(zip(self.pi, self.slot)):
             at[w][s] = k
         self.at = tuple(map(tuple, at))
-        self.C = FiniteGroupTable(self.U.elements[c] for c in c_ids)
+        self.C = FiniteGroupTable._from_sorted([self.U.elements[c] for c in c_ids])
         self.c_tokens = tuple(map(c_tokens.__getitem__, c_ids))
         self.s_tokens = tuple(tuple(f"s{i}" for i in word) for word in weyl.word)
-        self._words: list[str | None] = [None] * len(mats)
+        self._words: list[str | None] = [None] * len(ids)
         self.covers: tuple[tuple[int, ...], ...] | None = None
         self.down = None  # an `xorder.DownSets` once built
 
@@ -631,11 +676,7 @@ class GroupTables:
 
 def compile_group(preset: GroupPreset) -> GroupTables:
     """The preset's compiled tables, built on first use."""
-    tables = preset._tables
-    if tables is None:
-        tables = GroupTables(preset)
-        object.__setattr__(preset, "_tables", tables)
-    return tables
+    return preset._tables
 
 
 def enumerate_U(preset: GroupPreset) -> FiniteGroupTable:
@@ -717,17 +758,19 @@ def subgroup_closure(preset: GroupPreset, gens: Sequence[UElement]) -> FiniteGro
         if g not in tables.U:
             raise ValueError(f"generator {g.matrix} is not an element of U")
     keys, _, _ = tables.close(map(tables.position, gens))
-    return FiniteGroupTable(tables.U.elements[k] for k in keys)
+    return FiniteGroupTable._from_sorted([tables.U.elements[k] for k in sorted(keys)])
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(Frozen):
     """A right coset: canonical representative (smallest matrix key), sorted
     members, and their ascending U indices: `members[k]` is `U.elements[ids[k]]`."""
 
-    representative: UElement
-    members: tuple[UElement, ...]
-    ids: tuple[int, ...]
+    __slots__ = ("representative", "members", "ids")
+
+    def __init__(
+        self, representative: UElement, members: tuple[UElement, ...], ids: tuple[int, ...]
+    ):
+        self._set(representative=representative, members=members, ids=ids)
 
     def __contains__(self, u: UElement) -> bool:
         return any(u.matrix == m.matrix for m in self.members)
@@ -762,16 +805,28 @@ def cosets(group: FiniteGroupTable, subgroup: FiniteGroupTable) -> list[Coset]:
     return out
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(Frozen):
     """Outcome of the U(S)/C(S)/W(S) compatibility check."""
 
-    W_S: tuple[WeylElement, ...]
-    C_S: FiniteGroupTable
-    classes_in_U: int
-    classes_in_W: int
-    classes_in_C: int
-    identity_holds: bool
+    __slots__ = ("W_S", "C_S", "classes_in_U", "classes_in_W", "classes_in_C", "identity_holds")
+
+    def __init__(
+        self,
+        W_S: tuple[WeylElement, ...],
+        C_S: FiniteGroupTable,
+        classes_in_U: int,
+        classes_in_W: int,
+        classes_in_C: int,
+        identity_holds: bool,
+    ):
+        self._set(
+            W_S=W_S,
+            C_S=C_S,
+            classes_in_U=classes_in_U,
+            classes_in_W=classes_in_W,
+            classes_in_C=classes_in_C,
+            identity_holds=identity_holds,
+        )
 
 
 def check_quotient_isomorphism(U_S: FiniteGroupTable, C_table: FiniteGroupTable) -> QuotientReport:
@@ -779,7 +834,7 @@ def check_quotient_isomorphism(U_S: FiniteGroupTable, C_table: FiniteGroupTable)
     |U(S)\\U| = |W(S)\\W| * |C(S)\\C|."""
     preset = U_S.preset
     table_U = enumerate_U(preset)
-    c_s = FiniteGroupTable([u for u in U_S if u in C_table])
+    c_s = FiniteGroupTable._from_sorted([u for u in U_S if u in C_table])
     w_s = tuple(sorted({project_to_W(u) for u in U_S}, key=lambda w: (length(w), w.matrix)))
     classes_u = len(table_U) // len(U_S)
     classes_w = len(compile_group(preset).weyl) // len(w_s)

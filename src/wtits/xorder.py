@@ -58,13 +58,12 @@ above MAX_COVER_ENTRIES is refused before its covers are built
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvariantViolation, ReducedLiftUnavailable
+from .errors import Frozen, InvariantViolation, ReducedLiftUnavailable
 from .utits import (
     Coset,
     FiniteGroupTable,
@@ -348,8 +347,7 @@ def hasse(group: FiniteGroupTable) -> Poset:
 # -- quotient orders ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
+class QuotientPoset(Frozen):
     """Partial order on right cosets.
 
     `below[j]` and `cover_rows[j]` are the bitsets of the classes at or below
@@ -358,11 +356,17 @@ class QuotientPoset:
     (Morse components) or "control-forward" (control sets).
     """
 
-    kind: str
-    cosets: tuple[Coset, ...]
-    below: tuple[int, ...]
-    cover_rows: tuple[int, ...]
-    class_of: tuple[int, ...]
+    __slots__ = ("kind", "cosets", "below", "cover_rows", "class_of")
+
+    def __init__(
+        self,
+        kind: str,
+        cosets: tuple[Coset, ...],
+        below: tuple[int, ...],
+        cover_rows: tuple[int, ...],
+        class_of: tuple[int, ...],
+    ):
+        self._set(kind=kind, cosets=cosets, below=below, cover_rows=cover_rows, class_of=class_of)
 
     @property
     def relation(self) -> frozenset[tuple[int, int]]:
@@ -529,8 +533,7 @@ def _grid_candidates(u_class: Coset, v_class: Coset) -> frozenset[UElement]:
     return frozenset(tables.U.elements[k] for k in u_class.ids if k in grid)
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(Frozen):
     """Relation status of two control-set classes.
 
     status is one of "equal", "leq" (D of `a` precedes D of `b`), "geq",
@@ -540,9 +543,19 @@ class PairVerdict:
     surviving candidates.
     """
 
-    status: str
-    a_before_b_candidates: frozenset[UElement] | None = None
-    b_before_a_candidates: frozenset[UElement] | None = None
+    __slots__ = ("status", "a_before_b_candidates", "b_before_a_candidates")
+
+    def __init__(
+        self,
+        status: str,
+        a_before_b_candidates: frozenset[UElement] | None = None,
+        b_before_a_candidates: frozenset[UElement] | None = None,
+    ):
+        self._set(
+            status=status,
+            a_before_b_candidates=a_before_b_candidates,
+            b_before_a_candidates=b_before_a_candidates,
+        )
 
 
 def pair_status(quotient: QuotientPoset, a: UElement, b: UElement) -> PairVerdict:

@@ -13,7 +13,11 @@ right multiplication by each c through `at` and C's own table `c_mul` must
 give the composed tables.
 
 U_H and U(S): matrix-product closures of their generators, against the
-closures on U's table."""
+closures on U's table.
+
+Inverses and key order: each `inverse[k]` against the exact matrix
+inverse, and U's and C's tables, which are built without sorting again,
+against a sort of the reference closure."""
 
 from pathlib import Path
 
@@ -205,3 +209,33 @@ def test_subgroup_tables_match_reference(sl4):
         expected = _table_of(gens[0].preset, gens)
         assert [u.matrix for u in table] == [u.matrix for u in expected]
         assert table.index == expected.index
+
+
+@pytest.mark.parametrize("name", ["sl3", "so24", "custom", "shear", "sl4"])
+def test_inverse_table_matches_matrix_inverse(name):
+    tables = compile_group(_load(name))
+    preset = tables.preset
+    for k, u in enumerate(tables.U):
+        assert tables.inverse[k] == tables.index[UElement(mat_inverse(u.matrix), preset)]
+
+
+def test_every_element_times_its_inverse_is_the_identity_on_sl5():
+    tables = compile_group(load_preset("sl5"))
+    assert {tables.mul(k, tables.inverse[k]) for k in range(len(tables.U))} == {tables.identity}
+
+
+@pytest.mark.parametrize("name", ["sl3", "so24", "custom", "shear", "sl4"])
+def test_group_tables_keep_key_order_and_index(name):
+    # U and C are built from elements already in key order, without sorting
+    # again: the same tables as sorting the reference closure
+    tables = compile_group(_load(name))
+    preset = tables.preset
+    generators = preset.generators + preset.c_generators
+    mats, _, _ = reference_closure(identity_matrix(preset.n), generators)
+    expected = FiniteGroupTable(UElement(m, preset) for m in mats)
+    assert [u.matrix for u in tables.U] == [u.matrix for u in expected]
+    assert tables.index is tables.U.index
+    assert list(tables.index.items()) == list(expected.index.items())
+    assert [u.matrix for u in tables.C] == sorted(u.matrix for u in tables.C)
+    assert [tables.index[c] for c in tables.C] == list(tables.c_ids)
+    assert list(tables.C.index.values()) == list(range(len(tables.C)))

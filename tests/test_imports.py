@@ -1,4 +1,5 @@
-"""Import boundary: numpy and `wtits.oracle` load only for oracle work.
+"""Import boundary: numpy and `wtits.oracle` load only for oracle work,
+and no command loads `dataclasses`.
 
 The exact commands run in a fresh interpreter, because the test process
 itself has imported numpy long before."""
@@ -45,6 +46,41 @@ def test_exact_commands_never_import_numpy():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", CHILD, str(CUSTOM_O3)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+STARTUP_CHILD = """
+import contextlib, io, sys
+import wtits.cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = wtits.cli.main(argv)
+    assert code == 0, (argv, code)
+
+run(["group", "--preset", "sl3"])
+run(["order", "hasse", "--preset", "sl3"])
+run(["morse", "--preset", "sl3", "--theta", "1"])
+run(["control", "--preset", "sl3", "--us-gens", "s1"])
+loaded = [m for m in ("dataclasses", "inspect", "numpy", "wtits.oracle") if m in sys.modules]
+assert not loaded, f"the exact commands imported {loaded}"
+run(["oracle", "schubert", "--preset", "sl3", "--samples", "0"])
+assert "dataclasses" not in sys.modules, "the oracle imported dataclasses"
+print("ok")
+"""
+
+
+def test_no_command_imports_dataclasses():
+    # the exact commands also leave out inspect, which numpy brings in for the oracle
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

@@ -10,7 +10,6 @@ Down-sets: the covers' closure in the C-slot layout, checked against the
 subword grid of every element, must give each element the same down-set
 as the grid alone, and the order's elements must hash as their matrices."""
 
-import dataclasses
 import random
 from functools import reduce
 from itertools import combinations
@@ -167,9 +166,9 @@ def test_elements_hash_once_as_their_matrices(sl3):
     assert hash(u) == hash((u.matrix,))
     v = UElement(u.matrix, load_preset("so24"))  # the preset takes no part
     assert v == u and hash(v) == hash(u)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="'matrix'"):
         u.matrix = sl3.identity().matrix
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="'_hash'"):
         u._hash = 0
     tables = compile_group(sl3)
     assert {tables.position(x) for x in tables.U} == set(range(len(tables.U)))

@@ -446,6 +446,25 @@ class TestReportThreads:
         workers = [thread for name, thread in calls if name == "_cell_distances"]
         assert len(workers) == 24 and all(thread is not main for thread in workers)
 
+    def test_a_failing_verdict_cancels_the_queued_cells(self, sl3, monkeypatch):
+        measured = []
+        cell_distances = oracle._cell_distances
+
+        def counted(*args):
+            measured.append(1)
+            return cell_distances(*args)
+
+        def failing(lo, hi):
+            raise RuntimeError("verdict failed")
+
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 1)
+        monkeypatch.setattr(oracle, "_cell_distances", counted)
+        monkeypatch.setattr(oracle, "extended_leq", failing)
+        with pytest.raises(RuntimeError, match="verdict failed"):
+            schubert_agreement_report(sl3, count=100_000, seed=42)
+        # the first cell, and at most the one the worker took up meanwhile
+        assert 1 <= len(measured) <= 2
+
 
 def workspace_bytes(work):
     """The bytes of every buffer of a workspace (a view adds none)."""
@@ -642,6 +661,20 @@ class TestFlow:
         nil = np.zeros((3, 3))
         nil[1, 2] = 1.0
         return FlowSpec(H=np.array([2.0, -1.0, -1.0]), nilpotent=nil)
+
+    def test_spec_is_validated_once_and_frozen(self, sl3):
+        # flow_matrix is built from the validated parts, so no part may change
+        spec = self.reference_flow()
+        for name in ("H", "nilpotent", "time_step", "flow_matrix"):
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                setattr(spec, name, None)
+        report = recover_morse(sl3, spec, grid=0, iters=1)
+        with pytest.raises(AttributeError, match="'theta'"):
+            report.theta = ()
+        points, parameters = np.zeros((1, 3, 3)), np.zeros((1, 0))
+        sample = CellSample(u=sl3.identity(), points=points, parameters=parameters)
+        with pytest.raises(AttributeError, match="'points'"):
+            sample.points = None
 
     def test_identity_flow_fixes_everything(self, sl3):
         spec = FlowSpec(H=np.zeros(3))

@@ -10,23 +10,30 @@ import pytest
 import weyl_reference as ref
 from wtits import (
     ClosureBoundExceeded,
+    Coset,
+    GroupPreset,
     InvariantViolation,
     PresetError,
+    RootDatum,
     UElement,
+    WeylElement,
     check_quotient_isomorphism,
+    control_quotient_order,
     cosets,
     display_word,
     enumerate_C,
     enumerate_U,
     load_config,
     load_preset,
+    pair_status,
     project_to_W,
     subgroup_U_H,
     subgroup_closure,
 )
 from wtits.exact import identity_matrix, mat_mul
 from wtits.rootsys import length, simple_reflection, weyl_group
-from wtits.utits import _closure, canonical_form, compile_group
+from wtits.utits import QuotientReport, _closure, canonical_form, compile_group
+from wtits.xorder import PairVerdict
 
 S1_SL3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 S2_SL3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
@@ -555,3 +562,78 @@ def test_sl4_structure():
     assert len(c_table) == 8
     # generic labeling accepts both spellings
     assert load_preset("sl(4)").generator(1).matrix == preset.generator(1).matrix
+
+
+def test_value_classes_keep_their_equality_and_hash(sl3, so24):
+    # UElement by matrix alone, the preset taking no part
+    u = sl3.generator(1)
+    twin = UElement(u.matrix, so24)
+    assert twin == u and hash(twin) == hash(u) and len({u, twin}) == 1
+    assert u != sl3.generator(2) and u != u.matrix
+    # WeylElement by (datum, matrix); a datum by its five fields
+    datum = sl3.root_datum
+    w = project_to_W(u)
+    same_datum = RootDatum(
+        datum.rank, datum.dim, datum.simple_roots, datum.positive_roots, datum.multiplicities
+    )
+    assert same_datum == datum and hash(same_datum) == hash(datum)
+    again = WeylElement(same_datum, w.matrix, w.inverse_matrix, length(w))
+    assert again == w and hash(again) == hash(w)
+    assert w != simple_reflection(datum, 2) and w != w.matrix
+    other = load_preset("sl4").root_datum
+    assert WeylElement(other, w.matrix, w.inverse_matrix, length(w)) != w
+    # GroupPreset by identity: an equal copy of the data is another group
+    copy = GroupPreset(
+        sl3.name, sl3.n, sl3.generators, sl3.c_generators, datum, sl3.a_basis, sl3.label
+    )
+    assert copy != sl3 and len({copy, sl3}) == 2
+    assert load_preset(" SL(3) ") is sl3
+
+
+def test_value_classes_refuse_assignment(sl3):
+    table = enumerate_U(sl3)
+    u_s = subgroup_closure(sl3, [sl3.generator(1)])
+    quotient = control_quotient_order(table, u_s)
+    objects = {
+        "matrix": project_to_W(sl3.generator(1)),
+        "members": cosets(table, u_s)[0],
+        "below": quotient,
+        "status": pair_status(quotient, sl3.generator(2), sl3.identity()),
+        "rank": sl3.root_datum,
+        "generators": sl3,
+        "classes_in_U": check_quotient_isomorphism(u_s, enumerate_C(sl3)),
+    }
+    for name, obj in objects.items():
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+
+
+def test_value_classes_take_keywords(sl3):
+    e = sl3.identity()
+    coset = Coset(representative=e, members=(e,), ids=(0,))
+    assert (coset.representative, coset.members, coset.ids) == (e, (e,), (0,))
+    assert e in coset and len(coset) == 1
+    verdict = PairVerdict(status="equal")
+    assert (verdict.a_before_b_candidates, verdict.b_before_a_candidates) == (None, None)
+    report = QuotientReport(
+        W_S=(),
+        C_S=enumerate_C(sl3),
+        classes_in_U=6,
+        classes_in_W=3,
+        classes_in_C=2,
+        identity_holds=True,
+    )
+    assert report.identity_holds and report.classes_in_C == 2
+    preset = GroupPreset(
+        name="copy",
+        n=sl3.n,
+        generators=sl3.generators,
+        c_generators=(),
+        root_datum=sl3.root_datum,
+        a_basis=sl3.a_basis,
+    )
+    assert preset.label == "" and preset.rank == 2

@@ -29,25 +29,32 @@ within GRAM_SLACK of a target's block minimum only if
 direct minimum over all rows.  A target that passes on every row of the
 block, as one at the same distance from the whole cell does, is
 recomputed densely over the block's rows; the other pairs are gathered, a
-bounded run at a time.  Every buffer of both kernels belongs to one
-workspace per caller (`_Workspace`), which holds WORKSPACE_BYTES at most:
-its block rows follow from n, the longest reduced lift and the number of
-targets, so a cell's memory does not depend on its `count`, and no block
-allocates an array of its own size.  The agreement report streams every
-cell through both kernels, one cell at a time on each worker thread, one
-worker (and one workspace) per available CPU; the exact-layer data of
-every cell (reduced lifts, rotation planes, cell keys, target matrices)
-and every combinatorial verdict are computed on the calling thread.  The
-workers share the interpreter lock, which a worker holds between numpy
-calls and which every call gives up and takes back, so each step between
-calls can make the other worker wait: a block keeps those steps few (its
-views are made once per block shape, a rotation updates its two columns
-in four calls, and longer blocks make fewer calls per row) and calls
-nothing that keeps the lock for a whole run (`np.minimum.at` does).
+bounded run at a time.  Both rechecks read the block in its
+component-major layout, one vector over the rows per entry, and add the
+n^2 squared entries in numpy's pairwise order (`_sum_entries`), so each
+sum is the float `np.add.reduce` gives over one point.  Every buffer of
+both kernels belongs to one workspace per caller (`_Workspace`), which
+holds WORKSPACE_BYTES at most: its block rows follow from n, the longest
+reduced lift and the number of targets, so a cell's memory does not
+depend on its `count`, and no block allocates an array of its own size.
+The agreement report streams every cell through both kernels, one cell
+at a time on each worker thread, one worker (and one workspace) per
+available CPU; the exact-layer data of every cell (reduced lifts,
+rotation planes, cell keys, target matrices) and every combinatorial
+verdict are computed on the calling thread.  The workers share the
+interpreter lock, which a worker holds between numpy calls and which
+every call gives up and takes back, so each step between calls can make
+the other worker wait: a block keeps those steps few (its views are made
+once per block shape, a rotation updates its two columns in four calls,
+and longer blocks make fewer calls per row) and calls nothing that keeps
+the lock for a whole run (`np.minimum.at` does).
 
 A flow advances all of its starts (the group points, then the random
 ones) as one (starts, n, n) stack: each step is one product with the flow
-matrix and one batched QR, with every check applied to each matrix.
+matrix and one batched QR, with every check applied to each matrix.  A
+start that the first step returns bit for bit is fixed, so only the
+others are stepped after it; a matrix's QR does not depend on the rest of
+its stack, so every limit is the one of the whole stack.
 Sample and start stacks, and a flow's table of start-to-component
 distances, are refused from their predicted size, before any allocation,
 above MAX_STACK_FLOATS; the report applies the same refusal to each cell,
@@ -245,13 +252,12 @@ class _Workspace:
     buffer, `scratch`: the sampling kernel's parameters, angles and
     rotated columns, which are spent once the rotation product is taken;
     then the Gram product, spent once its mask is taken; then the exact
-    recheck's differences.  Likewise the rotation product's buffer holds
-    the recheck's copy of the points once the C part is applied."""
+    recheck's squared differences, component major like the points."""
 
     def __init__(self, n: int, d: int, targets: int):
         entries = n * n
         # in floats a row: the sampling kernel's steps, the Gram product,
-        # and two points (a picked target and a difference)
+        # and two points (a difference and a picked target)
         scratch = max(3 * d + 2 * n, targets, 2 * entries)
         row_bytes = (
             8 * (2 * entries + scratch + 2)  # rotated, points, scratch, norms, sums
@@ -273,7 +279,6 @@ class _Workspace:
         self.pairs = rows
         self.pair_targets = np.empty(rows, dtype=np.intp)
         self.pair_rows = np.empty(rows, dtype=np.intp)
-        self.picked_targets, self.diffs = _views(self.scratch, (rows, entries), (rows, entries))
         self.sums = np.empty(rows)
         self.starts = np.empty(rows, dtype=bool)  # where a run's next target begins
         self._blocks: dict[tuple[int, int], _BlockViews] = {}
@@ -306,10 +311,11 @@ class _BlockViews:
         self.gram = _view(work.scratch, targets, rows)
         self.norms = work.norms[:rows]
         self.mask = _view(work.mask, targets, rows)
-        self.by_row = _view(work.rotated, rows, entries)  # the points, one per row
         # the dense recheck of tied targets, as many at a time as fit
         tied = min(targets, len(work.scratch) // (rows * (entries + 1)))
-        self.dense, self.dense_sums = _views(work.scratch, (tied, rows, entries), (tied, rows))
+        self.tied_squares, self.tied_sums = _views(
+            work.scratch, (tied, entries, rows), (tied, rows)
+        )
 
 
 def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -436,6 +442,36 @@ def _gram(targets: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None) 
     return gram
 
 
+def _sum_entries(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum `squares` (..., entries, rows) over its entry axis into `out`
+    (..., rows), in the order `np.add.reduce` sums a contiguous row of
+    `entries` floats (numpy's pairwise sum), so each row's sum is the same
+    float: fewer than 8 entries left to right; up to 128 in 8 running sums
+    over the whole blocks of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest left to right; more in two halves, the first a multiple
+    of 8 long.  The running sums are kept in `squares`, which is spent."""
+    entries = squares.shape[-2]
+    if entries > 128:
+        half = entries // 2 - entries // 2 % 8
+        left = _sum_entries(squares[..., :half, :], squares[..., 0, :])
+        right = _sum_entries(squares[..., half:, :], squares[..., half, :])
+        return np.add(left, right, out=out)
+    if entries < 8:
+        np.copyto(out, squares[..., 0, :])
+        done = 1
+    else:
+        done = entries - entries % 8
+        acc = squares[..., :8, :]
+        for start in range(8, done, 8):
+            acc += squares[..., start : start + 8, :]
+        acc[..., 0::2, :] += acc[..., 1::2, :]
+        acc[..., 0::4, :] += acc[..., 2::4, :]
+        np.add(acc[..., 0, :], acc[..., 4, :], out=out)
+    for entry in range(done, entries):
+        out += squares[..., entry, :]
+    return out
+
+
 def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray, work: _Workspace) -> None:
     """Lower best[j] to the smallest squared distance from targets[j] to a
     point of the component-major block `x` (see `_cell_block`), with every
@@ -450,9 +486,11 @@ def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray, work: _Worksp
     cell) is recomputed densely, over the whole block at once, as many such
     targets at a time as the scratch buffer holds.  The other pairs are
     gathered, at most `work.pairs` of them at a time, however many rows
-    tie.  Either way each pair's n^2 squared differences are one
-    contiguous row, summed in the same order as over a point of a
-    CellSample, and each target keeps its minimum across runs and blocks: a
+    tie.  Either way the recheck reads the block in its own component-major
+    layout: each of the n^2 entries is subtracted and squared as one vector
+    over the rows, and `_sum_entries` adds the entry vectors in the order
+    `np.add.reduce` sums a point of a CellSample, so each pair's sum is the
+    same float.  Each target keeps its minimum across runs and blocks: a
     run is target-major, so its targets' minima are one
     `np.minimum.reduceat` over the run's segments.  The arrays a block
     allocates hold indices of its hits and tied targets, and the tied
@@ -466,27 +504,27 @@ def _nearest(x: np.ndarray, targets: np.ndarray, best: np.ndarray, work: _Worksp
     reach = np.maximum.reduce(gram, axis=1, keepdims=True, out=work.reach)
     reach -= 0.5 * (GRAM_SLACK + (norms.max() - norms.min()))
     mask = np.greater_equal(gram, reach, out=views.mask)
-    by_row = views.by_row
-    np.copyto(by_row, flat.T)
-    # the Gram product is spent: its buffer now holds the differences
+    # the Gram product is spent: its buffer now holds the squared differences
     tied = np.logical_and.reduce(mask, axis=1, out=work.tied).nonzero()[0]
     if len(tied):
         mask[tied] = False
-        for start in range(0, len(tied), len(views.dense)):
-            chunk = tied[start : start + len(views.dense)]
-            diffs = np.subtract(by_row, flat_targets[chunk, None], out=views.dense[: len(chunk)])
-            diffs *= diffs
-            sums = np.add.reduce(diffs, axis=2, out=views.dense_sums[: len(chunk)])
+        for start in range(0, len(tied), len(views.tied_sums)):
+            chunk = tied[start : start + len(views.tied_sums)]
+            squares = views.tied_squares[: len(chunk)]
+            np.subtract(flat, flat_targets[chunk, :, None], out=squares)
+            squares *= squares
+            sums = _sum_entries(squares, views.tied_sums[: len(chunk)])
             best[chunk] = np.minimum(best[chunk], np.minimum.reduce(sums, axis=1))
     hits = mask.reshape(-1).nonzero()[0]  # target-major (target, row) indices
     for start in range(0, len(hits), work.pairs):
         run = hits[start : start + work.pairs]
         k = len(run)
         cols, picked_rows = np.divmod(run, rows, out=(work.pair_targets[:k], work.pair_rows[:k]))
-        diffs = by_row.take(picked_rows, axis=0, out=work.diffs[:k], mode="clip")
-        diffs -= flat_targets.take(cols, axis=0, out=work.picked_targets[:k], mode="clip")
-        diffs *= diffs
-        sums = np.add.reduce(diffs, axis=1, out=work.sums[:k])
+        squares, picked_targets = _views(work.scratch, (entries, k), (k, entries))
+        flat.take(picked_rows, axis=1, out=squares, mode="clip")
+        squares -= flat_targets.take(cols, axis=0, out=picked_targets, mode="clip").T
+        squares *= squares
+        sums = _sum_entries(squares, work.sums[:k])
         # the run is target-major, one segment per target; a target's pairs
         # may span two runs, so each run lowers the minimum of its segments
         starts = work.starts[:k]
@@ -839,7 +877,8 @@ def recover_morse(
     matrices; components are the circles/tori K_H^0 u indexed by U_H \\ U,
     and every trajectory limit is matched to its nearest component.  Limits
     farther than `CONVERGE_TOL` from every component are flagged and
-    excluded rather than force-classified.
+    excluded rather than force-classified.  All starts take the first step
+    together; after it, only those it moved are stepped.
     """
     if any(m != 1 for m in preset.root_datum.multiplicities):
         raise ValueError("flow recovery requires a split preset")
@@ -866,8 +905,14 @@ def recover_morse(
     blocks = _h_blocks(spec.H)
     degenerate = len(theta) == datum.rank and not np.any(spec.nilpotent)
 
+    # one draw of `grid` matrices is the same stream as `grid` single draws
+    gauss = np.random.default_rng(seed).standard_normal((grid, n, n))
+    flip = np.linalg.det(gauss) < 0
+    gauss[flip, :, :2] = gauss[flip][..., [1, 0]]
     points = np.array([_as_float(u) for u in table])
-    moved = _frobenius(flow_step(spec, points) - points)
+    limits = np.concatenate([points, iwasawa_K(gauss)])
+    stepped = flow_step(spec, limits if iters else points)  # every start's first step
+    moved = _frobenius(stepped[: len(table)] - points)
     recurrent = tuple(u for u, dist in zip(table, moved) if dist < 1e-9)
     tables = compile_group(preset)
     recurrent_ids = {tables.position(u) for u in recurrent}
@@ -876,13 +921,14 @@ def recover_morse(
         k for k, c in enumerate(classes) if any(tables.pi[m] == tables.weyl.identity for m in c.ids)
     )
 
-    # one draw of `grid` matrices is the same stream as `grid` single draws
-    gauss = np.random.default_rng(seed).standard_normal((grid, n, n))
-    flip = np.linalg.det(gauss) < 0
-    gauss[flip, :, :2] = gauss[flip][..., [1, 0]]
-    limits = np.concatenate([points, iwasawa_K(gauss)])
-    for _ in range(iters):
-        limits = flow_step(spec, limits)
+    if iters:
+        # a start the step returns bit for bit is fixed at every later step
+        moving = np.flatnonzero((stepped != limits).any(axis=(1, 2)))
+        limits = stepped
+        active = limits[moving]
+        for _ in range(iters - 1):
+            active = flow_step(spec, active)
+        limits[moving] = active
     dists = np.empty((starts, len(classes)))
     for j, coset in enumerate(classes):
         dists[:, j] = component_distance(limits, coset.representative, blocks)

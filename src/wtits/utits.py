@@ -37,6 +37,7 @@ indices follow the order of those keys.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -675,8 +676,22 @@ class GroupTables:
 
 
 def compile_group(preset: GroupPreset) -> GroupTables:
-    """The preset's compiled tables, built on first use."""
-    return preset._tables
+    """The preset's compiled tables, built on first use.
+
+    The cyclic garbage collector is paused while they are built: every
+    element, code and row tuple of the compile is a tracked allocation, so
+    it would run collections that free nothing, 1,894 of them on sl7 (whose
+    compile took 4.2-6.5 s with them, 3.7-4.7 s without, in fresh
+    processes on a 2-vCPU VM).
+    It is resumed afterwards, and stays off if the caller had turned it
+    off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return preset._tables
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_U(preset: GroupPreset) -> FiniteGroupTable:

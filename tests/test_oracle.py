@@ -580,7 +580,7 @@ class TestStreamedKernels:
         points = np.eye(3) + 1e-9 * np.random.default_rng(9).standard_normal((rows, 3, 3))
         work = oracle._Workspace(3, 0, len(table))
         if rows == TABLE_ROWS:
-            assert len(work.block(rows, 0).dense) < len(table)  # the targets take several chunks
+            assert len(work.block(rows, 0).tied_sums) < len(table)  # the targets take several chunks
         best = np.full(len(table), np.inf)
         oracle._nearest(np.ascontiguousarray(points.transpose(1, 2, 0)), targets, best, work)
         assert work.tied.all()
@@ -608,6 +608,54 @@ class TestStreamedKernels:
         equidistant = [((t - centers[0]) ** 2).sum() == ((t - centers[1]) ** 2).sum() for t in targets]
         assert work.tied.tolist() == equidistant and sum(equidistant) == 10
         assert np.sqrt(best).tolist() == [direct_min_distance(lo, points) for lo in table]
+
+    @pytest.mark.parametrize(
+        "name,far,tied_count",
+        [("sl2", (1, 1), 2), ("sl4", (1, 2, 3), 44)],
+        ids=["sl2-4-entries", "sl4-16-entries"],
+    )
+    def test_recheck_sums_other_entry_counts(self, name, far, tied_count):
+        # as above, with one row in three near `far` (the product of those
+        # generators): sl2's 4 entries are summed left to right, sl4's 16 in
+        # two blocks of 8 running sums; both the dense recheck of the tied
+        # targets and the gathered pairs of the others equal the direct
+        # minimum bit for bit, and sl4's tied targets take several chunks
+        preset = load_preset(name)
+        n = preset.n
+        table = enumerate_U(preset)
+        targets = oracle._target_stack(table, (n, n))
+        work = oracle._Workspace(n, 0, len(table))
+        u = preset.identity()
+        for letter in far:
+            u = u * preset.generator(letter)
+        centers = np.array([np.eye(n), as_float(u)])
+        near = np.arange(work.rows) % 3 == 1
+        points = centers[near.astype(int)]
+        points += 1e-9 * np.random.default_rng(9).standard_normal((work.rows, n, n))
+        work.pairs = 7  # a target's pairs span many runs
+        best = np.full(len(table), np.inf)
+        oracle._nearest(np.ascontiguousarray(points.transpose(1, 2, 0)), targets, best, work)
+        equidistant = [((t - centers[0]) ** 2).sum() == ((t - centers[1]) ** 2).sum() for t in targets]
+        assert work.tied.tolist() == equidistant and sum(equidistant) == tied_count
+        if name == "sl4":
+            assert len(work.block(work.rows, 0).tied_sums) < tied_count
+        assert np.sqrt(best).tolist() == [direct_min_distance(lo, points) for lo in table]
+
+    @pytest.mark.parametrize("entries", [4, 9, 16, 25, 36, 49, 144])
+    def test_sum_entries_is_add_reduce_bit_for_bit(self, entries):
+        # numpy's pairwise order: left to right under 8 entries, 8 running
+        # sums up to 128, two halves above (144); magnitudes 1e-8 to 1e8 of
+        # both signs, so any other order rounds differently on many rows
+        rng = np.random.default_rng(entries)
+        rows = 3000
+        values = 10.0 ** rng.uniform(-8, 8, (2, rows, entries))
+        values *= rng.choice([-1.0, 1.0], values.shape)
+        expected = np.add.reduce(values, axis=-1)
+        squares = np.ascontiguousarray(values.transpose(0, 2, 1))
+        out = np.empty((2, rows))
+        assert oracle._sum_entries(squares, out) is out
+        assert out.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert (expected != values.cumsum(axis=-1)[..., -1]).any() or entries < 8
 
     @pytest.mark.parametrize(
         "n,d,targets",
@@ -805,32 +853,91 @@ class TestFlow:
             assert a in report.attractor_components
         assert_class_counts_match_matrices(sl3, report)
 
-    @pytest.mark.parametrize("iters", [10, 1200])
-    def test_recover_morse_matches_per_start_loop(self, sl3, iters):
-        spec = self.reference_flow()
-        report = recover_morse(sl3, spec, grid=16, iters=iters, seed=42)
-        # the loop the stacked flow replaced: one start and one 2-D step at a time
-        table = enumerate_U(sl3)
-        rng = np.random.default_rng(42)
+    def per_start_distances(self, preset, spec, theta, grid, iters, seed=42):
+        """The loop the stacked flow replaced: one start and one 2-D step at
+        a time, every start stepped `iters` times; each start's distances
+        to every component."""
+        table = enumerate_U(preset)
+        n = preset.n
+        rng = np.random.default_rng(seed)
         starts = [as_float(u) for u in table]
-        for _ in range(16):
-            gauss = rng.standard_normal((3, 3))
+        for _ in range(grid):
+            gauss = rng.standard_normal((n, n))
             if np.linalg.det(gauss) < 0:
                 gauss[:, [0, 1]] = gauss[:, [1, 0]]
             starts.append(iwasawa_K(gauss))
-        classes = cosets(table, subgroup_U_H(sl3, report.theta))
+        classes = cosets(table, subgroup_U_H(preset, theta))
         blocks = _h_blocks(spec.H)
         expected = []
         for x in starts:
             for _ in range(iters):
                 x = flow_step(spec, x)
             expected.append([component_distance(x, c.representative, blocks) for c in classes])
+        return expected
+
+    def record_stacks(self, monkeypatch) -> list[int]:
+        """Wrap `flow_step` to record the length of every stack it steps."""
+        stacks = []
+        step = oracle.flow_step
+
+        def recording(spec, x):
+            stacks.append(len(x))
+            return step(spec, x)
+
+        monkeypatch.setattr(oracle, "flow_step", recording)
+        return stacks
+
+    @pytest.mark.parametrize("iters", [10, 1200])
+    def test_recover_morse_matches_per_start_loop(self, sl3, iters, monkeypatch):
+        # the 12 recurrent group points are fixed from the first step on,
+        # so only the other 28 of the 40 starts are stepped after it
+        spec = self.reference_flow()
+        stacks = self.record_stacks(monkeypatch)
+        report = recover_morse(sl3, spec, grid=16, iters=iters, seed=42)
+        assert stacks == [40] + [28] * (iters - 1)
+        monkeypatch.undo()
+        expected = self.per_start_distances(sl3, spec, report.theta, 16, iters)
         assert report.limit_distances == tuple(min(d) for d in expected)
         assert report.component_assignment == tuple(
             int(np.argmin(d)) if min(d) <= 1e-4 else None for d in expected
         )
         if iters == 10:
             assert report.non_convergent and max(report.limit_distances) > 1e-4
+
+    def test_fixed_starts_are_stepped_once(self, sl3, monkeypatch):
+        # the benchmark's flow: the first step of all 72 starts returns the
+        # 12 recurrent group points bit for bit, so only the other 60 are
+        # stepped again, and every limit is still the one of the whole stack
+        spec = self.reference_flow()
+        stacks = self.record_stacks(monkeypatch)
+        report = recover_morse(sl3, spec, grid=48, iters=2000, seed=42)
+        assert stacks == [72] + [60] * 1999
+        assert len(report.recurrent_points) == 12
+        monkeypatch.undo()
+        x = np.array([as_float(u) for u in enumerate_U(sl3)])
+        rng = np.random.default_rng(42)
+        gauss = rng.standard_normal((48, 3, 3))
+        flip = np.linalg.det(gauss) < 0
+        gauss[flip, :, :2] = gauss[flip][..., [1, 0]]
+        x = np.concatenate([x, iwasawa_K(gauss)])
+        for _ in range(2000):
+            x = flow_step(spec, x)
+        classes = cosets(enumerate_U(sl3), subgroup_U_H(sl3, report.theta))
+        blocks = _h_blocks(spec.H)
+        distances = [component_distance(x, c.representative, blocks) for c in classes]
+        assert report.limit_distances == tuple(np.min(distances, axis=0).tolist())
+
+    def test_no_steps_steps_only_the_group_points(self, sl3, monkeypatch):
+        # with no steps the random starts are their own limits, and only the
+        # 24 group points take the one step that finds the recurrent ones
+        spec = self.reference_flow()
+        stacks = self.record_stacks(monkeypatch)
+        report = recover_morse(sl3, spec, grid=16, iters=0, seed=42)
+        assert stacks == [24]
+        assert len(report.recurrent_points) == 12 and report.start_count == 40
+        monkeypatch.undo()
+        expected = self.per_start_distances(sl3, spec, report.theta, 16, 0)
+        assert report.limit_distances == tuple(min(d) for d in expected)
 
     def test_recover_morse_regular(self, sl3):
         spec = FlowSpec(H=np.array([1.0, 0.0, -1.0]))

@@ -429,6 +429,40 @@ SL3_CONFIG = {
 }
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_compile_pauses_the_garbage_collector(monkeypatch, enabled):
+    # off while the tables are built, then back as the caller left it,
+    # after a failed compile too
+    import gc
+
+    import wtits.utits as utits
+
+    real = utits.GroupTables.__init__
+    seen = []
+
+    def recording(self, preset):
+        seen.append(gc.isenabled())
+        real(self, preset)
+
+    def failing(self, preset):
+        seen.append(gc.isenabled())
+        raise InvariantViolation("compile failed")
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        monkeypatch.setattr(utits.GroupTables, "__init__", recording)
+        assert len(compile_group(load_config(SL3_CONFIG)).U) == 24
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(utits.GroupTables, "__init__", failing)
+        with pytest.raises(InvariantViolation, match="compile failed"):
+            compile_group(load_config(SL3_CONFIG))
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False, False]
+
+
 def test_compile_errors_name_c_element_by_word(monkeypatch):
     import wtits.utits as utits
 

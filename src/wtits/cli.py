@@ -58,9 +58,13 @@ _TOKEN = re.compile(r"(s|c)(\d+)(?:\^(\d+))?$")
 
 
 def parse_element(preset: GroupPreset, text: str) -> UElement:
-    """Evaluate an element expression; raises ExprParseError with the
-    character position of the offending token."""
-    result = preset.identity()
+    """Evaluate an element expression on U's tables: each token walks its
+    generator's `right` row, an exponent reduced digit by digit modulo the
+    generator's order in U, so an exponent of any length is read in one
+    pass.  Raises ExprParseError with the character position of the
+    offending token."""
+    tables = compile_group(preset)
+    k = e = tables.identity
     pos = 0
     for token in text.split():
         start = text.index(token, pos)
@@ -70,32 +74,21 @@ def parse_element(preset: GroupPreset, text: str) -> UElement:
         m = _TOKEN.match(token)
         if not m:
             raise ExprParseError(f"bad token {token!r}", start)
-        kind, idx, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-        if kind == "s":
-            if not 1 <= idx <= preset.rank:
-                raise ExprParseError(f"no generator s{idx}", start)
-            base = preset.generator(idx)
-        else:
-            if not 1 <= idx <= len(preset.c_generators):
-                raise ExprParseError(f"no C generator c{idx}", start)
-            base = UElement(preset.c_generators[idx - 1], preset)
-        result = result * base**exp
-    return result
-
-
-def _sorted_elements(group: FiniteGroupTable) -> list[UElement]:
-    tables = compile_group(group.preset)
-    return sorted(group.elements, key=lambda u: tables.display_key(tables.position(u)))
-
-
-def _matrix_rows(u: UElement) -> list[list[int]]:
-    return [list(row) for row in u.matrix]
-
-
-def _words(group: FiniteGroupTable, elements) -> list[str]:
-    """The display words of `elements`, read by U index."""
-    tables = compile_group(group.preset)
-    return [tables.word(tables.position(u)) for u in elements]
+        kind, digits, exp = m.groups()
+        count = preset.rank if kind == "s" else len(preset.c_generators)
+        number = digits.lstrip("0") or "0"
+        idx = int(number) if len(number) <= len(str(count)) else 0  # longer is out of range
+        if not 1 <= idx <= count:
+            raise ExprParseError(f"no {'' if kind == 's' else 'C '}generator {kind}{number}", start)
+        row = tables.right[idx - 1 if kind == "s" else preset.rank + idx - 1]
+        powers = [e]  # g^0, g^1, ... below the order of g in U
+        while (step := row[powers[-1]]) != e:
+            powers.append(step)
+        power = 0
+        for d in exp or "1":
+            power = (power * 10 + int(d)) % len(powers)
+        k = tables.mul(k, powers[power])
+    return tables.element(k)
 
 
 def hasse_json(group: FiniteGroupTable) -> dict:
@@ -103,10 +96,10 @@ def hasse_json(group: FiniteGroupTable) -> dict:
     indices, in (projection length, word) order; covers are [upper, lower]
     id pairs."""
     poset = hasse(group)
-    words = _words(group, poset.elements)
+    words = list(map(display_word, poset.elements))
     return {
         "elements": [
-            {"id": k, "word": words[k], "matrix": _matrix_rows(u)}
+            {"id": k, "word": words[k], "matrix": list(map(list, u.matrix))}
             for k, u in enumerate(poset.elements)
         ],
         "covers": sorted([hi, lo] for lo, hi in poset.covers),
@@ -117,13 +110,13 @@ def hasse_dot(group: FiniteGroupTable, name: str = "extended_bruhat") -> str:
     """Graphviz digraph; one node per element labeled by its canonical word,
     one edge per covering pair, direction upper -> lower."""
     poset = hasse(group)
-    words = _words(group, poset.elements)
+    words = list(map(display_word, poset.elements))
     return _digraph(name, words, sorted((words[hi], words[lo]) for lo, hi in poset.covers))
 
 
 def quotient_json(quotient) -> dict:
     """Canonical JSON form of a quotient order, every word read by U index."""
-    tables = compile_group(quotient.cosets[0].representative.preset)
+    tables = quotient.cosets[0].tables
     word = tables.word
     labels = [_coset_label(c) for c in quotient.cosets]
     covers = sorted((labels[hi], labels[lo]) for lo, hi in quotient.covers())
@@ -183,29 +176,27 @@ def _load_order(args, hasse: bool = False) -> GroupPreset:
 
 def cmd_group(args) -> int:
     preset = _load(args)
-    table = enumerate_U(preset)
-    c_table = enumerate_C(preset)
-    w_count = len(compile_group(preset).weyl)
+    tables = compile_group(preset)
+    sizes = {"U": len(tables.pi), "W": len(tables.weyl), "C": len(tables.c_ids)}
+    c_ids = sorted(tables.c_ids, key=tables.display_key)
     if args.json:
         payload = {
             "preset": preset.name,
             "label": preset.label,
-            "sizes": {"U": len(table), "W": w_count, "C": len(c_table)},
+            "sizes": sizes,
             "generators": {
-                f"s{i}": _matrix_rows(preset.generator(i))
-                for i in range(1, preset.rank + 1)
+                f"s{i}": list(map(list, matrix)) for i, matrix in enumerate(preset.generators, 1)
             },
             "C": [
-                {"word": display_word(c), "matrix": _matrix_rows(c)}
-                for c in _sorted_elements(c_table)
+                {"word": tables.word(c), "matrix": list(map(list, tables.matrix(c)))} for c in c_ids
             ],
         }
         _write_output(_json_text(payload), None)
         return 0
-    print(f"|U|={len(table)} |W|={w_count} |C|={len(c_table)}")
-    for i in range(1, preset.rank + 1):
-        print(f"s{i} = {_matrix_rows(preset.generator(i))}")
-    print("C = {" + ", ".join(display_word(c) for c in _sorted_elements(c_table)) + "}")
+    print(f"|U|={sizes['U']} |W|={sizes['W']} |C|={sizes['C']}")
+    for i, matrix in enumerate(preset.generators, 1):
+        print(f"s{i} = {list(map(list, matrix))}")
+    print("C = {" + ", ".join(map(tables.word, c_ids)) + "}")
     return 0
 
 
@@ -287,12 +278,12 @@ def cmd_control(args) -> int:
     gens = _parse_gens(preset, args.us_gens)
     pair = [parse_element(preset, text) for text in args.pair or ()]
     u_s = subgroup_closure(preset, gens)
-    c_table = enumerate_C(preset)
-    report = check_quotient_isomorphism(u_s, c_table)
+    report = check_quotient_isomorphism(u_s, enumerate_C(preset))
     quotient = control_quotient_order(table, u_s)
     labels = [_coset_label(c) for c in quotient.cosets]
-    print(f"U(S) = {{{', '.join(sorted(display_word(u) for u in u_s))}}}")
-    print(f"C(S) = {{{', '.join(sorted(display_word(u) for u in report.C_S))}}}")
+    word = table.tables.word
+    print(f"U(S) = {{{', '.join(sorted(map(word, u_s.ids)))}}}")
+    print(f"C(S) = {{{', '.join(sorted(map(word, report.C_S.ids)))}}}")
     w_s = ", ".join(
         "1" if w.is_identity() else " ".join(f"r{i}" for i in reduced_word(w))
         for w in report.W_S
@@ -307,7 +298,7 @@ def cmd_control(args) -> int:
         raise InvariantViolation("coset cardinality identity failed")
     print(f"{len(quotient.cosets)} control-set classes")
     for k, coset in enumerate(quotient.cosets):
-        members = ", ".join(sorted(display_word(m) for m in coset.members))
+        members = ", ".join(sorted(map(word, coset.ids)))
         print(f"D[{labels[k]}] class = {{{members}}}")
     print("control-set order facts (D[a] -> D[b] means D[a] < D[b]):")
     for src, dst in control_forward_pairs(quotient):

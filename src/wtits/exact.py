@@ -36,7 +36,7 @@ def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
         for x in row:
-            if not isinstance(x, int):
+            if isinstance(x, bool) or not isinstance(x, int):  # bool is an int subclass
                 raise ValueError(f"matrix entries must be plain integers, got {x!r}")
     return mat
 

@@ -85,14 +85,12 @@ from .utits import (
     GroupPreset,
     UElement,
     canonical_form,
-    compile_group,
     cosets,
     coset_label,
-    display_word,
     enumerate_U,
     subgroup_U_H,
 )
-from .xorder import extended_leq, require_order_memory
+from .xorder import _down_masks, require_order_memory
 
 ORTHO_TOL = 1e-10
 MAX_STACK_FLOATS = 1 << 25  # 256 MiB of float64: the largest cell sample or flow stack
@@ -623,6 +621,7 @@ def schubert_agreement_report(
     _require_positive("reject_margin", reject_margin)
     require_order_memory(preset.predicted_size)  # the verdicts read the whole order
     table = enumerate_U(preset)
+    tables = table.tables
     plans = [_cell_plan(hi, count) for hi in table]
     targets = _target_stack(table, (preset.n, preset.n))
     pairs = []
@@ -640,18 +639,19 @@ def schubert_agreement_report(
     with ThreadPoolExecutor(max_workers=_worker_count(), initializer=new_workspace) as pool:
         cells = pool.map(measure, plans)
         try:
-            for hi, distances in zip(table, cells):
-                for lo, dist in zip(table, distances.tolist()):
+            down = _down_masks(tables)  # while the workers sample
+            for hi, distances in zip(table.ids, cells):
+                for lo, dist in zip(table.ids, distances.tolist()):
                     numerical = dist < tol
-                    combinatorial = extended_leq(lo, hi)
+                    combinatorial = down.leq(lo, hi)
                     if numerical != combinatorial:
                         agree = False
                     if not combinatorial and dist <= reject_margin:
                         margin_ok = False
                     pairs.append(
                         {
-                            "lo": display_word(lo),
-                            "hi": display_word(hi),
+                            "lo": tables.word(lo),
+                            "hi": tables.word(hi),
                             "combinatorial": combinatorial,
                             "numerical": numerical,
                             "min_distance": dist,
@@ -909,14 +909,13 @@ def recover_morse(
     gauss = np.random.default_rng(seed).standard_normal((grid, n, n))
     flip = np.linalg.det(gauss) < 0
     gauss[flip, :, :2] = gauss[flip][..., [1, 0]]
-    points = np.array([_as_float(u) for u in table])
+    tables = table.tables
+    points = np.array([tables.matrix(k) for k in table.ids], dtype=float)
     limits = np.concatenate([points, iwasawa_K(gauss)])
     stepped = flow_step(spec, limits if iters else points)  # every start's first step
     moved = _frobenius(stepped[: len(table)] - points)
-    recurrent = tuple(u for u, dist in zip(table, moved) if dist < 1e-9)
-    tables = compile_group(preset)
-    recurrent_ids = {tables.position(u) for u in recurrent}
-    per_component = tuple(len(recurrent_ids.intersection(coset.ids)) for coset in classes)
+    recurrent_ids = [k for k, dist in zip(table.ids, moved) if dist < 1e-9]
+    per_component = tuple(len(set(recurrent_ids).intersection(c.ids)) for c in classes)
     attractors = tuple(
         k for k, c in enumerate(classes) if any(tables.pi[m] == tables.weyl.identity for m in c.ids)
     )
@@ -942,7 +941,7 @@ def recover_morse(
         preset=preset.name,
         theta=theta,
         degenerate=degenerate,
-        recurrent_points=recurrent,
+        recurrent_points=tuple(map(tables.element, recurrent_ids)),
         component_labels=labels,
         recurrent_per_component=per_component,
         attractor_components=attractors,

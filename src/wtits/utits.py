@@ -11,17 +11,17 @@ closure of the generators (`rootsys.closure`, the one breadth-first loop
 that also enumerates the Weyl group) numbers the elements of U and records
 right multiplication by every generator as it finds each product.  Row i
 of u * g is (row i of u) * g, so the closure first closes the orbit of the
-n unit rows under the generators, and then keys each element by the orbit
-indices of its rows: a product with a generator is n lookups, for every
-group, whatever its generators, and each key becomes its matrix once,
-after the closure, from the shared orbit rows.  Everything else is read
+n unit rows under the generators, sorts it, and then keys each element by
+its code, the orbit indices of its rows: a product with a generator is n
+lookups, for every group, whatever its generators.  Everything else is read
 off those integer tables by lookups: inverses (u^-1 walks the reversed
 word of u on the inverted generator rows, one lookup per letter), pi
 (propagated along the generator edges into the root datum's `WeylTable`
 of permutations), canonical reduced lifts u = s_1 ... s_d c, their
 display words, and right-coset partitions.
 Every subgroup of U (C, U_H and U(S)) is closed by the same loop on U's
-table, with one step k -> mul(k, g) per generator index g.
+table, with one step k -> mul(k, g) per generator index g, and held as its
+sorted U indices.
 
 U is an extension of W by the abelian C, so the tables index each element
 u = lift(pi(u)) c by that pair.  Compiling is bounded by the closure bound,
@@ -30,9 +30,10 @@ exceed it; the order commands and the Schubert report apply `xorder`'s
 caps from the exact |U| = |W| * |C| (`GroupPreset.predicted_size`,
 computed once) before U is closed.
 
-Canonical element keys are the integer matrices themselves, so equality and
-hashing are exact (each element hashes its matrix once, on creation); table
-indices follow the order of those keys.
+The orbit is sorted, so a code compares as its matrix does and U's
+indices, in code order, are in matrix key order.  A `UElement` (equal and
+hashed by its exact matrix) is built from its code only when an edge asks
+(`GroupTables.element`); `GroupTables.position` bisects the sorted codes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import gc
 import json
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -107,8 +109,8 @@ class GroupPreset(Frozen):
         c_j.  Exact for every preset that compiles, since compiling checks
         |U| = |W| * |C|."""
         c_gens = [mat_mul(s, s) for s in self.generators] + list(self.c_generators)
-        c_elements, _, _ = _closure(identity_matrix(self.n), c_gens, DEFAULT_CLOSURE_BOUND)
-        return len(weyl_table(self.root_datum)) * len(c_elements)
+        _, c_codes, _, _ = _closure(identity_matrix(self.n), c_gens, DEFAULT_CLOSURE_BOUND)
+        return len(weyl_table(self.root_datum)) * len(c_codes)
 
     @cached_property
     def _tables(self) -> "GroupTables":
@@ -126,16 +128,12 @@ class GroupPreset(Frozen):
 class UElement(Frozen):
     """Element of U, keyed by its exact matrix: equal when the matrices are.
     The hash is the matrix's, `hash((matrix,))`, computed once on creation,
-    so sets, dicts and `GroupTables.position` never hash the matrix again.
-    The fields are set through their slots, as U's compile makes |U| of
-    them."""
+    so sets and dicts never hash the matrix again."""
 
     __slots__ = ("matrix", "preset", "_hash")
 
     def __init__(self, matrix: IntMatrix, preset: GroupPreset):
-        _put_matrix(self, matrix)
-        _put_preset(self, preset)
-        _put_hash(self, hash((matrix,)))
+        self._set(matrix=matrix, preset=preset, _hash=hash((matrix,)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -160,65 +158,41 @@ class UElement(Frozen):
         return self.matrix == identity_matrix(self.preset.n)
 
 
-_put_matrix, _put_preset, _put_hash = (
-    UElement.__dict__[name].__set__ for name in UElement.__slots__
-)
-
-
 class FiniteGroupTable:
-    """An enumerated finite matrix group (or subgroup): elements sorted by
-    canonical key, with constant-time membership.  `index` maps each element
-    (equal by matrix, hashed once) to its position.  The group layer, which
-    already holds its elements distinct and in key order, builds its tables
-    with `_from_sorted`, which neither sorts nor deduplicates again."""
+    """A subgroup of U (or U itself) as its sorted U indices `ids`, so
+    sorting indices sorts by matrix key.  Iterating it yields its elements,
+    each built on first use (`GroupTables.element`)."""
 
-    def __init__(self, elements: Iterable[UElement]):
-        self._fill(sorted(set(elements), key=lambda u: u.matrix))
-
-    @classmethod
-    def _from_sorted(cls, elements: Sequence[UElement]) -> "FiniteGroupTable":
-        table = cls.__new__(cls)
-        table._fill(elements)
-        return table
-
-    def _fill(self, elements: Sequence[UElement]) -> None:
-        if not elements:
-            raise ValueError("a group table cannot be empty")
-        self.preset = elements[0].preset
-        self.elements: tuple[UElement, ...] = tuple(elements)
-        self.index: dict[UElement, int] = dict(zip(self.elements, range(len(elements))))
+    def __init__(self, tables: "GroupTables", ids: Sequence[int]):
+        self.tables = tables
+        self.preset = tables.preset
+        self.ids = ids
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, u: UElement) -> bool:
-        return u in self.index
-
-    def is_subset_of(self, other: "FiniteGroupTable") -> bool:
-        return all(u in other.index for u in self.index)
+        return map(self.tables.element, self.ids)
 
 
 def _closure(
     identity: IntMatrix, generators: Sequence[IntMatrix], bound: int
-) -> tuple[list[IntMatrix], list[list[int]], list[tuple[int, ...]]]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[list[int]], list[tuple[int, ...]]]:
     """Breadth-first closure of generator matrices inside GL(n, Z), by
-    `rootsys.closure`, for U itself and `predicted_size`: the elements in
-    discovery order (identity first), the table right[g][k] = index of
-    elements[k] * generators[g], and the generator word each element was
-    first reached by (a shortest one).  More than `bound` elements raise.
+    `rootsys.closure`, for U itself and `predicted_size`: the sorted orbit
+    rows, each element's code in discovery order (identity first), the
+    table right[g][k] = index of element k * generators[g], and the word
+    each element was first reached by (a shortest one).  More than `bound`
+    elements raise.
 
     Row i of a * g is (row i of a) * g, so the rows are closed first: the
     orbit of the n unit rows under v -> v * g gives each generator as a
     permutation of the orbit.  The rows of an element are the images of
     the unit rows, so the orbit is finite exactly when the group is, and it
     has at most n * |U| rows: it is cut at n * bound.  U is then closed on
-    codes, the tuples of orbit indices of an element's rows, where a product
-    with a generator is n lookups in its permutation, and each code becomes
-    its matrix once, from the shared orbit rows.  Discovery order depends
-    only on which keys are equal, so the elements, table and words are
+    codes, the tuples of (sorted) orbit indices of an element's rows, where
+    a product with a generator is n lookups in its permutation.  Discovery
+    order depends only on which keys are equal, so the table and words are
     those of a closure on matrix products.
     """
     n = len(identity)
@@ -227,10 +201,17 @@ def _closure(
         lambda v, cols=cols: tuple([sum(x * y for x, y in zip(v, col)) for col in cols])
         for cols in columns
     ]
-    rows, perms, _ = closure(identity, row_steps, n * bound)
-    steps = [lambda code, perm=perm: tuple([perm[i] for i in code]) for perm in perms]
-    codes, right, words = closure([tuple(range(n))], steps, bound)
-    return [tuple(map(rows.__getitem__, code)) for code in codes], right, words
+    found, perms, _ = closure(identity, row_steps, n * bound)
+    order = sorted(range(len(found)), key=found.__getitem__)
+    new = [0] * len(found)
+    for pos, old in enumerate(order):
+        new[old] = pos
+    steps = [
+        lambda code, perm=[new[perm[old]] for old in order]: tuple([perm[i] for i in code])
+        for perm in perms
+    ]
+    codes, right, words = closure([tuple(new[:n])], steps, bound)
+    return [found[old] for old in order], codes, right, words
 
 
 # -- presets ------------------------------------------------------------------
@@ -373,7 +354,8 @@ def load_config(source) -> GroupPreset:
     "multiplicities": [int]}, with rationals written either as integers or
     as {"num": p, "den": q}.  Positive roots are derived by reflection
     closure of the simple roots.  A file that cannot be read, or holds no
-    JSON, raises a `PresetError` naming its path.
+    JSON, raises a `PresetError` naming its path; a bool, float or string
+    where an integer belongs raises one naming its field.
     """
     if isinstance(source, dict):
         cfg = source
@@ -386,21 +368,33 @@ def load_config(source) -> GroupPreset:
         except ValueError as exc:
             raise PresetError(f"group config {source} is not valid JSON: {exc}") from exc
 
-    def rational(x):
+    def integer(x, field: str) -> int:
+        # bool is an int subclass, and int() would truncate a float or read a string
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"{field} must be an integer, got {x!r}")
+        return x
+
+    def rational(x) -> Fraction:
         if isinstance(x, dict):
-            return Fraction(int(x["num"]), int(x["den"]))
-        if isinstance(x, int):
-            return Fraction(x)
-        raise PresetError(f"rationals must be integers or {{num, den}}, got {x!r}")
+            num, den = x["num"], x["den"]
+            return Fraction(integer(num, "simple_roots num"), integer(den, "simple_roots den"))
+        return Fraction(integer(x, "simple_roots entry"))
+
+    def matrices(field: str, items) -> tuple[IntMatrix, ...]:
+        try:
+            return tuple(as_int_matrix(m) for m in items)
+        except ValueError as exc:
+            raise ValueError(f"{field}: {exc}") from None
 
     try:
-        n = int(cfg["n"])
-        gens = tuple(as_int_matrix(g) for g in cfg["generators"])
-        c_gens = tuple(as_int_matrix(g) for g in cfg.get("c_generators", []))
+        n = integer(cfg["n"], "n")
+        gens = matrices("generators", cfg["generators"])
+        c_gens = matrices("c_generators", cfg.get("c_generators", []))
         simples = [tuple(rational(x) for x in root) for root in cfg["simple_roots"]]
-        a_basis = tuple(as_int_matrix(m) for m in cfg["a_basis"])
-        mults = tuple(int(m) for m in cfg.get("multiplicities", [1] * len(simples)))
-    except (KeyError, ValueError, TypeError) as exc:
+        a_basis = matrices("a_basis", cfg["a_basis"])
+        mults = cfg.get("multiplicities", [1] * len(simples))
+        mults = tuple(integer(m, "multiplicities entry") for m in mults)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise PresetError(f"malformed group config: {exc}") from exc
     try:
         datum = RootDatum.create(simples, multiplicities=mults)
@@ -473,9 +467,12 @@ def validate_preset(preset: GroupPreset) -> None:
 class GroupTables:
     """U compiled into integer tables; `compile_group` builds one per preset.
 
-    The elements of U are the indices 0..|U|-1 of `U.elements`, which are
-    sorted by matrix key, so sorting indices sorts by key.  Generators are
-    numbered 0..r+m-1: s_1 .. s_r, then the extra C generators c_1 .. c_m.
+    The elements of U are the indices 0..|U|-1, in the order of their
+    codes `codes[k]`, the indices of u_k's rows in the sorted orbit `rows`
+    (`_closure`), so sorting indices sorts by matrix key.  The compile builds
+    no matrix or `UElement`: `matrix(k)` and `element(k)` (memoized) build
+    them from the code, and `position(u)` is the one way back to an index.
+    Generators are numbered 0..r+m-1: s_1 .. s_r, then c_1 .. c_m.
 
     * `right[g][k]`: the index of u_k * (generator g), recorded by the closure,
     * `words[k]`: a shortest generator word of u_k, so `mul(a, b)` is a walk
@@ -487,7 +484,7 @@ class GroupTables:
       (`rootsys.weyl_table`), so the group and the public Weyl functions
       share one table,
     * `c_ids[s]`: the index of the element of C in slot s; slots follow
-      index order, so slot s holds `C.elements[s]`,
+      index order,
     * `slot[k]`: the slot of the C factor c of the canonical decomposition
       u_k = s_1 ... s_d c, where s_1 ... s_d lifts the word `weyl.word[pi[k]]`,
     * `at[w][s]`: the index of lift(w) c_s, the inverse of k -> (pi[k], slot[k]),
@@ -513,28 +510,31 @@ class GroupTables:
         self.preset = preset
         self.weyl = weyl = weyl_table(preset.root_datum)
         generators = preset.generators + preset.c_generators
-        mats, right, words = _closure(identity_matrix(preset.n), generators, DEFAULT_CLOSURE_BOUND)
-        pi: list[int | None] = [None] * len(mats)
+        rows, codes, right, words = _closure(
+            identity_matrix(preset.n), generators, DEFAULT_CLOSURE_BOUND
+        )
+        pi: list[int | None] = [None] * len(codes)
         pi[0] = weyl.identity
-        for k in range(len(mats)):  # discovery order: each element after its parent
+        for k in range(len(codes)):  # discovery order: each element after its parent
             for g, row in enumerate(right):
                 w = weyl.right[g][pi[k]] if g < rank else pi[k]
                 if pi[row[k]] is None:
                     pi[row[k]] = w
                 elif pi[row[k]] != w:
                     raise InvariantViolation("pi is not well defined on the generator edges")
-        order = sorted(range(len(mats)), key=mats.__getitem__)
-        ids = list(range(len(mats)))  # one int per index, shared by every table
-        new = [0] * len(mats)
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        ids = list(range(len(codes)))  # one int per index, shared by every table
+        new = [0] * len(codes)
         for pos, old in zip(ids, order):
             new[old] = pos
-        self.U = FiniteGroupTable._from_sorted([UElement(mats[old], preset) for old in order])
-        self.index = self.U.index
+        self.rows = tuple(rows)
+        self._row_index = {row: i for i, row in enumerate(rows)}
+        self.codes = tuple([codes[old] for old in order])
         self.right = tuple(tuple([new[row[old]] for old in order]) for row in right)
         self.words = tuple([words[old] for old in order])
         self.pi = tuple([pi[old] for old in order])
         self.identity = e = new[0]
-        del mats, right, words, pi, order, new  # freed before the inverse rows are built
+        del codes, right, words, pi, order, new  # freed before the inverse rows are built
 
         # u^-1 = g_d^-1 ... g_1^-1 for u = g_1 ... g_d: the reversed word,
         # walked on the inverse permutations of the `right` rows
@@ -594,10 +594,12 @@ class GroupTables:
         for k, (w, s) in enumerate(zip(self.pi, self.slot)):
             at[w][s] = k
         self.at = tuple(map(tuple, at))
-        self.C = FiniteGroupTable._from_sorted([self.U.elements[c] for c in c_ids])
+        self.U = FiniteGroupTable(self, range(len(ids)))
+        self.C = FiniteGroupTable(self, c_ids)
         self.c_tokens = tuple(map(c_tokens.__getitem__, c_ids))
         self.s_tokens = tuple(tuple(f"s{i}" for i in word) for word in weyl.word)
         self._words: list[str | None] = [None] * len(ids)
+        self._elements: list[UElement | None] = [None] * len(ids)
         self.covers: tuple[tuple[int, ...], ...] | None = None
         self.down = None  # an `xorder.DownSets` once built
 
@@ -646,11 +648,24 @@ class GroupTables:
         at, pi, slot, row = self.at, self.pi, self.slot, self.c_mul[t]
         return [at[pi[k]][row[slot[k]]] for k in ks]
 
+    def matrix(self, k: int) -> IntMatrix:
+        """The matrix of u_k, from its code."""
+        return tuple(map(self.rows.__getitem__, self.codes[k]))
+
+    def element(self, k: int) -> UElement:
+        """u_k as a `UElement`, built on first use."""
+        u = self._elements[k]
+        if u is None:
+            u = self._elements[k] = UElement(self.matrix(k), self.preset)
+        return u
+
     def position(self, u: UElement) -> int:
-        try:
-            return self.index[u]
-        except KeyError:
-            raise ValueError(f"{u.matrix} is not an element of U") from None
+        """The index of u: its rows' orbit indices, found in the sorted codes."""
+        code = tuple([self._row_index.get(row, -1) for row in u.matrix])
+        k = bisect_left(self.codes, code)
+        if k == len(self.codes) or self.codes[k] != code:
+            raise ValueError(f"{u.matrix} is not an element of U")
+        return k
 
     def length(self, k: int) -> int:
         """Length of the projection pi(u_k)."""
@@ -679,10 +694,10 @@ def compile_group(preset: GroupPreset) -> GroupTables:
     """The preset's compiled tables, built on first use.
 
     The cyclic garbage collector is paused while they are built: every
-    element, code and row tuple of the compile is a tracked allocation, so
-    it would run collections that free nothing, 1,894 of them on sl7 (whose
+    code, word and row tuple of the compile is a tracked allocation, so it
+    would run collections that free nothing, 1,894 of them on sl7 (whose
     compile took 4.2-6.5 s with them, 3.7-4.7 s without, in fresh
-    processes on a 2-vCPU VM).
+    processes on a 2-vCPU VM, when it still built an element per index).
     It is resumed afterwards, and stays off if the caller had turned it
     off."""
     enabled = gc.isenabled()
@@ -749,7 +764,7 @@ def canonical_form(u: UElement) -> tuple[tuple[int, ...], UElement]:
     reduced word of pi(u) and the trailing C factor."""
     tables = compile_group(u.preset)
     k = tables.position(u)
-    return tables.weyl.word[tables.pi[k]], tables.C.elements[tables.slot[k]]
+    return tables.weyl.word[tables.pi[k]], tables.element(tables.c_ids[tables.slot[k]])
 
 
 def subgroup_U_H(
@@ -769,51 +784,41 @@ def subgroup_U_H(
 def subgroup_closure(preset: GroupPreset, gens: Sequence[UElement]) -> FiniteGroupTable:
     """Smallest subgroup of U containing the given elements, on U's table."""
     tables = compile_group(preset)
-    for g in gens:
-        if g not in tables.U:
-            raise ValueError(f"generator {g.matrix} is not an element of U")
-    keys, _, _ = tables.close(map(tables.position, gens))
-    return FiniteGroupTable._from_sorted([tables.U.elements[k] for k in sorted(keys)])
+    try:
+        ids = [tables.position(g) for g in gens]
+    except ValueError as exc:
+        raise ValueError(f"generator {exc}") from None
+    keys, _, _ = tables.close(ids)
+    return FiniteGroupTable(tables, tuple(sorted(keys)))
 
 
 class Coset(Frozen):
-    """A right coset: canonical representative (smallest matrix key), sorted
-    members, and their ascending U indices: `members[k]` is `U.elements[ids[k]]`."""
+    """A right coset, as the ascending U indices `ids` of its members; its
+    canonical representative is the first (smallest matrix key)."""
 
-    __slots__ = ("representative", "members", "ids")
+    __slots__ = ("tables", "ids")
 
-    def __init__(
-        self, representative: UElement, members: tuple[UElement, ...], ids: tuple[int, ...]
-    ):
-        self._set(representative=representative, members=members, ids=ids)
+    def __init__(self, tables: GroupTables, ids: tuple[int, ...]):
+        self._set(tables=tables, ids=ids)
 
-    def __contains__(self, u: UElement) -> bool:
-        return any(u.matrix == m.matrix for m in self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _coset(tables: GroupTables, subgroup_ids: Sequence[int], k: int) -> Coset:
-    """The right coset H u_k, for H given by the indices of its members."""
-    word, walk = tables.words[k], tables.walk
-    ids = tuple(sorted([walk(h, word) for h in subgroup_ids]))  # index order is key order
-    elements = tables.U.elements
-    return Coset(elements[ids[0]], tuple(map(elements.__getitem__, ids)), ids)
+    @property
+    def representative(self) -> UElement:
+        return self.tables.element(self.ids[0])
 
 
 def cosets(group: FiniteGroupTable, subgroup: FiniteGroupTable) -> list[Coset]:
     """Partition `group` into right cosets Hu of `subgroup`, in representative
-    key order: the first element not yet placed is its class's smallest."""
-    if not subgroup.is_subset_of(group):
+    key order: the first element not yet placed is its class's smallest.
+    The coset H u_k is the walk of u_k's word from each member of H."""
+    tables, walk = group.tables, group.tables.walk
+    if subgroup.tables is not tables or not set(subgroup.ids).issubset(group.ids):
         raise ValueError("subgroup is not contained in group")
-    tables = compile_group(group.preset)
-    subgroup_ids = [tables.position(h) for h in subgroup]
     seen: set[int] = set()
     out = []
-    for k in map(tables.position, group.elements):
+    for k in group.ids:
         if k not in seen:
-            out.append(_coset(tables, subgroup_ids, k))
+            word = tables.words[k]
+            out.append(Coset(tables, tuple(sorted([walk(h, word) for h in subgroup.ids]))))
             seen.update(out[-1].ids)
     if len(out) * len(subgroup) != len(group):
         raise InvariantViolation("coset partition has the wrong cardinality")
@@ -847,12 +852,12 @@ class QuotientReport(Frozen):
 def check_quotient_isomorphism(U_S: FiniteGroupTable, C_table: FiniteGroupTable) -> QuotientReport:
     """Compute C(S) = U(S) n C and W(S) = pi(U(S)) and verify that
     |U(S)\\U| = |W(S)\\W| * |C(S)\\C|."""
-    preset = U_S.preset
-    table_U = enumerate_U(preset)
-    c_s = FiniteGroupTable._from_sorted([u for u in U_S if u in C_table])
-    w_s = tuple(sorted({project_to_W(u) for u in U_S}, key=lambda w: (length(w), w.matrix)))
-    classes_u = len(table_U) // len(U_S)
-    classes_w = len(compile_group(preset).weyl) // len(w_s)
+    tables = U_S.tables
+    c_s = FiniteGroupTable(tables, tuple(sorted(set(U_S.ids).intersection(C_table.ids))))
+    w_s = map(tables.weyl.element, {tables.pi[k] for k in U_S.ids})
+    w_s = tuple(sorted(w_s, key=lambda w: (length(w), w.matrix)))
+    classes_u = len(tables.pi) // len(U_S)
+    classes_w = len(tables.weyl) // len(w_s)
     classes_c = len(C_table) // len(c_s)
     return QuotientReport(
         W_S=w_s,
@@ -876,5 +881,5 @@ def display_word(u: UElement) -> str:
 def coset_label(coset: Coset) -> str:
     """Display name of a coset: its member with the shortest canonical word
     (ties by token order), which reproduces the conventional class labels."""
-    tables = compile_group(coset.representative.preset)
+    tables = coset.tables
     return tables.word(min(coset.ids, key=lambda k: (len(t := tables.tokens(k)), t)))

@@ -59,7 +59,7 @@ above MAX_COVER_ENTRIES is refused before its covers are built
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -71,7 +71,6 @@ from .utits import (
     UElement,
     compile_group,
     cosets,
-    display_word,
 )
 
 
@@ -110,7 +109,7 @@ def require_cover_memory(size: int, positive_roots: int) -> None:
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _select(items: Sequence, mask: int) -> Iterator:
+def _select(items: Iterable, mask: int) -> Iterator:
     """The items at the set bits of `mask` (which must lie below
     len(items)), ascending: its binary digits, read from the low end, select
     them through `itertools.compress`, all in C.  Faster than `_bits` unless
@@ -201,12 +200,15 @@ def _down_closure(tables: GroupTables, place: Sequence[int]) -> list[int]:
 
 class DownSets(NamedTuple):
     """The down-set of every element of U in the C-slot layout: u_k sits at
-    bit place[k] = pi[k] * |C| + slot[k], and masks[k] holds the elements at
-    or below u_k; members[p] is the element at bit p."""
+    bit place[k] = pi[k] * |C| + slot[k], so bit p holds
+    `at[p // |C|][p % |C|]`, and masks[k] holds the elements at or below u_k."""
 
     place: tuple[int, ...]
-    members: tuple[UElement, ...]
     masks: tuple[int, ...]
+
+    def leq(self, lo: int, hi: int) -> bool:
+        """u_lo <= u_hi: the bit of u_lo in the down-set of u_hi."""
+        return bool(self.masks[hi] >> self.place[lo] & 1)
 
 
 def _down_masks(tables: GroupTables) -> DownSets:
@@ -243,10 +245,7 @@ def _down_masks(tables: GroupTables) -> DownSets:
                         f"covers give {down[k].bit_count()} elements, "
                         f"the subword grid gives {via_grid.bit_count()}"
                     )
-        members: list = [None] * len(place)
-        for k, p in enumerate(place):
-            members[p] = tables.U.elements[k]
-        tables.down = DownSets(tuple(place), tuple(members), tuple(down))
+        tables.down = DownSets(tuple(place), tuple(down))
     return tables.down
 
 
@@ -256,8 +255,7 @@ def down_covers(u: UElement) -> frozenset[UElement]:
     letter replaced by 1 or by its square (the two coincide when the
     squared generator is trivial)."""
     tables = compile_group(u.preset)
-    elements = tables.U.elements
-    return frozenset(elements[v] for v in _covers(tables)[tables.position(u)])
+    return frozenset(map(tables.element, _covers(tables)[tables.position(u)]))
 
 
 # no command calls it; kept because benchmarks/tracer.py wraps it
@@ -275,15 +273,14 @@ def down_set_from_word(u: UElement, word: Sequence[int]) -> frozenset[UElement]:
     c = tables.mul(tables.inverse[lift], tables.position(u))
     if tables.pi[c] != tables.weyl.identity:
         raise ValueError("word does not project to pi(u)")
-    t, elements = tables.slot[c], tables.U.elements
-    return frozenset(map(elements.__getitem__, tables.times_c(_grid(tables, word, 2), t)))
+    return frozenset(map(tables.element, tables.times_c(_grid(tables, word, 2), tables.slot[c])))
 
 
 def down_set(u: UElement) -> frozenset[UElement]:
     """{u' : u' <= u}, computed by both routes and cross-checked."""
     tables = compile_group(u.preset)
-    down = _down_masks(tables)
-    return frozenset(_select(down.members, down.masks[tables.position(u)]))
+    mask = _down_masks(tables).masks[tables.position(u)]
+    return frozenset(map(tables.element, _select(chain.from_iterable(tables.at), mask)))
 
 
 def extended_leq(u_lo: UElement, u_hi: UElement) -> bool:
@@ -291,8 +288,7 @@ def extended_leq(u_lo: UElement, u_hi: UElement) -> bool:
     if u_lo.preset is not u_hi.preset:
         raise ValueError("elements come from different presets")
     tables = compile_group(u_hi.preset)
-    down = _down_masks(tables)
-    return bool(down.masks[tables.position(u_hi)] >> down.place[tables.position(u_lo)] & 1)
+    return _down_masks(tables).leq(tables.position(u_lo), tables.position(u_hi))
 
 
 # -- Hasse diagrams -----------------------------------------------------------
@@ -326,22 +322,21 @@ def hasse(group: FiniteGroupTable) -> Poset:
     that does not raises.  A graded cover set is acyclic and transitively
     reduced (a path of two or more covers spans two or more lengths), so
     it is its own Hasse diagram and no closure is built."""
-    tables = compile_group(group.preset)
-    ids = sorted((tables.position(u) for u in group.elements), key=tables.display_key)
+    tables = group.tables
+    ids = sorted(group.ids, key=tables.display_key)
     pos = {k: n for n, k in enumerate(ids)}
     covers = _covers(tables)
-    elements = tables.U.elements
     edges = []
     for k in ids:
         top = tables.length(k)
         for v in covers[k]:
             if tables.length(v) != top - 1:
                 raise InvariantViolation(
-                    f"cover {display_word(elements[k])} -> {display_word(elements[v])} "
+                    f"cover {tables.word(k)} -> {tables.word(v)} "
                     f"joins lengths {top} and {tables.length(v)}, which are not consecutive"
                 )
             edges.append((pos[v], pos[k]))
-    return Poset([elements[k] for k in ids], edges)
+    return Poset(map(tables.element, ids), edges)
 
 
 # -- quotient orders ----------------------------------------------------------
@@ -448,7 +443,7 @@ def _quotient(group: FiniteGroupTable, subgroup: FiniteGroupTable, kind: str) ->
     the union of j's members' down-sets is full, and under the control rule
     when block i of every member's down-set is not empty: a block fold of
     one big int per row, compressed to one bit per class."""
-    tables = compile_group(group.preset)
+    tables = group.tables
     require_order_memory(len(tables.pi))
     classes = cosets(group, subgroup)
     _down_masks(tables)  # the order's two routes agree before any row is built
@@ -515,7 +510,7 @@ def _reduced_lift_of_class(
     for k in coset.ids:
         for word in tables.weyl.reduced_words(tables.pi[k]):
             if tables.walk(tables.identity, [i - 1 for i in word]) == k:
-                return tables.U.elements[k], word
+                return tables.element(k), word
     raise ReducedLiftUnavailable(
         "no member of the class is a generator product with reduced projection"
     )
@@ -527,10 +522,10 @@ def _grid_candidates(u_class: Coset, v_class: Coset) -> frozenset[UElement]:
     on the grid of every s_1^{k_1} ... s_d^{k_d}, k_i in {0, 1, 2, 3}, of
     a reduced generator product s_1 ... s_d in `v_class`.  An empty result
     refutes the hypothesis; a nonempty one decides nothing."""
-    tables = compile_group(v_class.representative.preset)
+    tables = v_class.tables
     _, word = _reduced_lift_of_class(tables, v_class)
     grid = _grid(tables, word, 3)
-    return frozenset(tables.U.elements[k] for k in u_class.ids if k in grid)
+    return frozenset(tables.element(k) for k in u_class.ids if k in grid)
 
 
 class PairVerdict(Frozen):

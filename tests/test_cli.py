@@ -5,9 +5,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtits import (
     ExprParseError,
+    UElement,
     display_word,
     enumerate_U,
     extended_leq,
@@ -39,6 +42,52 @@ def test_parse_element_grammar(sl3):
         parse_element(sl3, "s9")
     with pytest.raises(ExprParseError):
         parse_element(sl3, "c1")  # no extra C generators on presets
+
+
+def test_exponents_of_any_length(sl3, capsys):
+    # read digit by digit modulo the order of s1 (4): the last two digits decide
+    s1 = sl3.generator(1)
+    for digits in ("7" * 4000, "1" * 4998 + "06", "9" * 5000):
+        assert parse_element(sl3, f"s1^{digits}") == s1 ** (int(digits[-2:]) % 4)
+    text = f"s2^{'5' * 5000} s1 q1"
+    with pytest.raises(ExprParseError) as err:
+        parse_element(sl3, text)
+    assert err.value.position == text.index("q1")
+    with pytest.raises(ExprParseError, match="no generator s9{5000}") as err:
+        parse_element(sl3, "s1 s" + "9" * 5000)
+    assert err.value.position == 3
+    lhs = "s1^" + "1" * 4999 + "3"  # 13 = 1 mod 4, so this is s1 again
+    code, out, _ = run(capsys, ["order", "leq", "--preset", "sl3", "--lhs", lhs, "--rhs", "s1"])
+    assert code == 0 and out == "true\n"
+
+
+def _expressions(preset):
+    """Expressions of up to six tokens with exponents 0-9, and the tokens
+    as (kind, index, exponent) triples."""
+    kinds = [("s", i) for i in range(1, preset.rank + 1)]
+    kinds += [("c", j) for j in range(1, len(preset.c_generators) + 1)]
+    token = st.tuples(st.sampled_from(kinds), st.none() | st.integers(0, 9))
+    return st.lists(token, max_size=6)
+
+
+@pytest.mark.parametrize("source", ["sl3", "so24", "sl4", "custom_o3"])
+def test_parse_walk_matches_matrix_products(source):
+    # the walk on U's tables against the left-to-right matrix product of
+    # `UElement.__mul__` and `__pow__`
+    preset = load_config(CUSTOM_O3) if source == "custom_o3" else load_preset(source)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_expressions(preset))
+    def check(tokens):
+        expected = preset.identity()
+        parts = []
+        for (kind, i), exp in tokens:
+            base = preset.generator(i) if kind == "s" else UElement(preset.c_generators[i - 1], preset)
+            expected = expected * (base if exp is None else base**exp)
+            parts.append(f"{kind}{i}" if exp is None else f"{kind}{i}^{exp}")
+        assert parse_element(preset, " ".join(parts) or "1").matrix == expected.matrix
+
+    check()
 
 
 def test_cmd_group(capsys):

@@ -36,7 +36,7 @@ from wtits import (
 from wtits import exact, utits
 from wtits.cli import hasse_json
 from wtits.exact import identity_matrix, mat_inverse, mat_mul
-from wtits.utits import FiniteGroupTable, UElement, _closure, compile_group
+from wtits.utits import GroupPreset, UElement, _closure, compile_group
 
 CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
 
@@ -152,7 +152,9 @@ def test_closure_matches_matrix_product_reference(name, signed, monkeypatch):
     generators = preset.generators + preset.c_generators
     expected = reference_closure(identity, generators)
     calls = _counting_mat_mul(monkeypatch)
-    assert _closure(identity, generators, utits.DEFAULT_CLOSURE_BOUND) == expected
+    rows, codes, right, words = _closure(identity, generators, utits.DEFAULT_CLOSURE_BOUND)
+    assert rows == sorted(set(rows))
+    assert ([tuple(map(rows.__getitem__, code)) for code in codes], right, words) == expected
     # every group closes on row codes, whether or not its generators are signed permutations
     assert not calls
     assert all(map(is_signed_permutation, generators)) == signed
@@ -167,9 +169,9 @@ def test_sheared_sl3_has_the_order_of_sl3():
     assert got["covers"] == want["covers"]
 
 
-def _table_of(preset, generators):
-    mats, _, _ = reference_closure(identity_matrix(preset.n), [g.matrix for g in generators])
-    return FiniteGroupTable(UElement(m, preset) for m in mats)
+def _sorted_closure(preset, generators):
+    mats, _, _ = reference_closure(identity_matrix(preset.n), generators)
+    return sorted(mats)
 
 
 @pytest.mark.parametrize("name", ["sl3", "so24", "custom", "shear", "c1", "sl4", "sl5"])
@@ -206,9 +208,10 @@ def test_subgroup_tables_match_reference(sl4):
         (subgroup_closure(shear, [shear.generator(1)]), [shear.generator(1)]),  # not signed
     ]
     for table, gens in cases:
-        expected = _table_of(gens[0].preset, gens)
-        assert [u.matrix for u in table] == [u.matrix for u in expected]
-        assert table.index == expected.index
+        expected = _sorted_closure(table.preset, [g.matrix for g in gens])
+        assert [u.matrix for u in table] == expected
+        assert list(table.ids) == sorted(table.ids)
+        assert [table.tables.position(UElement(m, table.preset)) for m in expected] == list(table.ids)
 
 
 @pytest.mark.parametrize("name", ["sl3", "so24", "custom", "shear", "sl4"])
@@ -216,7 +219,7 @@ def test_inverse_table_matches_matrix_inverse(name):
     tables = compile_group(_load(name))
     preset = tables.preset
     for k, u in enumerate(tables.U):
-        assert tables.inverse[k] == tables.index[UElement(mat_inverse(u.matrix), preset)]
+        assert tables.inverse[k] == tables.position(UElement(mat_inverse(u.matrix), preset))
 
 
 def test_every_element_times_its_inverse_is_the_identity_on_sl5():
@@ -226,16 +229,32 @@ def test_every_element_times_its_inverse_is_the_identity_on_sl5():
 
 @pytest.mark.parametrize("name", ["sl3", "so24", "custom", "shear", "sl4"])
 def test_group_tables_keep_key_order_and_index(name):
-    # U and C are built from elements already in key order, without sorting
-    # again: the same tables as sorting the reference closure
+    # U's indices follow its sorted codes: element k is the k-th matrix of
+    # the sorted reference closure, and `position` finds each one back
     tables = compile_group(_load(name))
     preset = tables.preset
-    generators = preset.generators + preset.c_generators
-    mats, _, _ = reference_closure(identity_matrix(preset.n), generators)
-    expected = FiniteGroupTable(UElement(m, preset) for m in mats)
-    assert [u.matrix for u in tables.U] == [u.matrix for u in expected]
-    assert tables.index is tables.U.index
-    assert list(tables.index.items()) == list(expected.index.items())
-    assert [u.matrix for u in tables.C] == sorted(u.matrix for u in tables.C)
-    assert [tables.index[c] for c in tables.C] == list(tables.c_ids)
-    assert list(tables.C.index.values()) == list(range(len(tables.C)))
+    expected = _sorted_closure(preset, preset.generators + preset.c_generators)
+    assert [tables.element(k).matrix for k in range(len(expected))] == expected
+    assert [tables.position(UElement(m, preset)) for m in expected] == list(range(len(expected)))
+    assert list(tables.U.ids) == list(range(len(expected)))
+    assert list(tables.C.ids) == list(tables.c_ids) == sorted(tables.c_ids)
+    assert [u.matrix for u in tables.C] == [expected[c] for c in tables.c_ids]
+
+
+def test_compile_builds_no_elements(monkeypatch):
+    # compiling sl5 builds its tables alone: no UElement, until one is asked for
+    sl5 = load_preset("sl5")
+    fresh = GroupPreset(
+        sl5.name, sl5.n, sl5.generators, sl5.c_generators, sl5.root_datum, sl5.a_basis, sl5.label
+    )
+    built = []
+    init = UElement.__init__
+
+    def counted(self, matrix, preset):
+        built.append(matrix)
+        init(self, matrix, preset)
+
+    monkeypatch.setattr(UElement, "__init__", counted)
+    tables = compile_group(fresh)
+    assert len(tables.pi) == 1920 and built == []
+    assert tables.element(5) is tables.element(5) and len(built) == 1

@@ -27,6 +27,8 @@ def test_as_int_matrix_validation():
         as_int_matrix([[1, 0], [0]])
     with pytest.raises(ValueError):
         as_int_matrix([[1.5, 0], [0, 1]])
+    with pytest.raises(ValueError, match="plain integers, got True"):
+        as_int_matrix([[True, 0], [0, 1]])
 
 
 def test_determinant_known_values():

@@ -41,10 +41,8 @@ def reference_rows(group, subgroup, kind):
     of i lies in the union of j's members' down-sets ("morse"), or when
     every member of j has a down-set meeting class i (control)."""
     tables = compile_group(group.preset)
-    down = [
-        reduce(or_, (1 << tables.position(x) for x in down_set(u)))
-        for u in tables.U.elements
-    ]
+    index = {u: k for k, u in enumerate(tables.U)}  # the reference's own element -> index map
+    down = [reduce(or_, (1 << index[x] for x in down_set(u))) for u in tables.U]
     classes = cosets(group, subgroup)
     masks = [reduce(or_, (1 << k for k in c.ids)) for c in classes]
     rows = []
@@ -154,8 +152,8 @@ def test_c_slot_layout_matches_grid_route(name):
     n = len(tables.pi)
     width = len(tables.C)
     assert sorted(down.place) == list(range(n))
-    for k, u in enumerate(tables.U.elements):
-        assert down.members[down.place[k]] is u
+    for k, u in enumerate(tables.U):
+        assert tables.at[down.place[k] // width][down.place[k] % width] == k
         assert down.place[k] // width == tables.pi[k]
         word = tables.weyl.word[tables.pi[k]]
         assert down_set(u) == down_set_from_word(u, word)

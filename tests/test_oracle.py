@@ -36,7 +36,7 @@ from wtits.oracle import (
     u_cell_key,
 )
 from wtits.utits import GroupPreset, canonical_form, cosets, project_to_W, subgroup_U_H
-from wtits.xorder import down_covers
+from wtits.xorder import DownSets, down_covers
 
 
 def as_float(u):
@@ -55,10 +55,12 @@ def assert_class_counts_match_matrices(preset, report):
     their definitions on matrices: coset membership and pi(m) = 1."""
     classes = cosets(enumerate_U(preset), subgroup_U_H(preset, report.theta))
     assert report.recurrent_per_component == tuple(
-        sum(1 for u in report.recurrent_points if u in c) for c in classes
+        sum(1 for u in report.recurrent_points if c.tables.position(u) in c.ids) for c in classes
     )
     assert report.attractor_components == tuple(
-        k for k, c in enumerate(classes) if any(project_to_W(m).is_identity() for m in c.members)
+        k
+        for k, c in enumerate(classes)
+        if any(project_to_W(m).is_identity() for m in map(c.tables.element, c.ids))
     )
 
 
@@ -425,8 +427,8 @@ class TestReportThreads:
             return wrapper
 
         exact_names = (
-            "canonical_form", "cosets", "coset_label", "display_word", "enumerate_U",
-            "subgroup_U_H", "extended_leq", "u_cell_key",
+            "canonical_form", "cosets", "coset_label", "enumerate_U",
+            "subgroup_U_H", "_down_masks", "u_cell_key",
             "_rotation_block_of", "_cell_plan", "_as_float",
         )
         for name in (*exact_names, "_cell_distances"):
@@ -438,7 +440,7 @@ class TestReportThreads:
         main = threading.main_thread()
         exact = [(name, thread) for name, thread in calls if name != "_cell_distances"]
         assert {name for name, _ in exact} >= {
-            "canonical_form", "display_word", "enumerate_U", "extended_leq", "generator",
+            "canonical_form", "enumerate_U", "_down_masks", "generator",
             "u_cell_key", "_rotation_block_of", "_cell_plan", "_as_float",
         }
         assert [name for name, thread in exact if thread is not main] == []
@@ -454,12 +456,12 @@ class TestReportThreads:
             measured.append(1)
             return cell_distances(*args)
 
-        def failing(lo, hi):
+        def failing(down, lo, hi):
             raise RuntimeError("verdict failed")
 
         monkeypatch.setattr(oracle, "_worker_count", lambda: 1)
         monkeypatch.setattr(oracle, "_cell_distances", counted)
-        monkeypatch.setattr(oracle, "extended_leq", failing)
+        monkeypatch.setattr(DownSets, "leq", failing)
         with pytest.raises(RuntimeError, match="verdict failed"):
             schubert_agreement_report(sl3, count=100_000, seed=42)
         # the first cell, and at most the one the worker took up meanwhile

@@ -132,7 +132,7 @@ def test_lift_word(sl3, so24):
     # reference multiplies the generator matrices
     for preset, word in ((sl3, []), (sl3, [1, 2]), (so24, [1, 2, 1, 2]), (so24, [2, 1, 2, 1])):
         tables = compile_group(preset)
-        walked = tables.U.elements[tables.walk(tables.identity, [i - 1 for i in word])]
+        walked = tables.element(tables.walk(tables.identity, [i - 1 for i in word]))
         assert walked == ref.lift_word(preset, word)
     assert ref.lift_word(sl3, []).is_identity()
     s1, s2 = sl3.generator(1), sl3.generator(2)
@@ -189,12 +189,12 @@ def test_cosets(sl3):
     table = enumerate_U(sl3)
     trivial = subgroup_closure(sl3, [])
     singletons = cosets(table, trivial)
-    assert len(singletons) == 24 and all(len(c) == 1 for c in singletons)
+    assert len(singletons) == 24 and all(len(c.ids) == 1 for c in singletons)
     by_c = cosets(table, enumerate_C(sl3))
     assert len(by_c) == 6
     # each C-coset carries one Weyl element
     for coset in by_c:
-        assert len({project_to_W(m).matrix for m in coset.members}) == 1
+        assert len({project_to_W(m).matrix for m in map(coset.tables.element, coset.ids)}) == 1
     with pytest.raises(ValueError):
         cosets(trivial, table)
 
@@ -313,6 +313,49 @@ def test_load_config_diagnostics():
         load_config(not_normalizing)
 
 
+@pytest.mark.parametrize(
+    "config,field",
+    [
+        (dict(SL2_CONFIG, generators=[[[False, -1], [True, False]]]), "generators"),
+        (dict(SL2_CONFIG, c_generators=[[[True, 0], [0, True]]]), "c_generators"),
+        (dict(SL2_CONFIG, a_basis=[[[True, 0], [0, 0]], [[0, 0], [0, 1]]]), "a_basis"),
+        (dict(SL2_CONFIG, n=2.9), "n"),
+        (dict(SL2_CONFIG, n="2"), "n"),
+        (dict(SL2_CONFIG, multiplicities=[True]), "multiplicities"),
+        (dict(SL2_CONFIG, simple_roots=[[{"num": 2.5, "den": 2}, -1]]), "simple_roots num"),
+        (dict(SL2_CONFIG, simple_roots=[[{"num": 1, "den": True}, -1]]), "simple_roots den"),
+        (dict(SL2_CONFIG, simple_roots=[[1.0, -1]]), "simple_roots entry"),
+    ],
+    ids=[
+        "generators-bool", "c_generators-bool", "a_basis-bool", "n-float", "n-string",
+        "multiplicities-bool", "num-float", "den-bool", "root-float",
+    ],
+)
+def test_load_config_refuses_what_is_not_an_integer(config, field):
+    # a bool, float or string where an integer belongs is refused, not read as 0/1 or truncated
+    with pytest.raises(PresetError, match=f"^malformed group config: {field}"):
+        load_config(config)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),  # a signed permutation of determinant -1
+        ((1, 0, 0), (1, 0, 0), (0, 0, 1)),  # every row in the orbit, not a permutation
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),  # a row outside the orbit of the unit rows
+    ],
+    ids=["det-minus-one", "repeated-row", "row-outside-orbit"],
+)
+def test_matrices_outside_U_are_refused_by_name(sl3, matrix):
+    u = UElement(matrix, sl3)
+    with pytest.raises(ValueError) as err:
+        compile_group(sl3).position(u)
+    assert str(err.value) == f"{matrix} is not an element of U"
+    with pytest.raises(ValueError) as err:
+        subgroup_closure(sl3, [sl3.generator(1), u])
+    assert str(err.value) == f"generator {matrix} is not an element of U"
+
+
 C_NOT_COMMUTING = {  # c1, c2 fix the Cartan coordinates; their lower 2x2 blocks do not commute
     "name": "c-not-commuting",
     "n": 4,
@@ -359,10 +402,14 @@ C_NOT_COMMUTING = {  # c1, c2 fix the Cartan coordinates; their lower 2x2 blocks
             dict(SL2_CONFIG, a_basis=SL2_CONFIG["a_basis"] + [[[1, 0], [0, 1]]]),
             "a_basis has 3 matrices, but the simple roots have 2 coordinates",
         ),
+        (
+            dict(SL2_CONFIG, simple_roots=[[{"num": 1, "den": 0}, -1]]),
+            r"malformed group config: Fraction\(1, 0\)",
+        ),
     ],
     ids=[
         "determinant", "order", "normalizer", "pi-s", "pi-s-basis", "pi-c", "c-commute",
-        "positive", "infinite", "basis-shape", "basis-count",
+        "positive", "infinite", "basis-shape", "basis-count", "zero-denominator",
     ],
 )
 def test_load_refusals_name_their_check(config, message):
@@ -388,7 +435,7 @@ SHEAR_SL2 = {  # SL(2) conjugated by the shear [[1, 1], [0, 1]]: not a signed pe
 
 def test_closure_bound_generic_step():
     preset = load_config(SHEAR_SL2)
-    assert len(_closure(identity_matrix(2), preset.generators, bound=4)[0]) == 4
+    assert len(_closure(identity_matrix(2), preset.generators, bound=4)[1]) == 4
     with pytest.raises(ClosureBoundExceeded):
         _closure(identity_matrix(2), preset.generators, bound=3)
 
@@ -630,7 +677,7 @@ def test_value_classes_refuse_assignment(sl3):
     quotient = control_quotient_order(table, u_s)
     objects = {
         "matrix": project_to_W(sl3.generator(1)),
-        "members": cosets(table, u_s)[0],
+        "ids": cosets(table, u_s)[0],
         "below": quotient,
         "status": pair_status(quotient, sl3.generator(2), sl3.identity()),
         "rank": sl3.root_datum,
@@ -648,9 +695,9 @@ def test_value_classes_refuse_assignment(sl3):
 
 def test_value_classes_take_keywords(sl3):
     e = sl3.identity()
-    coset = Coset(representative=e, members=(e,), ids=(0,))
-    assert (coset.representative, coset.members, coset.ids) == (e, (e,), (0,))
-    assert e in coset and len(coset) == 1
+    tables = compile_group(sl3)
+    coset = Coset(tables=tables, ids=(tables.identity,))
+    assert (coset.representative, coset.tables, coset.ids) == (e, tables, (tables.identity,))
     verdict = PairVerdict(status="equal")
     assert (verdict.a_before_b_candidates, verdict.b_before_a_candidates) == (None, None)
     report = QuotientReport(

@@ -214,8 +214,8 @@ def test_morse_quotient_reference(sl3):
     want_classes = {key(v): k for k, v in fixture_sl3.MORSE_COSETS.items()}
     got_label = {}
     for idx, coset in enumerate(quotient.cosets):
-        k = frozenset(m.matrix for m in coset.members)
-        assert k in want_classes, sorted(display_word(m) for m in coset.members)
+        k = frozenset(map(coset.tables.matrix, coset.ids))
+        assert k in want_classes, sorted(map(coset.tables.word, coset.ids))
         got_label[idx] = want_classes[k]
     covers = {(got_label[j], got_label[i]) for i, j in quotient.covers()}
     assert covers == set(fixture_sl3.MORSE_ARROWS)
@@ -242,7 +242,7 @@ def test_control_quotient_matches_morse(sl3):
     u_h = subgroup_U_H(sl3, {1})
     qc = control_quotient_order(table, u_s)
     qm = morse_quotient_order(table, u_h)
-    assert [c.members for c in qc.cosets] == [c.members for c in qm.cosets]
+    assert [c.ids for c in qc.cosets] == [c.ids for c in qm.cosets]
     assert qc.relation == qm.relation
     assert qc.kind == "control-forward" and qm.kind == "morse"
     with pytest.raises(ValueError):
@@ -262,18 +262,17 @@ def test_control_forward_edges_reference(sl3):
     table = enumerate_U(sl3)
     u_s = subgroup_closure(sl3, [sl3.generator(1)])
     quotient = control_quotient_order(table, u_s)
+    tables = table.tables
 
     def class_key(expr):
         x = parse_element(sl3, expr)
-        return frozenset(
-            m.matrix for m in quotient.cosets[quotient.index_of(x)].members
-        )
+        return frozenset(map(tables.matrix, quotient.cosets[quotient.index_of(x)].ids))
 
     classes = quotient.cosets
     got = {
         (
-            frozenset(m.matrix for m in classes[src].members),
-            frozenset(m.matrix for m in classes[dst].members),
+            frozenset(map(tables.matrix, classes[src].ids)),
+            frozenset(map(tables.matrix, classes[dst].ids)),
         )
         for src, dst in control_forward_pairs(quotient)
     }
@@ -287,17 +286,19 @@ def test_control_forward_edges_reference(sl3):
 
 
 def test_converse_candidates(sl3):
-    classes = cosets(enumerate_U(sl3), subgroup_closure(sl3, [sl3.generator(1)]))
+    table = enumerate_U(sl3)
+    classes = cosets(table, subgroup_closure(sl3, [sl3.generator(1)]))
     one = sl3.identity()
     s1, s2 = sl3.generator(1), sl3.generator(2)
-    u_class = next(c for c in classes if one in c)
+    position = table.tables.position
+    u_class = next(c for c in classes if position(one) in c.ids)
     # same class: contains the identity
     assert one in _grid_candidates(u_class, u_class)
     # v-class = U(S) s2, u-class = U(S): nonempty, contains s1
-    cands = _grid_candidates(u_class, next(c for c in classes if s2 in c))
+    cands = _grid_candidates(u_class, next(c for c in classes if position(s2) in c.ids))
     assert s1 in cands and cands
     # every candidate lies in the u class
-    assert all(x in u_class for x in cands)
+    assert all(position(x) in u_class.ids for x in cands)
 
 
 def test_undetermined_pairs_surface(sl3):
@@ -407,11 +408,10 @@ def test_quotient_orders_match_definitions(make, source, arg):
     for rule, build in (("morse", morse_quotient_order), ("control", control_quotient_order)):
         quotient = build(table, subgroup)
         for k, c in enumerate(quotient.cosets):
-            positions = [tables.position(m) for m in c.members]
-            assert list(c.ids) == positions == sorted(positions)
-            assert all(quotient.class_of[p] == k for p in positions)
+            assert list(c.ids) == sorted(set(c.ids))
+            assert all(quotient.class_of[p] == k for p in c.ids)
         classes, strict, covers = _quotient_by_definition(elements, subgroup, rule)
-        where = {frozenset(m.matrix for m in c.members): k for k, c in enumerate(quotient.cosets)}
+        where = {frozenset(map(tables.matrix, c.ids)): k for k, c in enumerate(quotient.cosets)}
         rename = [where[frozenset(elements[a].matrix for a in c)] for c in classes]
         n = len(quotient.cosets)
         assert sorted(rename) == list(range(n))
@@ -696,7 +696,7 @@ def test_table_reduced_words_match_fraction_route(name):
 def reference_lift_word(coset):
     """First member (by key) that lifts one of its reduced words exactly,
     by Fraction words and matrix products; that word, or None."""
-    for member in coset.members:
+    for member in map(coset.tables.element, coset.ids):
         for word in ref.all_reduced_words(project_to_W(member)):
             if ref.lift_word(member.preset, word).matrix == member.matrix:
                 return word
@@ -733,7 +733,7 @@ def test_converse_candidates_match_matrix_loop(make):
                     with pytest.raises(ReducedLiftUnavailable):
                         _grid_candidates(u_class, v_class)
                 else:
-                    want = {x for x in products if x in u_class}
+                    want = {x for x in products if table.tables.position(x) in u_class.ids}
                     assert _grid_candidates(u_class, v_class) == want
 
 
@@ -753,8 +753,8 @@ def test_converse_grid_matches_matrix_loop_sl4():
             except ReducedLiftUnavailable:
                 continue
             liftable += 1
-            assert member in v_class and ref.lift_word(preset, word) == member
+            assert tables.position(member) in v_class.ids and ref.lift_word(preset, word) == member
             assert ref.is_reduced(preset.root_datum, word)
-            grid = {tables.U.elements[k] for k in xorder._grid(tables, word, 3)}
+            grid = set(map(tables.element, xorder._grid(tables, word, 3)))
             assert grid == reference_products(preset, word)
     assert liftable == 36

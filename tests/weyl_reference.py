@@ -158,13 +158,14 @@ def tableau_leq(v, w):
 
 def validate_group_table(table):
     """Check the group axioms by brute force (identity, closure, inverses)."""
-    if table.preset.identity() not in table:
+    members = {u.matrix for u in table}
+    if table.preset.identity().matrix not in members:
         raise InvariantViolation("table does not contain the identity")
-    for a in table.elements:
-        if a.inverse() not in table:
+    for a in table:
+        if a.inverse().matrix not in members:
             raise InvariantViolation(f"inverse of {a.matrix} missing from table")
-        for b in table.elements:
-            if a * b not in table:
+        for b in table:
+            if (a * b).matrix not in members:
                 raise InvariantViolation(
                     f"table not closed: {a.matrix} * {b.matrix} escapes"
                 )

@@ -95,12 +95,13 @@ def hasse_json(group: FiniteGroupTable) -> dict:
     """Canonical JSON form of the extended order: ids are the `hasse`
     indices, in (projection length, word) order; covers are [upper, lower]
     id pairs."""
+    tables = group.tables
     poset = hasse(group)
-    words = list(map(display_word, poset.elements))
+    words = list(map(tables.word, poset.ids))
     return {
         "elements": [
-            {"id": k, "word": words[k], "matrix": list(map(list, u.matrix))}
-            for k, u in enumerate(poset.elements)
+            {"id": n, "word": words[n], "matrix": list(map(list, tables.matrix(k)))}
+            for n, k in enumerate(poset.ids)
         ],
         "covers": sorted([hi, lo] for lo, hi in poset.covers),
     }
@@ -110,7 +111,7 @@ def hasse_dot(group: FiniteGroupTable, name: str = "extended_bruhat") -> str:
     """Graphviz digraph; one node per element labeled by its canonical word,
     one edge per covering pair, direction upper -> lower."""
     poset = hasse(group)
-    words = list(map(display_word, poset.elements))
+    words = list(map(group.tables.word, poset.ids))
     return _digraph(name, words, sorted((words[hi], words[lo]) for lo, hi in poset.covers))
 
 

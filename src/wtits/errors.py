@@ -4,15 +4,42 @@ its immutable value classes."""
 
 class Frozen:
     """Base of the immutable value classes: once built, assigning or
-    deleting any attribute raises AttributeError naming it.  Each subclass
-    sets its own fields in `__init__`, past this guard, with `_set`."""
+    deleting any attribute raises AttributeError naming it.
+
+    One constructor serves every subclass: it binds the positional
+    arguments, then the keywords, onto the class's fields, which are its
+    `__slots__`, or its `_fields` where the class keeps an instance dict
+    (for `cached_property`).  A field left out takes its value in
+    `_defaults`; a missing, unknown, repeated or surplus argument raises
+    TypeError naming the class and the field.  A subclass that derives or
+    validates a field in its own `__init__` passes the values on to it."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
-    def _set(self, **fields) -> None:
-        """Set the fields, from `__init__` only."""
-        for name, value in fields.items():
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields or cls.__slots__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__} takes {len(fields)} fields ({', '.join(fields)}), "
+                f"got {len(args)} positional arguments"
+            )
+        for name, value in zip(fields, args):
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
             object.__setattr__(self, name, value)
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r}")
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

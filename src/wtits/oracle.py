@@ -57,9 +57,10 @@ others are stepped after it; a matrix's QR does not depend on the rest of
 its stack, so every limit is the one of the whole stack.
 Sample and start stacks, and a flow's table of start-to-component
 distances, are refused from their predicted size, before any allocation,
-above MAX_STACK_FLOATS; the report applies the same refusal to each cell,
-before any draw, although it never holds a whole cell, and the order's
-cap (`xorder.require_order_memory`) before U is closed.
+above MAX_STACK_FLOATS (a flow's before U is closed); the report applies
+the same refusal to each cell, before any draw, although it never holds
+a whole cell, and the order's cap (`xorder.require_order_memory`) before
+U is closed.
 
 This is the package's only numpy user.  `wtits` resolves the names it
 re-exports from here on first access, so the exact commands never import
@@ -85,6 +86,7 @@ from .utits import (
     GroupPreset,
     UElement,
     canonical_form,
+    closed_size,
     cosets,
     coset_label,
     enumerate_U,
@@ -185,31 +187,21 @@ class CellSample(Frozen):
     The first rows of `parameters` are the distinguished grid {0, 1/2, 1}^d
     (whose images are exactly the group elements lying in the closed cell,
     the all-halves point giving u itself); the remainder are the uniform
-    draws.  `points` has shape (N, n, n) and `parameters` (N, d).
+    draws.  `u` is the cell's `UElement`; `points` is an array of shape
+    (N, n, n) and `parameters` one of shape (N, d).
     """
 
     __slots__ = ("u", "points", "parameters")
-
-    def __init__(self, u: UElement, points: np.ndarray, parameters: np.ndarray):
-        self._set(u=u, points=points, parameters=parameters)
 
 
 class _CellPlan(Frozen):
     """The exact-layer data of one cell, as plain numbers: the rotation
     plane (p, q, orientation) of each letter of u's reduced lift, the C
     part as a signed permutation of columns (column j of Psi_u is
-    c_signs[j] times column c_columns[j] of the rotation product), and the
-    substream key."""
+    c_signs[j] times column c_columns[j] of the rotation product, both
+    arrays of length n), and the substream key, a tuple of ints."""
 
-    def __init__(
-        self,
-        n: int,
-        planes: tuple[tuple[int, int, int], ...],
-        c_columns: np.ndarray,
-        c_signs: np.ndarray,
-        key: tuple[int, ...],
-    ):
-        self._set(n=n, planes=planes, c_columns=c_columns, c_signs=c_signs, key=key)
+    _fields = ("n", "planes", "c_columns", "c_signs", "key")
 
     @cached_property
     def turns(self) -> np.ndarray:
@@ -766,13 +758,7 @@ class FlowSpec(Frozen):
         ):
             if np.linalg.norm(a @ b - b @ a) > ORTHO_TOL * max(1.0, np.linalg.norm(a @ b)):
                 raise ValueError(f"{names} parts do not commute")
-        self._set(
-            H=H,
-            elliptic=elliptic,
-            nilpotent=nilpotent,
-            time_step=time_step,
-            flow_matrix=elliptic @ h @ u,
-        )
+        super().__init__(H, elliptic, nilpotent, time_step, elliptic @ h @ u)
 
 
 def flow_step(spec: FlowSpec, x) -> np.ndarray:
@@ -813,7 +799,12 @@ def component_distance(x: np.ndarray, u_rep: UElement, blocks) -> float | np.nda
 
 
 class MorseReport(Frozen):
-    """Outcome of the flow-based Morse component recovery."""
+    """Outcome of the flow-based Morse component recovery: the preset's
+    name, Theta and the seed; whether the flow is degenerate; the
+    recurrent group points (`UElement`s); per component its label and
+    recurrent count, and the attractors' component indices; per start (of
+    `start_count`) its component (None if its limit converged to none) and
+    its limit's distance; and the non-convergent starts."""
 
     __slots__ = (
         "preset",
@@ -829,36 +820,6 @@ class MorseReport(Frozen):
         "non_convergent",
         "seed",
     )
-
-    def __init__(
-        self,
-        preset: str,
-        theta: tuple[int, ...],
-        degenerate: bool,
-        recurrent_points: tuple[UElement, ...],
-        component_labels: tuple[str, ...],
-        recurrent_per_component: tuple[int, ...],
-        attractor_components: tuple[int, ...],
-        start_count: int,
-        component_assignment: tuple[int | None, ...],
-        limit_distances: tuple[float, ...],
-        non_convergent: tuple[int, ...],
-        seed: int,
-    ):
-        self._set(
-            preset=preset,
-            theta=theta,
-            degenerate=degenerate,
-            recurrent_points=recurrent_points,
-            component_labels=component_labels,
-            recurrent_per_component=recurrent_per_component,
-            attractor_components=attractor_components,
-            start_count=start_count,
-            component_assignment=component_assignment,
-            limit_distances=limit_distances,
-            non_convergent=non_convergent,
-            seed=seed,
-        )
 
     def components_found(self) -> int:
         return len({a for a in self.component_assignment if a is not None})
@@ -894,14 +855,15 @@ def recover_morse(
         raise ValueError("H is not in the closed positive chamber of the preset")
     theta = tuple(i + 1 for i, val in enumerate(simple_values) if abs(val) <= 1e-9)
 
+    # both stacks are sized from the exact |U| and from |U_H| closed on
+    # matrices, and refused before U is closed
+    n, size = preset.n, preset.predicted_size
+    starts = size + grid  # the group points, then the random ones
+    _require_stack_size(starts * n * n, f"a flow stack with grid={grid}")
+    count = size // closed_size(n, [preset.generators[i - 1] for i in theta])
+    _require_stack_size(starts * count, f"a distance table of {starts} starts by {count} classes")
     table = enumerate_U(preset)
-    n = preset.n
-    _require_stack_size((len(table) + grid) * n * n, f"a flow stack with grid={grid}")
-    u_h = subgroup_U_H(preset, theta)
-    classes = cosets(table, u_h)
-    starts = len(table) + grid  # the group points, then the random ones
-    what = f"a distance table of {starts} starts by {len(classes)} classes"
-    _require_stack_size(starts * len(classes), what)
+    classes = cosets(table, subgroup_U_H(preset, theta))
     blocks = _h_blocks(spec.H)
     degenerate = len(theta) == datum.rank and not np.any(spec.nilpotent)
 

@@ -42,7 +42,8 @@ class RootDatum(Frozen):
     """A finite root system presented on explicit Cartan coordinates.
 
     `dim` is the number of coordinates (which may exceed `rank`, e.g. the n
-    diagonal coordinates of sl(n) for a rank n-1 system).  `multiplicities`
+    diagonal coordinates of sl(n) for a rank n-1 system); `simple_roots`
+    and `positive_roots` are tuples of `Covector`s.  `multiplicities`
     holds, per simple root, the dimension m of the rank-one flag sphere S^m
     attached to it; m > 1 forces the squared generator lift to be trivial.
     Two data are equal, and hash alike, when those five fields are.
@@ -51,24 +52,10 @@ class RootDatum(Frozen):
     else about a datum changes.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        dim: int,
-        simple_roots: tuple[Covector, ...],
-        positive_roots: tuple[Covector, ...],
-        multiplicities: tuple[int, ...],
-    ):
-        self._set(
-            rank=rank,
-            dim=dim,
-            simple_roots=simple_roots,
-            positive_roots=positive_roots,
-            multiplicities=multiplicities,
-        )
+    _fields = ("rank", "dim", "simple_roots", "positive_roots", "multiplicities")
 
     def _key(self) -> tuple:
-        return self.rank, self.dim, self.simple_roots, self.positive_roots, self.multiplicities
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -176,21 +163,12 @@ def _reflection_matrix(alpha: Covector) -> FracMatrix:
 
 
 class WeylElement(Frozen):
-    """A Weyl group element as an exact linear map on Cartan coordinates.
-    Two elements are equal, and hash alike, when their data and matrices
-    are."""
+    """A Weyl group element as an exact linear map on Cartan coordinates:
+    its `RootDatum`, its `FracMatrix` and that matrix's inverse, and its
+    length.  Two elements are equal, and hash alike, when their data and
+    matrices are."""
 
     __slots__ = ("datum", "matrix", "inverse_matrix", "cached_length")
-
-    def __init__(
-        self, datum: RootDatum, matrix: FracMatrix, inverse_matrix: FracMatrix, cached_length: int
-    ):
-        self._set(
-            datum=datum,
-            matrix=matrix,
-            inverse_matrix=inverse_matrix,
-            cached_length=cached_length,
-        )
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -70,7 +70,9 @@ from .rootsys import (
 )
 
 class GroupPreset(Frozen):
-    """Full algebraic datum of one concrete group.
+    """Full algebraic datum of one concrete group: n x n `IntMatrix` tuples
+    `generators`, `c_generators` and `a_basis`, a `RootDatum`, and a
+    display `label` ("" by default).
 
     Instances compare by identity; `load_preset` caches them so each named
     preset is a singleton.  The compiled group `_tables` (read through
@@ -78,25 +80,8 @@ class GroupPreset(Frozen):
     use; nothing else about a preset changes.
     """
 
-    def __init__(
-        self,
-        name: str,
-        n: int,
-        generators: tuple[IntMatrix, ...],
-        c_generators: tuple[IntMatrix, ...],
-        root_datum: RootDatum,
-        a_basis: tuple[IntMatrix, ...],
-        label: str = "",
-    ):
-        self._set(
-            name=name,
-            n=n,
-            generators=generators,
-            c_generators=c_generators,
-            root_datum=root_datum,
-            a_basis=a_basis,
-            label=label,
-        )
+    _fields = ("name", "n", "generators", "c_generators", "root_datum", "a_basis", "label")
+    _defaults = {"label": ""}
 
     @property
     def rank(self) -> int:
@@ -109,8 +94,7 @@ class GroupPreset(Frozen):
         c_j.  Exact for every preset that compiles, since compiling checks
         |U| = |W| * |C|."""
         c_gens = [mat_mul(s, s) for s in self.generators] + list(self.c_generators)
-        _, c_codes, _, _ = _closure(identity_matrix(self.n), c_gens, DEFAULT_CLOSURE_BOUND)
-        return len(weyl_table(self.root_datum)) * len(c_codes)
+        return len(weyl_table(self.root_datum)) * closed_size(self.n, c_gens)
 
     @cached_property
     def _tables(self) -> "GroupTables":
@@ -133,7 +117,7 @@ class UElement(Frozen):
     __slots__ = ("matrix", "preset", "_hash")
 
     def __init__(self, matrix: IntMatrix, preset: GroupPreset):
-        self._set(matrix=matrix, preset=preset, _hash=hash((matrix,)))
+        super().__init__(matrix, preset, hash((matrix,)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -212,6 +196,12 @@ def _closure(
     ]
     codes, right, words = closure([tuple(new[:n])], steps, bound)
     return [found[old] for old in order], codes, right, words
+
+
+def closed_size(n: int, generators: Sequence[IntMatrix]) -> int:
+    """The order of the group the n x n matrices `generators` generate,
+    closed on matrices (`_closure`) without compiling U."""
+    return len(_closure(identity_matrix(n), generators, DEFAULT_CLOSURE_BOUND)[1])
 
 
 # -- presets ------------------------------------------------------------------
@@ -793,13 +783,11 @@ def subgroup_closure(preset: GroupPreset, gens: Sequence[UElement]) -> FiniteGro
 
 
 class Coset(Frozen):
-    """A right coset, as the ascending U indices `ids` of its members; its
-    canonical representative is the first (smallest matrix key)."""
+    """A right coset, as the ascending U indices `ids` of its members in
+    `tables`; its canonical representative is the first (smallest matrix
+    key)."""
 
     __slots__ = ("tables", "ids")
-
-    def __init__(self, tables: GroupTables, ids: tuple[int, ...]):
-        self._set(tables=tables, ids=ids)
 
     @property
     def representative(self) -> UElement:
@@ -826,27 +814,11 @@ def cosets(group: FiniteGroupTable, subgroup: FiniteGroupTable) -> list[Coset]:
 
 
 class QuotientReport(Frozen):
-    """Outcome of the U(S)/C(S)/W(S) compatibility check."""
+    """Outcome of the U(S)/C(S)/W(S) compatibility check: W(S) as a tuple
+    of `WeylElement`s, C(S) as a `FiniteGroupTable`, the three class counts
+    and whether |U(S)\\U| = |W(S)\\W| * |C(S)\\C| holds."""
 
     __slots__ = ("W_S", "C_S", "classes_in_U", "classes_in_W", "classes_in_C", "identity_holds")
-
-    def __init__(
-        self,
-        W_S: tuple[WeylElement, ...],
-        C_S: FiniteGroupTable,
-        classes_in_U: int,
-        classes_in_W: int,
-        classes_in_C: int,
-        identity_holds: bool,
-    ):
-        self._set(
-            W_S=W_S,
-            C_S=C_S,
-            classes_in_U=classes_in_U,
-            classes_in_W=classes_in_W,
-            classes_in_C=classes_in_C,
-            identity_holds=identity_holds,
-        )
 
 
 def check_quotient_isomorphism(U_S: FiniteGroupTable, C_table: FiniteGroupTable) -> QuotientReport:

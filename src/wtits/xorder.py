@@ -30,7 +30,7 @@ one other slot in every block (C's own table, `c_mul`): each Weyl
 element's grid is built once, and each of its |C| translates is |C|
 shift-and-mask operations on one int (`_down_masks`).
 
-The Hasse diagram is the cover table itself, its elements in (projection
+The Hasse diagram is the cover table itself, its U indices in (projection
 length, display word) order.  It needs no closure: the order projects
 onto the Bruhat order, which is graded by length, so every cover must
 join consecutive lengths, and a graded cover set is acyclic and
@@ -294,28 +294,22 @@ def extended_leq(u_lo: UElement, u_hi: UElement) -> bool:
 # -- Hasse diagrams -----------------------------------------------------------
 
 
-class Poset:
-    """The Hasse diagram of a finite poset: its elements and its covering
-    pairs (lower index, upper index).  `hasse` builds the extended order's
-    diagram from the cover table; queries on that order go through
-    `extended_leq`."""
+class Poset(Frozen):
+    """The Hasse diagram of the extended order on a group: its U indices
+    `ids`, in display order, and its covering pairs `covers`, a frozenset
+    of (lower, upper) positions in `ids`.  Queries on that order go
+    through `extended_leq`."""
 
-    def __init__(self, elements: Sequence, covers: Iterable[tuple[int, int]]):
-        self.elements = tuple(elements)
-        self.covers = frozenset(covers)
-        n = len(self.elements)
-        for lo, hi in self.covers:
-            if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
-                raise ValueError(f"bad cover pair ({lo}, {hi})")
+    __slots__ = ("ids", "covers")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
 
 
 def hasse(group: FiniteGroupTable) -> Poset:
     """Hasse diagram of the extended Bruhat order on an enumerated group:
-    the cover table itself, elements sorted by (projection length, display
-    tokens), the order the CLI writes.
+    the cover table itself, its U indices sorted by (projection length,
+    display tokens), the order the CLI writes.
 
     Every drop cover must join consecutive lengths, since the order
     projects onto the Bruhat order, which is graded by length; a cover
@@ -336,14 +330,14 @@ def hasse(group: FiniteGroupTable) -> Poset:
                     f"joins lengths {top} and {tables.length(v)}, which are not consecutive"
                 )
             edges.append((pos[v], pos[k]))
-    return Poset(map(tables.element, ids), edges)
+    return Poset(tuple(ids), frozenset(edges))
 
 
 # -- quotient orders ----------------------------------------------------------
 
 
 class QuotientPoset(Frozen):
-    """Partial order on right cosets.
+    """Partial order on right cosets, the tuple `cosets`.
 
     `below[j]` and `cover_rows[j]` are the bitsets of the classes at or below
     class j and of those it covers; `class_of[k]` is the class of element k
@@ -352,16 +346,6 @@ class QuotientPoset(Frozen):
     """
 
     __slots__ = ("kind", "cosets", "below", "cover_rows", "class_of")
-
-    def __init__(
-        self,
-        kind: str,
-        cosets: tuple[Coset, ...],
-        below: tuple[int, ...],
-        cover_rows: tuple[int, ...],
-        class_of: tuple[int, ...],
-    ):
-        self._set(kind=kind, cosets=cosets, below=below, cover_rows=cover_rows, class_of=class_of)
 
     @property
     def relation(self) -> frozenset[tuple[int, int]]:
@@ -533,24 +517,14 @@ class PairVerdict(Frozen):
 
     status is one of "equal", "leq" (D of `a` precedes D of `b`), "geq",
     or "undetermined".  For undetermined pairs the two converse tests are
-    reported: None means the test was inapplicable (no reduced lift),
-    an empty set means that direction is refuted, a nonempty set lists the
-    surviving candidates.
+    reported, each a frozenset of `UElement`s or None (the default): None
+    means the test was inapplicable (no reduced lift), an empty set means
+    that direction is refuted, a nonempty set lists the surviving
+    candidates.
     """
 
     __slots__ = ("status", "a_before_b_candidates", "b_before_a_candidates")
-
-    def __init__(
-        self,
-        status: str,
-        a_before_b_candidates: frozenset[UElement] | None = None,
-        b_before_a_candidates: frozenset[UElement] | None = None,
-    ):
-        self._set(
-            status=status,
-            a_before_b_candidates=a_before_b_candidates,
-            b_before_a_candidates=b_before_a_candidates,
-        )
+    _defaults = {"a_before_b_candidates": None, "b_before_a_candidates": None}
 
 
 def pair_status(quotient: QuotientPoset, a: UElement, b: UElement) -> PairVerdict:

@@ -57,7 +57,7 @@ def test_criterion_01_sl3_order_reproduction(sl3):
     nodes = {k: parse_element(sl3, e) for k, e in fixture_sl3.NODES.items()}
     assert len(poset) == 24
     assert len(poset.covers) == 64
-    pos = {u.matrix: i for i, u in enumerate(poset.elements)}
+    pos = {table.tables.matrix(k): i for i, k in enumerate(poset.ids)}
     assert {
         (pos[nodes[lo].matrix], pos[nodes[hi].matrix]) for hi, lo in fixture_sl3.ARROWS
     } == set(poset.covers)
@@ -75,7 +75,7 @@ def test_criterion_02_so24_order_reproduction(so24):
     poset = hasse(table)
     nodes = {k: parse_element(so24, e) for k, e in fixture_so24.NODES.items()}
     assert len(poset) == 16 and len(poset.covers) == 36
-    pos = {u.matrix: i for i, u in enumerate(poset.elements)}
+    pos = {table.tables.matrix(k): i for i, k in enumerate(poset.ids)}
     assert {
         (pos[nodes[lo].matrix], pos[nodes[hi].matrix]) for hi, lo in fixture_so24.ARROWS
     } == set(poset.covers)

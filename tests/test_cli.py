@@ -139,9 +139,11 @@ def test_hasse_json_ids_are_hasse_indices(source):
     poset = hasse(table)
     payload = hasse_json(table)
     assert [e["id"] for e in payload["elements"]] == list(range(len(poset)))
-    assert [e["word"] for e in payload["elements"]] == [display_word(u) for u in poset.elements]
+    # each index back to its element, then to its word by `position`
+    elements = list(map(table.tables.element, poset.ids))
+    assert [e["word"] for e in payload["elements"]] == list(map(display_word, elements))
     assert [e["matrix"] for e in payload["elements"]] == [
-        [list(row) for row in u.matrix] for u in poset.elements
+        [list(row) for row in u.matrix] for u in elements
     ]
     assert {(lo, hi) for hi, lo in payload["covers"]} == poset.covers
     assert len(payload["covers"]) == len(poset.covers)
@@ -639,6 +641,19 @@ def test_oracle_schubert_refuses_sl7_before_closing_u(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert "|U| = 322560 elements needs 13005619200 bytes" in err
     assert f"over the cap of {MAX_ORDER_BYTES}" in err
+
+
+def test_oracle_flow_refuses_sl7_before_closing_u(capsys, monkeypatch):
+    from wtits.oracle import MAX_STACK_FLOATS
+
+    # a regular H: Theta = {}, so U_H = {1} and every element is its own
+    # class; the distance table is sized from |U| and |U_H| alone
+    refuse_closing_u(monkeypatch, load_preset("sl7"))
+    argv = ["oracle", "flow", "--preset", "sl7", "--H", "6,5,4,3,2,1,-21", "--steps", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "a distance table of 322608 starts by 322560 classes needs 104060436480 floats" in err
+    assert f"over the cap of {MAX_STACK_FLOATS}" in err
 
 
 def test_order_command_sizes_the_group_once(capsys, monkeypatch):

@@ -450,7 +450,8 @@ def test_non_signed_permutation_group():
     poset = hasse(table)
     assert len(poset) == 4
     # 1 and s1^2 both sit below s1 and s1^3
-    assert [display_word(u) for u in poset.elements] == ["1", "s1^2", "s1", "s1 s1^2"]
+    words = [display_word(table.tables.element(k)) for k in poset.ids]
+    assert words == ["1", "s1^2", "s1", "s1 s1^2"]
     assert sorted(poset.covers) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
@@ -718,3 +719,62 @@ def test_value_classes_take_keywords(sl3):
         a_basis=sl3.a_basis,
     )
     assert preset.label == "" and preset.rank == 2
+
+
+def _generic_value_classes() -> list[type]:
+    """Every value class built by `Frozen`'s own constructor."""
+    import wtits.oracle  # noqa: F401 -- defines the oracle's value classes
+    from wtits.errors import Frozen
+
+    classes = [cls for cls in Frozen.__subclasses__() if "__init__" not in vars(cls)]
+    return sorted(classes, key=lambda cls: cls.__name__)
+
+
+# the declared defaults; every other field is required
+DEFAULTS = {
+    "GroupPreset": {"label": ""},
+    "PairVerdict": {"a_before_b_candidates": None, "b_before_a_candidates": None},
+}
+
+
+def test_generic_constructor_builds_every_value_class():
+    assert {cls.__name__ for cls in _generic_value_classes()} == {
+        "CellSample", "Coset", "GroupPreset", "MorseReport", "PairVerdict", "Poset",
+        "QuotientPoset", "QuotientReport", "RootDatum", "WeylElement", "_CellPlan",
+    }  # fmt: skip
+
+
+@pytest.mark.parametrize("cls", _generic_value_classes(), ids=lambda cls: cls.__name__)
+def test_generic_constructor(cls):
+    name, fields = cls.__name__, cls._fields or cls.__slots__
+    values = [object() for _ in fields]
+    keywords = dict(zip(fields, values))
+
+    def assert_fields(obj, expected):
+        assert [getattr(obj, f) for f in fields] == expected
+
+    # positional, keyword and mixed construction bind the same fields
+    mixed = cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+    for obj in (cls(*values), cls(**keywords), mixed):
+        assert_fields(obj, values)
+    # a missing, unknown, repeated or surplus argument names the class and the field
+    with pytest.raises(TypeError, match=f"^{name} is missing field '{fields[0]}'$"):
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError, match=f"^{name} has no field 'colour'$"):
+        cls(*values, colour=1)
+    with pytest.raises(TypeError, match=f"^{name} got field '{fields[-1]}' twice$"):
+        cls(*values, **{fields[-1]: values[-1]})
+    surplus = rf"^{name} takes {len(fields)} fields \({', '.join(fields)}\), got {len(fields) + 1}"
+    with pytest.raises(TypeError, match=surplus):
+        cls(*values, object())
+    # the declared defaults fill what is left out, and nothing else has one
+    defaults = DEFAULTS.get(name, {})
+    assert cls._defaults == defaults
+    obj = cls(**{f: v for f, v in keywords.items() if f not in defaults})
+    assert_fields(obj, [defaults.get(f, v) for f, v in keywords.items()])
+    # a built object refuses to change
+    for field in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}' of {name}"):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}' of {name}"):
+            delattr(obj, field)

@@ -72,7 +72,7 @@ def test_hasse_matches_reference_diagram(name, fixture, n_nodes, n_edges):
     poset = hasse(table)
     assert len(poset) == n_nodes
     assert len(poset.covers) == n_edges == len(fixture.ARROWS)
-    pos = {u.matrix: i for i, u in enumerate(poset.elements)}
+    pos = {table.tables.matrix(k): i for i, k in enumerate(poset.ids)}
     expected = {
         (pos[nodes[lo].matrix], pos[nodes[hi].matrix]) for hi, lo in fixture.ARROWS
     }

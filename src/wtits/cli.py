@@ -15,12 +15,15 @@ The order commands (`order`, `morse`, `control`) and `oracle schubert`
 refuse a group, preset or config alike, from its exact |U| = |W| * |C|
 before U is closed.
 
-Exit codes: 0 success, 2 parse/usage error, 3 invariant violation.
+Exit codes: 0 success, 2 parse/usage error or an `--output` that cannot be
+written, 3 invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import re
@@ -240,18 +243,19 @@ def _parse_theta(preset: GroupPreset, text: str) -> set[int]:
     return theta
 
 
-def _parse_gens(preset: GroupPreset, text: str) -> list[UElement]:
+def _parse_gens(preset: GroupPreset, flag: str, text: str) -> list[UElement]:
     text = text.strip()
-    if not text:
-        return []
-    return [parse_element(preset, chunk.strip()) for chunk in text.split(",")]
+    chunks = [chunk.strip() for chunk in text.split(",")] if text else []
+    if "" in chunks:
+        raise ValueError(f"{flag}: bad entry '' in {text!r}; expected element expressions")
+    return [parse_element(preset, chunk) for chunk in chunks]
 
 
 def cmd_morse(args) -> int:
     preset = _load_order(args)
     table = enumerate_U(preset)
     theta = _parse_theta(preset, args.theta)
-    extra = _parse_gens(preset, args.extra_gens)
+    extra = _parse_gens(preset, "--extra-gens", args.extra_gens)
     u_h = subgroup_U_H(preset, theta, extra_gens=extra)
     quotient = morse_quotient_order(table, u_h)
     if args.format == "json":
@@ -276,7 +280,7 @@ def cmd_morse(args) -> int:
 def cmd_control(args) -> int:
     preset = _load_order(args)
     table = enumerate_U(preset)
-    gens = _parse_gens(preset, args.us_gens)
+    gens = _parse_gens(preset, "--us-gens", args.us_gens)
     pair = [parse_element(preset, text) for text in args.pair or ()]
     u_s = subgroup_closure(preset, gens)
     report = check_quotient_isomorphism(u_s, enumerate_C(preset))
@@ -364,9 +368,10 @@ def cmd_oracle(args) -> int:
         raise ValueError(f"--H has {n} entries, but preset {preset.name} has n = {preset.n}")
     nil = np.zeros((n, n))
     if args.nilpotent and args.nilpotent != "0":
+        start = 0  # where the chunk starts; `at`, where its stripped token does
         for chunk in args.nilpotent.split(","):
+            at, start = start + len(chunk) - len(chunk.lstrip()), start + len(chunk) + 1
             m = re.match(r"e(\d)(\d)(?:=(.+))?$", chunk.strip())
-            at = args.nilpotent.find(chunk)
             if not m:
                 raise ExprParseError(f"bad nilpotent token {chunk!r}", at)
             i, j = int(m.group(1)), int(m.group(2))
@@ -406,11 +411,14 @@ def cmd_oracle(args) -> int:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def nonnegative_int(text: str) -> int:
@@ -428,71 +436,74 @@ def positive_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def leaf(sub, func, name: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        group_src = p.add_mutually_exclusive_group()
+        group_src.add_argument("--preset", default="sl3", help="sl<n>, sl(<n>) or so24")
+        group_src.add_argument("--config", help="path to a custom group JSON config")
+        p.set_defaults(func=func)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="wtits",
         description="Extended Weyl groups, the extended Bruhat order, and numerical oracles",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    group_src = common.add_mutually_exclusive_group()
-    group_src.add_argument("--preset", default="sl3", help="sl<n>, sl(<n>) or so24")
-    group_src.add_argument("--config", help="path to a custom group JSON config")
-
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_group = sub.add_parser("group", parents=[common], help="inspect a preset")
-    p_group.add_argument("--json", action="store_true")
-    p_group.set_defaults(func=cmd_group)
+    p = leaf(sub, cmd_group, "group", help="inspect a preset")
+    p.add_argument("--json", action="store_true")
 
     p_order = sub.add_parser("order", help="extended Bruhat order")
     order_sub = p_order.add_subparsers(dest="order_cmd", required=True)
-    p_leq = order_sub.add_parser("leq", parents=[common])
-    p_leq.add_argument("--lhs", required=True)
-    p_leq.add_argument("--rhs", required=True)
-    p_leq.set_defaults(func=cmd_order)
-    p_hasse = order_sub.add_parser("hasse", parents=[common])
-    p_hasse.add_argument("--format", choices=("dot", "json"), default="dot")
-    p_hasse.add_argument("--output")
-    p_hasse.set_defaults(func=cmd_order)
+    p = leaf(order_sub, cmd_order, "leq")
+    p.add_argument("--lhs", required=True)
+    p.add_argument("--rhs", required=True)
+    p = leaf(order_sub, cmd_order, "hasse")
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.add_argument("--output")
 
-    p_morse = sub.add_parser("morse", parents=[common], help="Morse quotient order")
-    p_morse.add_argument("--theta", default="", help="comma-separated simple indices")
-    p_morse.add_argument("--extra-gens", default="", dest="extra_gens")
-    p_morse.add_argument("--format", choices=("text", "dot", "json"), default="text")
-    p_morse.add_argument("--output")
-    p_morse.set_defaults(func=cmd_morse)
+    p = leaf(sub, cmd_morse, "morse", help="Morse quotient order")
+    p.add_argument("--theta", default="", help="comma-separated simple indices")
+    p.add_argument("--extra-gens", default="", dest="extra_gens")
+    p.add_argument("--format", choices=("text", "dot", "json"), default="text")
+    p.add_argument("--output")
 
-    p_control = sub.add_parser("control", parents=[common], help="control-set machinery")
-    p_control.add_argument("--us-gens", default="", dest="us_gens")
-    p_control.add_argument("--pair", nargs=2, metavar=("LHS", "RHS"))
-    p_control.set_defaults(func=cmd_control)
+    p = leaf(sub, cmd_control, "control", help="control-set machinery")
+    p.add_argument("--us-gens", default="", dest="us_gens")
+    p.add_argument("--pair", nargs=2, metavar=("LHS", "RHS"))
 
     p_oracle = sub.add_parser("oracle", help="numerical oracles")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
-    p_schubert = oracle_sub.add_parser("schubert", parents=[common])
-    p_schubert.add_argument("--samples", type=nonnegative_int, default=100_000)
-    p_schubert.add_argument("--seed", type=int, default=42)
-    p_schubert.add_argument("--tol", type=positive_float, default=1e-2)
-    p_schubert.add_argument("--margin", type=positive_float, default=5e-2)
-    p_schubert.add_argument("--json", action="store_true")
-    p_schubert.add_argument("--output")
-    p_schubert.set_defaults(func=cmd_oracle)
-    p_flow = oracle_sub.add_parser("flow", parents=[common])
-    p_flow.add_argument("--H", required=True, help="comma-separated diagonal entries")
-    p_flow.add_argument("--nilpotent", default="", help='tokens like "e23" or "e23=0.5"')
-    p_flow.add_argument("--steps", type=nonnegative_int, default=2000)
-    p_flow.add_argument("--grid", type=nonnegative_int, default=48)
-    p_flow.add_argument("--seed", type=int, default=42)
-    p_flow.add_argument("--time-step", type=positive_float, default=1.0, dest="time_step")
-    p_flow.add_argument("--json", action="store_true")
-    p_flow.add_argument("--output")
-    p_flow.set_defaults(func=cmd_oracle)
+    p = leaf(oracle_sub, cmd_oracle, "schubert")
+    p.add_argument("--samples", type=nonnegative_int, default=100_000)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--tol", type=positive_float, default=1e-2)
+    p.add_argument("--margin", type=positive_float, default=5e-2)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--output")
+    p = leaf(oracle_sub, cmd_oracle, "flow")
+    p.add_argument("--H", required=True, help="comma-separated diagonal entries")
+    p.add_argument("--nilpotent", default="", help='tokens like "e23" or "e23=0.5"')
+    p.add_argument("--steps", type=nonnegative_int, default=2000)
+    p.add_argument("--grid", type=nonnegative_int, default=48)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--time-step", type=positive_float, default=1.0, dest="time_step")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--output")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one `wtits` command line (`sys.argv[1:]` when `argv` is None) and
+    return its exit code.  `gc.freeze` runs at exit, so interpreter shutdown
+    skips its cyclic collections over the modules, functions and tables
+    that die with the process; objects left in reference cycles are then
+    not finalized.  Repeated calls leave one exit hook; importing this module
+    registers none, so library callers keep the default shutdown."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ExprParseError as exc:

@@ -1,6 +1,10 @@
 """Command-line surface: parsing, outputs, determinism, exit codes."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,7 +24,11 @@ from wtits import (
 )
 from wtits.cli import hasse_dot, hasse_json, main, parse_element
 
-CUSTOM_O3 = Path(__file__).resolve().parent.parent / "benchmarks" / "custom_o3.json"
+ROOT = Path(__file__).resolve().parent.parent
+CUSTOM_O3 = ROOT / "benchmarks" / "custom_o3.json"
+# stdout, stderr and exit code of every help text and of five usage errors at
+# COLUMNS=80, as argparse words and wraps them on the Python version "python"
+CLI_TEXTS = json.loads((Path(__file__).parent / "cli_texts.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, argv):
@@ -395,10 +403,31 @@ def test_cmd_oracle_refuses_nonpositive_floats(capsys, argv):
             ["oracle", "flow", "--H", "2,-1,-1", "--nilpotent", "e23=1.2.3"],
             "bad nilpotent token 'e23=1.2.3'",
         ),
+        (
+            ["oracle", "flow", "--H", "2,-1,-1", "--nilpotent", "e12=3,e1"],
+            "parse error: bad nilpotent token 'e1' (at position 6)",
+        ),
+        (
+            ["oracle", "flow", "--H", "2,-1,-1", "--nilpotent", "e12, e44"],
+            "parse error: nilpotent entry e44 outside 1..3 (at position 5)",
+        ),
         (["oracle", "flow", "--H", "nan,0,0"], "H must be finite"),
         (["oracle", "flow", "--H", "2,-1"], "--H has 2 entries, but preset sl3 has n = 3"),
+        (["control", "--us-gens", "s1,,s2"], "error: --us-gens: bad entry '' in 's1,,s2'"),
+        (["morse", "--extra-gens", "s1, "], "error: --extra-gens: bad entry '' in 's1,'"),
     ],
-    ids=["theta-empty", "theta-letter", "H-letter", "nilpotent-number", "H-nan", "H-short"],
+    ids=[
+        "theta-empty",
+        "theta-letter",
+        "H-letter",
+        "nilpotent-number",
+        "nilpotent-second-token",
+        "nilpotent-after-space",
+        "H-nan",
+        "H-short",
+        "us-gens-empty",
+        "extra-gens-empty",
+    ],
 )
 def test_flag_parse_errors_name_the_flag(capsys, argv, message):
     code, out, err = run(capsys, [*argv, "--preset", "sl3"])
@@ -716,3 +745,128 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     text = out_path.read_text()
     assert text.startswith("digraph") and text.count("->") == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "hasse", "--format", "json"],
+        ["morse", "--theta", "1", "--format", "dot"],
+        ["oracle", "schubert", "--samples", "10", "--json"],
+        ["oracle", "flow", "--H", "2,-1,-1", "--steps", "5", "--grid", "2", "--json"],
+    ],
+    ids=["hasse", "morse", "schubert", "flow"],
+)
+def test_unwritable_output_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, [*argv, "--preset", "sl3", "--output", str(path)])
+    assert code == 2
+    assert err.endswith(f"error: cannot write {path}: No such file or directory\n")
+    assert "Traceback" not in err and not path.parent.exists()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_TEXTS["texts"]))
+def test_help_and_usage_texts_are_pinned(capsys, monkeypatch, name):
+    # the exit code is ours on every Python; the texts are argparse's, whose
+    # wording changes between releases, so they are pinned on one version
+    monkeypatch.setenv("COLUMNS", "80")
+    case = CLI_TEXTS["texts"][name]
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == case["code"]
+    if sys.version_info[:2] != tuple(CLI_TEXTS["python"]):
+        pytest.skip("texts pinned as Python %d.%d prints them" % tuple(CLI_TEXTS["python"]))
+    assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+
+
+def run_process(args, *argv, flags=()):
+    """Run a fresh interpreter on `args` with src on its path and return
+    (exit code, stdout bytes, stderr text)."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, *flags, *args, *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    return result.returncode, result.stdout, result.stderr.decode()
+
+
+WTITS = ["-c", "import sys; from wtits.cli import main; sys.exit(main())"]
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["group"], ""),
+        (["order", "hasse", "--format", "json"], ""),
+        (["order", "hasse", "--format", "dot"], ""),
+        (["morse", "--theta", "1", "--format", "json"], ""),
+        (["morse", "--theta", "1", "--format", "dot"], ""),
+        (["oracle", "schubert", "--json", "--samples", "10"], "576/576 pairs agree\n"),
+        (["oracle", "flow", "--H", "2,-1,-1", "--json", "--steps", "5"], ""),
+    ],
+    ids=["group", "hasse-json", "hasse-dot", "morse-json", "morse-dot", "schubert", "flow"],
+)
+def test_output_file_survives_the_frozen_exit(tmp_path, argv, stderr):
+    # the process exits with its heap frozen; in development mode an
+    # unclosed file, a failed finalizer or any warning would show in stderr
+    argv = [*argv, "--preset", "sl3"]
+    runs = [run_process(WTITS, *argv, flags=["-X", "dev"])]
+    if argv[0] != "group":  # `group` has no --output
+        path = tmp_path / "out"
+        runs.append(run_process(WTITS, *argv, "--output", str(path), flags=["-X", "dev"]))
+        assert runs[0][1] == runs[1][1] + path.read_bytes()
+    assert [(code, err) for code, _, err in runs] == [(0, stderr)] * len(runs)
+
+
+def test_main_freezes_nothing_in_process(capsys):
+    for _ in range(2):
+        assert run(capsys, ["group", "--preset", "sl2"])[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+EXIT_PROBE = """
+import atexit, gc, os, sys
+atexit.register(lambda: os.write(1, b"frozen %d\\n" % (gc.get_freeze_count() > 0)))
+hooks = atexit._ncallbacks()
+freeze = gc.freeze
+
+
+def counted():  # stands in for gc.freeze and counts its calls
+    os.write(1, b"freeze\\n")
+    freeze()
+
+
+gc.freeze = counted
+import wtits.cli
+os.write(1, b"import hooks %d\\n" % (atexit._ncallbacks() - hooks))
+
+class Cycle:
+    def __init__(self):
+        self.me = self
+
+    def __del__(self, write=os.write):
+        write(1, b"finalized\\n")
+
+Cycle()
+if sys.argv[1:]:
+    for _ in range(2):
+        code = wtits.cli.main(sys.argv[1:])
+    sys.exit(code)
+"""
+
+
+def test_only_main_freezes_the_heap_at_exit():
+    # two main calls freeze the heap once, at exit, before a hook registered
+    # ahead of main runs; a process that only imports the CLI keeps the
+    # default shutdown and finalizes its cyclic garbage
+    code, out, _ = run_process(["-c", EXIT_PROBE], "group", "--preset", "sl2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == b"import hooks 0" and lines[-2:] == [b"freeze", b"frozen 1"]
+    assert lines.count(b"freeze") == 1
+    code, out, _ = run_process(["-c", EXIT_PROBE])
+    assert code == 0
+    assert out.splitlines() == [b"import hooks 0", b"frozen 0", b"finalized"]
